@@ -1,16 +1,23 @@
-"""Linear algebra over the chain rings O_E/pi^m.
+"""Matrices over the coefficient rings, and linear algebra over the chain
+rings O_E/pi^m.
 
-These rings are local principal ideal rings; rank and solution-space
-computations pivot on minimal-valuation entries instead of nonzero ones.
-Vectors and matrices are lists of PadicElement (reduced mod pi^m on
-output); "zero" means valuation >= m.
+The matrix layer (``mat_mul``, ``determinant``, ``mat_inverse``,
+``word_matrix``) works over any commutative ring whose elements support
+``+ - *`` and ``inverse()``, raising DomainError for a non-unit:
+PadicElement (O_E), PadicNumber (E) and AdicSeries (O_X(X)).  Determinant
+and inverse both come from one division-free characteristic polynomial
+(Berkowitz), so they need no pivot search; with a bounded variable the
+series algebra is not local, and an invertible matrix need not have a
+unit entry.
+
+The solution-module and span code below works over O_E/pi^m: these rings
+are local principal ideal rings, so rank and solution-space computations
+pivot on minimal-valuation entries instead of nonzero ones.  Vectors there
+are lists of PadicElement (reduced mod pi^m on output); "zero" means
+valuation >= m.
 """
 
 from __future__ import annotations
-
-import itertools
-
-from loccon.padic import DomainError
 
 
 def _val(x, m):
@@ -27,17 +34,6 @@ def mat_mul(A, B):
                  start=A[i][0] * B[0][j]) for j in range(c)] for i in range(n)]
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c):
-    return [[a * c for a in row] for row in A]
-
 def identity_matrix(ctx, d):
     return [[ctx.one() if i == j else ctx.zero() for j in range(d)] for i in range(d)]
 
@@ -46,50 +42,101 @@ def mat_reduce_mod(A, m):
     return [[a.reduce_mod(m) for a in row] for row in A]
 
 
-def determinant(A):
-    """Leibniz expansion; fine for the small dimensions used here."""
+def mat_trace(A):
+    return sum((A[i][i] for i in range(1, len(A))), start=A[0][0])
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u[1:], v[1:])), start=u[0] * v[0])
+
+
+def _charpoly(A):
+    """[c_1, ..., c_d] with det(x I - A) = x^d + c_1 x^{d-1} + ... + c_d.
+
+    Berkowitz's algorithm (Inf. Process. Lett. 18, 1984): the polynomial of
+    each trailing block A[k:, k:] is a Toeplitz matrix times that of
+    A[k+1:, k+1:], whose entries are -A[k][k] and -R S^j C for the row R,
+    column C and block S around A[k][k].  Only + - * are used.
+    """
     d = len(A)
-    ctx = A[0][0].context
-    acc = ctx.zero()
-    for perm in itertools.permutations(range(d)):
-        sign = 1
-        seen = list(perm)
-        for i in range(d):
-            for j in range(i + 1, d):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = ctx.from_int(sign)
-        for i in range(d):
-            term = term * A[i][perm[i]]
-        acc = acc + term
-    return acc
+    c = [-A[-1][-1]]
+    for k in range(d - 2, -1, -1):
+        s = d - k - 1
+        R = A[k][k + 1:]
+        S = [row[k + 1:] for row in A[k + 1:]]
+        col = [row[k] for row in A[k + 1:]]
+        t = [-A[k][k]]
+        for j in range(s):
+            t.append(-_dot(R, col))
+            if j < s - 1:
+                col = [_dot(row, col) for row in S]
+        # c_i = t_{i-1} + sum_j t_{i-j-1} c'_j (+ c'_i), c' the block's polynomial
+        c = [sum((t[i - j - 1] * c[j - 1] for j in range(1, min(i - 1, s) + 1)),
+                 start=t[i - 1] + c[i - 1] if i <= s else t[i - 1])
+             for i in range(1, s + 2)]
+    return c
+
+
+def determinant(A):
+    c = _charpoly(A)[-1]
+    return c if len(A) % 2 == 0 else -c
 
 
 def mat_inverse(A):
-    """Inverse of a matrix with unit determinant, by unit-pivot elimination."""
+    """Adjugate times det(A)^-1; DomainError when det(A) is not a unit.
+
+    By Cayley-Hamilton, A B = -c_d I for B = A^{d-1} + c_1 A^{d-2} + ... +
+    c_{d-1} I (Horner), so adj(A) = (-1)^{d-1} B.
+    """
     d = len(A)
-    ctx = A[0][0].context
-    work = [row[:] for row in A]
-    inv = identity_matrix(ctx, d)
-    for col in range(d):
-        piv = None
-        for r in range(col, d):
-            if work[r][col].is_unit():
-                piv = r
-                break
-        if piv is None:
-            raise DomainError("matrix is not invertible over the integral ring")
-        work[col], work[piv] = work[piv], work[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pinv = work[col][col].inverse()
-        work[col] = [x * pinv for x in work[col]]
-        inv[col] = [x * pinv for x in inv[col]]
-        for r in range(d):
-            if r != col:
-                c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[col])]
-                inv[r] = [x - c * y for x, y in zip(inv[r], inv[col])]
-    return inv
+    c = _charpoly(A)
+    det = c[-1] if d % 2 == 0 else -c[-1]
+    dinv = det.inverse()
+    if d == 1:
+        return [[dinv]]
+    B = [row[:] for row in A]
+    for k in range(d - 1):
+        if k:
+            B = mat_mul(A, B)
+        for i in range(d):
+            B[i][i] = B[i][i] + c[k]
+    scale = dinv if d % 2 else -dinv
+    return [[x * scale for x in row] for row in B]
+
+
+def word_matrix(memo, word, letter):
+    """The product of the letter matrices of ``word``, left to right.
+
+    ``memo`` maps words to their products and holds the identity under
+    ``()``; ``letter(let)`` gives the matrix of a one-letter word, cached
+    in ``memo`` like any other word.  Products are memoized by prefix, so a
+    word whose prefix is already known costs one ``mat_mul``.
+    """
+    word = tuple(word)
+    M = memo.get(word)
+    if M is None:
+        if len(word) == 1:
+            M = letter(word[0])
+        else:
+            M = mat_mul(word_matrix(memo, word[:-1], letter),
+                        word_matrix(memo, word[-1:], letter))
+        memo[word] = M
+    return M
+
+
+def relations_hold(group, memo, letter):
+    """Whether the word matrices of a finite group's elements multiply like
+    the group: M(w_x) M(g) == M(w_{xg}) for every element x, generator g."""
+    words = group.element_words()
+    for x, w in words.items():
+        for gi, g in enumerate(group.gen_elements):
+            prod = mat_mul(word_matrix(memo, w, letter),
+                           word_matrix(memo, ((gi, 1),), letter))
+            target = word_matrix(memo, words[group.multiply(x, g)], letter)
+            if not all(a == b for r1, r2 in zip(prod, target)
+                       for a, b in zip(r1, r2)):
+                return False
+    return True
 
 
 def mat_is_zero_mod(A, m):
@@ -199,26 +246,24 @@ class ChainSpan:
         return [x.reduce_mod(self.m) for x in vec]
 
     def add(self, vec):
-        """Insert a vector; returns True when the span grew."""
-        vec = self.reduce(vec)
-        best = None
-        for j in range(self.k):
-            v = _val(vec[j], self.m)
-            if v < self.m and (best is None or v < best[0]):
-                best = (v, j)
-        if best is None:
+        """Insert a vector; returns True when the span grew.
+
+        Every other row is then reduced against the new one and placed
+        again, for stability.
+        """
+        j = self._place(vec)
+        if j is None:
             return False
-        a, j = best
-        self.rows[j] = (a, vec)
-        # re-reduce existing rows against the new one for stability
         for jj in list(self.rows):
-            if jj == j:
-                continue
-            aa, row = self.rows.pop(jj)
-            self.add_raw(row)
+            if jj != j:
+                self._place(self.rows.pop(jj)[1])
         return True
 
-    def add_raw(self, vec):
+    def _place(self, vec):
+        """Store the reduced vector at the column of its minimal-valuation
+        entry and return that column (None when it reduces to zero).  A row
+        already there has a larger valuation in that column; it is
+        displaced and placed again, so no generator is lost."""
         vec = self.reduce(vec)
         best = None
         for j in range(self.k):
@@ -226,8 +271,13 @@ class ChainSpan:
             if v < self.m and (best is None or v < best[0]):
                 best = (v, j)
         if best is None:
-            return
-        self.rows[best[1]] = (best[0], vec)
+            return None
+        a, j = best
+        displaced = self.rows.get(j)
+        self.rows[j] = (a, vec)
+        if displaced is not None:
+            self._place(displaced[1])
+        return j
 
     def is_full(self):
         return (len(self.rows) == self.k
@@ -236,8 +286,3 @@ class ChainSpan:
     def contains(self, vec):
         red = self.reduce(vec)
         return all(_val(x, self.m) >= self.m for x in red)
-
-    def signature(self):
-        """Hashable summary used for stabilization detection."""
-        return tuple(sorted((j, a, tuple(tuple(x.coords) for x in (row,))[0])
-                            for j, (a, row) in self.rows.items()))

@@ -226,7 +226,6 @@ def cmd_lattice(args):
     if args.op == "iso":
         a, b = _two_reps(spec, args)
         res = iso_mod(reduce_rep_mod(a, args.m), reduce_rep_mod(b, args.m),
-                      word_cap=_param(spec, args, "word_cap", 3),
                       seed=args.seed)
         rep = {"status": res.status, "certificate": res.certificate,
                "modulus": args.m}

@@ -5,9 +5,15 @@ fullness test."""
 from __future__ import annotations
 
 import itertools
-import random
 
-from loccon.chainring import ChainSpan
+from loccon.chainring import (
+    ChainSpan,
+    determinant,
+    mat_inverse,
+    mat_trace,
+    relations_hold,
+    word_matrix,
+)
 from loccon.padic import DomainError, gamma_exponent, relative_ramification
 from loccon.series import AdicSeries
 
@@ -32,50 +38,25 @@ class RepFamily:
             if len(M) != dim or any(len(r) != dim for r in M):
                 raise DomainError("generator matrices must be d x d")
             self.gen_images[name] = M
-        self._inv_cache = {}
-        for name, M in self.gen_images.items():
-            det = _series_det(M)
-            det.inverse()  # raises when the determinant is not a unit
-        if group.kind == "finite":
-            self._check_relations()
-
-    def _check_relations(self):
-        words = self.group.element_words()
-        mats = {el: self.matrix_of_word(w) for el, w in words.items()}
-        for el, w in words.items():
-            for gi, gel in enumerate(self.group.gen_elements):
-                prod = _series_mat_mul(mats[el], self.gen_images[self.group.generators[gi]])
-                target = mats[self.group.multiply(el, gel)]
-                for i in range(self.dim):
-                    for j in range(self.dim):
-                        if not (prod[i][j] == target[i][j]):
-                            raise DomainError(
-                                "generator matrices violate the group's relations")
+        self._words = {(): [[model.constant(1 if i == j else 0) for j in range(dim)]
+                            for i in range(dim)]}
+        for M in self.gen_images.values():
+            determinant(M).inverse()  # raises when the determinant is not a unit
+        if group.kind == "finite" and not relations_hold(
+                group, self._words, self._letter):
+            raise DomainError("generator matrices violate the group's relations")
 
     # -- word calculus -----------------------------------------------------
 
-    def _gen_matrix(self, gi, sign):
-        name = self.group.generators[gi]
-        if sign == 1:
-            return self.gen_images[name]
-        if (gi, -1) not in self._inv_cache:
-            self._inv_cache[(gi, -1)] = _series_mat_inverse(self.gen_images[name])
-        return self._inv_cache[(gi, -1)]
+    def _letter(self, let):
+        M = self.gen_images[self.group.generators[let[0]]]
+        return M if let[1] == 1 else mat_inverse(M)
 
     def matrix_of_word(self, word):
-        d = self.dim
-        out = [[self.model.constant(1 if i == j else 0) for j in range(d)]
-               for i in range(d)]
-        for gi, sign in word:
-            out = _series_mat_mul(out, self._gen_matrix(gi, sign))
-        return out
+        return [row[:] for row in word_matrix(self._words, word, self._letter)]
 
     def trace_of_word(self, word):
-        M = self.matrix_of_word(word)
-        t = self.model.zero()
-        for i in range(self.dim):
-            t = t + M[i][i]
-        return t
+        return mat_trace(word_matrix(self._words, word, self._letter))
 
     # -- specialization ----------------------------------------------------
 
@@ -134,7 +115,7 @@ class RepFamily:
                      "inconclusive": 0}
             for pt in domain.sample(ext, samples_per_ext, seed=seed + idx):
                 spec = reduce_rep_mod(self.specialize(pt), g)
-                res = iso_mod(ref, spec, word_cap=word_cap)
+                res = iso_mod(ref, spec)
                 entry["samples"] += 1
                 if res.status == "isomorphic":
                     continue
@@ -214,47 +195,8 @@ class RepFamily:
 
 def _monomials_up_to(model, budget):
     nv = len(model.vars)
-    open_idx = [model.vars.index(v) for v in model.open_vars]
     out = []
     for combo in itertools.product(range(budget + 1), repeat=nv):
         if sum(combo) <= budget:
             out.append(combo)
     return sorted(out)
-
-
-def _series_mat_mul(A, B):
-    d = len(A)
-    return [[sum((A[i][t] * B[t][j] for t in range(1, d)),
-                 start=A[i][0] * B[0][j]) for j in range(d)] for i in range(d)]
-
-
-def _series_det(M):
-    d = len(M)
-    if d == 1:
-        return M[0][0]
-    if d == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    acc = None
-    for j in range(d):
-        minor = [row[:j] + row[j + 1:] for row in M[1:]]
-        term = M[0][j] * _series_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _series_mat_inverse(M):
-    d = len(M)
-    det_inv = _series_det(M).inverse()
-    if d == 1:
-        return [[det_inv]]
-    cof = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            minor = [row[:j] + row[j + 1:] for k, row in enumerate(M) if k != i]
-            c = _series_det(minor)
-            if (i + j) % 2:
-                c = -c
-            cof[j][i] = c * det_inv
-    return cof

@@ -14,7 +14,11 @@ from loccon.chainring import (
     identity_matrix,
     mat_inverse,
     mat_mul,
+    mat_reduce_mod,
+    mat_trace,
     nullspace_mod,
+    relations_hold,
+    word_matrix,
 )
 from loccon.padic import DomainError, PadicNumber, PrecisionError
 
@@ -27,84 +31,54 @@ class IntegralRep:
         self.dim = dim
         self.context = context
         self.gen_images = dict(gen_images)
-        self._inv_cache = {}
+        self._words = {(): identity_matrix(context, dim)}
         for name, M in self.gen_images.items():
             if not determinant(M).is_unit():
                 raise DomainError(f"generator {name!r} has non-unit determinant")
-        if group.kind == "finite":
-            self._check_relations()
+        if group.kind == "finite" and not relations_hold(
+                group, self._words, self._letter):
+            raise DomainError("matrices violate the group relations")
 
-    def _check_relations(self):
-        words = self.group.element_words()
-        mats = {el: self.matrix_of_word(w) for el, w in words.items()}
-        for el in self.group.elements():
-            for gi, gel in enumerate(self.group.gen_elements):
-                prod = mat_mul(mats[el], self.gen_images[self.group.generators[gi]])
-                target = mats[self.group.multiply(el, gel)]
-                for r1, r2 in zip(prod, target):
-                    for x, y in zip(r1, r2):
-                        if (x - y).pi_valuation() is not None:
-                            raise DomainError("matrices violate the group relations")
-
-    def _gen_matrix(self, gi, sign):
-        if sign == 1:
-            return self.gen_images[self.group.generators[gi]]
-        if (gi, -1) not in self._inv_cache:
-            self._inv_cache[(gi, -1)] = mat_inverse(
-                self.gen_images[self.group.generators[gi]])
-        return self._inv_cache[(gi, -1)]
+    def _letter(self, let):
+        M = self.gen_images[self.group.generators[let[0]]]
+        return M if let[1] == 1 else mat_inverse(M)
 
     def matrix_of_word(self, word):
-        out = identity_matrix(self.context, self.dim)
-        for gi, sign in word:
-            out = mat_mul(out, self._gen_matrix(gi, sign))
-        return out
+        return [row[:] for row in word_matrix(self._words, word, self._letter)]
 
     def trace_of_word(self, word):
-        M = self.matrix_of_word(word)
-        t = self.context.zero()
-        for i in range(self.dim):
-            t = t + M[i][i]
-        return t
+        return mat_trace(word_matrix(self._words, word, self._letter))
 
 
 class ResidueRep:
-    """Generator matrices over the chain ring O_E/pi^m."""
+    """Generator matrices over the chain ring O_E/pi^m.
+
+    Word products are kept unreduced and reduced mod pi^m on output.
+    """
 
     def __init__(self, group, dim, context, modulus, gen_images):
         self.group = group
         self.dim = dim
         self.context = context
         self.modulus = modulus
-        self.gen_images = {
-            name: [[x.reduce_mod(modulus) for x in row] for row in M]
-            for name, M in gen_images.items()}
+        self.gen_images = {name: mat_reduce_mod(M, modulus)
+                           for name, M in gen_images.items()}
         for name, M in self.gen_images.items():
             if not determinant(M).is_unit():
                 raise DomainError(f"generator {name!r} is singular mod pi")
-        self._inv_cache = {}
+        self._words = {(): identity_matrix(context, dim)}
 
-    def _gen_matrix(self, gi, sign):
-        if sign == 1:
-            return self.gen_images[self.group.generators[gi]]
-        if (gi, -1) not in self._inv_cache:
-            inv = mat_inverse(self.gen_images[self.group.generators[gi]])
-            self._inv_cache[(gi, -1)] = [
-                [x.reduce_mod(self.modulus) for x in row] for row in inv]
-        return self._inv_cache[(gi, -1)]
+    def _letter(self, let):
+        M = self.gen_images[self.group.generators[let[0]]]
+        return M if let[1] == 1 else mat_reduce_mod(mat_inverse(M), self.modulus)
 
     def matrix_of_word(self, word):
-        out = identity_matrix(self.context, self.dim)
-        for gi, sign in word:
-            out = mat_mul(out, self._gen_matrix(gi, sign))
-        return [[x.reduce_mod(self.modulus) for x in row] for row in out]
+        return mat_reduce_mod(word_matrix(self._words, word, self._letter),
+                              self.modulus)
 
     def trace_of_word(self, word):
-        M = self.matrix_of_word(word)
-        t = self.context.zero()
-        for i in range(self.dim):
-            t = t + M[i][i]
-        return t.reduce_mod(self.modulus)
+        M = word_matrix(self._words, word, self._letter)
+        return mat_trace(M).reduce_mod(self.modulus)
 
 
 def reduce_rep_mod(rep, m):
@@ -147,7 +121,7 @@ def intertwiner_space(a, b):
     return nullspace_mod(rows, ctx, m)
 
 
-def iso_mod(a, b, word_cap=3, search_cap=1 << 20, rand_budget=2000, seed=0):
+def iso_mod(a, b, search_cap=1 << 20, rand_budget=2000, seed=0):
     """Module isomorphism test over O_E/pi^m.
 
     An invertible intertwiner exists iff some residue-field combination of
@@ -168,7 +142,7 @@ def iso_mod(a, b, word_cap=3, search_cap=1 << 20, rand_budget=2000, seed=0):
                 continue
             X = _combine(unit_gens, combo, ctx, d)
             if determinant(X).is_unit():
-                X = [[x.reduce_mod(m) for x in row] for row in X]
+                X = mat_reduce_mod(X, m)
                 _assert_intertwines(a, b, X)
                 return IsoResult("isomorphic", X, "explicit intertwiner")
         return IsoResult("not_isomorphic", None,
@@ -181,7 +155,7 @@ def iso_mod(a, b, word_cap=3, search_cap=1 << 20, rand_budget=2000, seed=0):
             continue
         X = _combine(unit_gens, combo, ctx, d)
         if determinant(X).is_unit():
-            X = [[x.reduce_mod(m) for x in row] for row in X]
+            X = mat_reduce_mod(X, m)
             _assert_intertwines(a, b, X)
             return IsoResult("isomorphic", X, "explicit intertwiner")
     return IsoResult("inconclusive", None,
@@ -252,11 +226,6 @@ def _spin(vecs, mats, d):
     return basis
 
 
-def _residue_scalars(ctx):
-    for r in ctx.enumerate_residues(1):
-        yield r
-
-
 def _find_proper_submodule(mats, d, ctx, line_budget=300000, rand_budget=200,
                            seed=0):
     q = ctx.residue_field_size
@@ -269,7 +238,7 @@ def _find_proper_submodule(mats, d, ctx, line_budget=300000, rand_budget=200,
                 return basis, True
         return None, True
     rng = random.Random(seed)
-    scalars = [r for r in _residue_scalars(ctx)]
+    scalars = list(ctx.enumerate_residues(1))
     for _ in range(rand_budget):
         vec = [scalars[rng.randrange(q)] for _ in range(d)]
         if all(_res_zero(x) for x in vec):
@@ -281,8 +250,7 @@ def _find_proper_submodule(mats, d, ctx, line_budget=300000, rand_budget=200,
 
 
 def _projective_vectors(ctx, d):
-    scalars = list(_residue_scalars(ctx))
-    nonzero = [s for s in scalars if not _res_zero(s)]
+    scalars = list(ctx.enumerate_residues(1))
     one = ctx.one()
     for lead in range(d):
         for tail in itertools.product(scalars, repeat=d - lead - 1):
@@ -303,8 +271,8 @@ def semisimplify_mod_p(r, word_cap=4, seed=0):
         words = list(r.group.element_words().values())
     else:
         words = r.group.words_up_to(word_cap)
-    gen_mats = [r._gen_matrix(gi, s) for gi in range(len(r.group.generators))
-                for s in (1, -1)]
+    gen_mats = {(gi, s): word_matrix(r._words, ((gi, s),), r._letter)
+                for gi in range(len(r.group.generators)) for s in (1, -1)}
 
     factors = []
     complete = True
@@ -313,21 +281,21 @@ def semisimplify_mod_p(r, word_cap=4, seed=0):
         nonlocal complete
         if d == 0:
             return
-        sub, certain = _find_proper_submodule(mats, d, ctx, seed=seed)
+        sub, certain = _find_proper_submodule(mats.values(), d, ctx, seed=seed)
         if sub is None:
             if not certain:
                 complete = False
-            factors.append(_factor_record(mats, d, r.group, words, ctx))
+            factors.append(_factor_record(mats, d, words, ctx))
             return
         sub_rows = [sub[j] for j in sorted(sub)]
         k = len(sub_rows)
         P = _extend_basis(sub_rows, d, ctx)
         Pinv = mat_inverse(P)
-        sub_mats, quo_mats = [], []
-        for M in mats:
+        sub_mats, quo_mats = {}, {}
+        for let, M in mats.items():
             C = mat_mul(mat_mul(Pinv, M), P)
-            sub_mats.append([[C[i][j] for j in range(k)] for i in range(k)])
-            quo_mats.append([[C[i][j] for j in range(k, d)] for i in range(k, d)])
+            sub_mats[let] = [[C[i][j] for j in range(k)] for i in range(k)]
+            quo_mats[let] = [[C[i][j] for j in range(k, d)] for i in range(k, d)]
         recurse(sub_mats, k)
         recurse(quo_mats, d - k)
 
@@ -351,24 +319,12 @@ def _extend_basis(rows, d, ctx):
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
-def _factor_record(mats, d, group, words, ctx):
-    # mats alternate generator, inverse in the order produced above
-    gen_lookup = {}
-    idx = 0
-    for gi in range(len(group.generators)):
-        gen_lookup[(gi, 1)] = mats[idx]
-        gen_lookup[(gi, -1)] = mats[idx + 1]
-        idx += 2
-    traces = []
-    for w in words:
-        M = identity_matrix(ctx, d)
-        for let in w:
-            M = mat_mul(M, gen_lookup[let])
-        t = ctx.zero()
-        for i in range(d):
-            t = t + M[i][i]
-        traces.append(tuple(t.reduce_mod(1).coords))
-    return {"dim": d, "traces": tuple(traces)}
+def _factor_record(mats, d, words, ctx):
+    memo = {(): identity_matrix(ctx, d)}
+    traces = tuple(
+        tuple(mat_trace(word_matrix(memo, w, mats.__getitem__)).reduce_mod(1).coords)
+        for w in words)
+    return {"dim": d, "traces": traces}
 
 
 # -- stable lattices --------------------------------------------------------
@@ -389,16 +345,15 @@ def stable_lattice(group, dim, context, gen_images, rounds_budget=40,
     for name, M in gen_images.items():
         mats[name] = [[x if isinstance(x, PadicNumber) else PadicNumber(x)
                        for x in row] for row in M]
-    inv_mats = {name: _num_mat_inverse(M) for name, M in mats.items()}
-    all_mats = list(mats.values()) + list(inv_mats.values())
+    all_mats = list(mats.values()) + [mat_inverse(M) for M in mats.values()]
 
     basis = [[PadicNumber(ctx.one() if i == j else ctx.zero()) for i in range(d)]
              for j in range(d)]  # list of column vectors
     for _ in range(rounds_budget):
         candidates = list(basis)
+        C = [list(col) for col in zip(*basis)]  # the basis vectors as columns
         for M in all_mats:
-            for v in basis:
-                candidates.append(_num_mat_vec(M, v))
+            candidates.extend(list(v) for v in zip(*mat_mul(M, C)))
         new_basis, denom = _lattice_basis(candidates, ctx, d)
         if denom > denom_budget:
             raise DomainError("unbounded: orbit lattice keeps growing "
@@ -410,11 +365,11 @@ def stable_lattice(group, dim, context, gen_images, rounds_budget=40,
     else:
         raise DomainError("unbounded: orbit did not stabilize within budget")
 
-    C = [[basis[j][i] for j in range(d)] for i in range(d)]
-    Cinv = _num_mat_inverse(C)
+    C = [list(col) for col in zip(*basis)]
+    Cinv = mat_inverse(C)
     images = {}
     for name, M in mats.items():
-        conj = _num_mat_mul(_num_mat_mul(Cinv, M), C)
+        conj = mat_mul(mat_mul(Cinv, M), C)
         images[name] = [[x.to_integral() for x in row] for row in conj]
     return IntegralRep(group, d, ctx, images), C
 
@@ -472,55 +427,6 @@ def _sublattice(b1, b2, ctx, d):
     return True
 
 
-def _num_mat_mul(A, B):
-    d = len(A)
-    return [[_num_sum([A[i][t] * B[t][j] for t in range(d)]) for j in range(len(B[0]))]
-            for i in range(d)]
-
-
-def _num_mat_vec(A, v):
-    d = len(A)
-    return [_num_sum([A[i][t] * v[t] for t in range(d)]) for i in range(d)]
-
-
-def _num_sum(xs):
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = acc + x
-    return acc
-
-
-def _num_mat_inverse(M):
-    d = len(M)
-    if d == 1:
-        return [[M[0][0].inverse()]]
-    if d == 2:
-        det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-        dinv = det.inverse()
-        return [[M[1][1] * dinv, (-M[0][1]) * dinv],
-                [(-M[1][0]) * dinv, M[0][0] * dinv]]
-    if d == 3:
-        det = _num_det3(M)
-        dinv = det.inverse()
-        out = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                minor = [[M[r][c] for c in range(3) if c != j]
-                         for r in range(3) if r != i]
-                cof = minor[0][0] * minor[1][1] - minor[0][1] * minor[1][0]
-                if (i + j) % 2:
-                    cof = -cof
-                out[j][i] = cof * dinv
-        return out
-    raise DomainError("matrix inversion over E implemented for d <= 3")
-
-
-def _num_det3(M):
-    return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-            - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
-
-
 # -- trace-congruence harness ----------------------------------------------
 
 
@@ -557,8 +463,7 @@ def carayol_audit(a, b, n, word_cap=4, seed=0):
             report["verdict"] = "precondition_failed"
             report["reason"] = f"traces differ mod pi^{n} on a word of length {len(w)}"
             return report
-    res = iso_mod(reduce_rep_mod(a, n), reduce_rep_mod(b, n),
-                  word_cap=word_cap, seed=seed)
+    res = iso_mod(reduce_rep_mod(a, n), reduce_rep_mod(b, n), seed=seed)
     if res.status == "isomorphic":
         report["verdict"] = "pass"
         report["intertwiner"] = [[list(x.coords) for x in row]

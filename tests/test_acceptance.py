@@ -296,7 +296,7 @@ def test_criterion_5_unramified_family(criterion):
                 a = reduce_rep_mod(fam.specialize(origin), n)
                 b = reduce_rep_mod(
                     fam.specialize(ModelPoint(model, {"T": y})), n)
-                res = iso_mod(a, b, word_cap=2)
+                res = iso_mod(a, b)
                 ok = ok and res.status == "not_isomorphic"
         full = fam.trace_algebra_full(2)
         ok = ok and full["verdict"] == "full"
@@ -336,7 +336,7 @@ def test_criterion_6_carayol_harness(criterion):
         b = reduce_rep_mod(IntegralRep(
             free_group(1), 2, ctx,
             {"g1": [[ctx.one(), ctx.zero()], [ctx.zero(), ctx.one()]]}), 2)
-        res = iso_mod(a, b, word_cap=3)
+        res = iso_mod(a, b)
         ok = ok and res.status == "not_isomorphic"
     elapsed = time.time() - start
     criterion(6, "trace congruence gives mod-pi^n intertwiners "

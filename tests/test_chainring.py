@@ -1,8 +1,12 @@
-"""Linear algebra over O/pi^m: matrix helpers, nullspaces, spans."""
+"""The matrix layer over O_E, E and series algebras; nullspaces and spans
+over O/pi^m."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loccon.chainring import (
     ChainSpan,
@@ -14,10 +18,13 @@ from loccon.chainring import (
     mat_reduce_mod,
     nullspace_mod,
 )
-from loccon.padic import DomainError, PadicContext
+from loccon.padic import DomainError, PadicContext, PadicNumber
+from loccon.series import AlgebraModel
 
 Z5 = PadicContext(5, precision=12)
 RAM2 = PadicContext(5, e=2, precision=12)
+TOWER = PadicContext(3, f=2, e=2, precision=10)  # W(F_9) then Eisenstein
+POLY = AlgebraModel(Z5, bounded_vars=("X",))
 
 
 def rand_mat(ctx, d, rng):
@@ -131,3 +138,124 @@ def test_mat_reduce_mod_canonical():
     R2 = mat_reduce_mod(R, 3)
     assert all(x.coords == y.coords for r1, r2 in zip(R, R2)
                for x, y in zip(r1, r2))
+
+
+def test_chainspan_keeps_a_row_displaced_from_its_pivot_column():
+    span = ChainSpan(Z5, 3, 2)
+    first = [Z5.pi(), Z5.pi_power(2)]
+    span.add(first)
+    span.add([Z5.one(), Z5.zero()])  # takes column 0 with a smaller valuation
+    assert span.contains(first)
+    assert not span.contains([Z5.zero(), Z5.pi()])
+
+
+# -- determinant and inverse against the Leibniz expansion -------------------
+
+
+def leibniz_det(A):
+    """Reference: the signed sum over all permutations."""
+    d = len(A)
+    total = None
+    for perm in itertools.permutations(range(d)):
+        term = A[0][perm[0]]
+        for i in range(1, d):
+            term = term * A[i][perm[i]]
+        if sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d)) % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def leibniz_inverse(A):
+    """Reference: cofactors over the Leibniz determinant."""
+    d = len(A)
+    dinv = leibniz_det(A).inverse()
+    if d == 1:
+        return [[dinv]]
+    out = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            minor = [row[:j] + row[j + 1:] for k, row in enumerate(A) if k != i]
+            c = leibniz_det(minor) * dinv
+            out[j][i] = -c if (i + j) % 2 else c
+    return out
+
+
+def same_matrix(A, B):
+    return all(x == y for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+
+
+def check_against_leibniz(A):
+    assert determinant(A) == leibniz_det(A)
+    try:
+        ref = leibniz_inverse(A)
+    except DomainError:
+        with pytest.raises(DomainError):
+            mat_inverse(A)
+        return
+    assert same_matrix(mat_inverse(A), ref)
+
+
+def random_number(rng):
+    return PadicNumber(Z5.random_element(rng), rng.randrange(3))
+
+
+def random_poly(rng):
+    return POLY.series({(k,): Z5.from_int(rng.randrange(-4, 5))
+                        for k in range(rng.randrange(1, 4))})
+
+
+# ring -> (random entry, one, pi)
+RINGS = {
+    "Z5": (Z5.random_element, Z5.one(), Z5.pi()),
+    "ram2": (RAM2.random_element, RAM2.one(), RAM2.pi()),
+    "tower": (TOWER.random_element, TOWER.one(), TOWER.pi()),
+    "E": (random_number, PadicNumber(Z5.one()), PadicNumber(Z5.pi())),
+    "series": (random_poly, POLY.constant(1), POLY.constant(Z5.pi())),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@given(seed=st.integers(0, 10 ** 6), d=st.integers(1, 4), unit=st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_determinant_and_inverse_match_leibniz(ring, seed, d, unit):
+    rng = random.Random(seed)
+    entry, one, pi = RINGS[ring]
+    A = [[entry(rng) for _ in range(d)] for _ in range(d)]
+    if unit:  # I + pi A has determinant 1 mod pi
+        A = [[x * pi + one if i == j else x * pi for j, x in enumerate(row)]
+             for i, row in enumerate(A)]
+    check_against_leibniz(A)
+
+
+def test_series_inverse_without_a_unit_entry():
+    """det = 1, but no entry is a unit of the algebra: 1 + X^2 vanishes
+    where X^2 = -1, and -1 is a square mod 5."""
+    one, x = POLY.constant(1), POLY.var("X")
+    A = [[one + x * x, x * x * x + x.scale(2)], [x, one + x * x]]
+    for row in A:
+        for entry in row:
+            with pytest.raises(DomainError):
+                entry.inverse()
+    assert determinant(A) == one
+    assert same_matrix(mat_mul(A, mat_inverse(A)),
+                       [[one, POLY.zero()], [POLY.zero(), one]])
+    check_against_leibniz(A)
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)])
+def test_chainspan_is_the_generated_submodule(p, m, k):
+    """Against enumeration of every combination over Z/p^m."""
+    ctx, n = PadicContext(p, precision=6), p ** m
+    rng = random.Random(p * 100 + m * 10 + k)
+    for _ in range(25):
+        gens = [[rng.randrange(n) for _ in range(k)]
+                for _ in range(rng.randrange(1, 4))]
+        generated = {tuple(sum(c * g[i] for c, g in zip(cs, gens)) % n
+                           for i in range(k))
+                     for cs in itertools.product(range(n), repeat=len(gens))}
+        span = ChainSpan(ctx, m, k)
+        for g in gens:
+            span.add([ctx.from_int(x) for x in g])
+        for v in itertools.product(range(n), repeat=k):
+            assert span.contains([ctx.from_int(x) for x in v]) == (v in generated)

@@ -131,6 +131,23 @@ def test_doubled_trivial_not_multiplicity_free():
     assert ps.residually_multiplicity_free()["verdict"] == "not_multiplicity_free"
 
 
+def test_dihedral_order_12_regular_representation():
+    """The check works in the 12-dimensional regular representation of D_6
+    (12! terms for a Leibniz determinant).  T is the trace of the faithful
+    2-dimensional irreducible, which stays irreducible mod 5."""
+    from loccon.lattice import IntegralRep
+    d6 = dihedral_group(6)
+    rep = IntegralRep(d6, 2, Z5, {
+        "r": [[Z5.zero(), Z5.from_int(-1)], [Z5.one(), Z5.one()]],
+        "f": [[Z5.zero(), Z5.one()], [Z5.one(), Z5.zero()]],
+    })
+    out = from_rep_trace(rep).residually_multiplicity_free()
+    assert out["complete"]
+    assert sorted(f["dim"] for f in out["factors"]) == [1, 1, 1, 1, 2, 2]
+    assert out["verdict"] == "multiplicity_free"
+    assert sorted(out["multiplicities"]) == [0, 0, 0, 0, 0, 1]
+
+
 # -- constancy over algebras -------------------------------------------------
 
 
