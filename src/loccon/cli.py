@@ -420,8 +420,7 @@ def main(argv=None):
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
     except PrecisionError as exc:
-        print(json.dumps({"verdict": "inconclusive", "error": str(exc)}))
-        return 2
+        return _emit({"verdict": "inconclusive", "reason": str(exc)}, args)
     except DomainError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3

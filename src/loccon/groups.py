@@ -9,7 +9,7 @@ search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from loccon.padic import DomainError
 
@@ -106,12 +106,10 @@ class GroupPresentation:
     def invert_word(self, word):
         return tuple((gi, -s) for gi, s in reversed(word))
 
-    def words_up_to(self, cap, include_inverses=True):
+    def words_up_to(self, cap):
         """All reduced words of length <= cap over the generators."""
         r = len(self.generators)
-        letters = [(i, 1) for i in range(r)]
-        if include_inverses:
-            letters += [(i, -1) for i in range(r)]
+        letters = [(i, 1) for i in range(r)] + [(i, -1) for i in range(r)]
         out = [()]
         frontier = [()]
         for _ in range(cap):

@@ -34,17 +34,25 @@ def _poly_mul_mod(a, b, modulus):
     return out
 
 
-def _poly_reduce(poly, monic, modulus):
-    """Remainder of poly modulo a monic polynomial, coefficients mod modulus."""
-    poly = [c % modulus for c in poly]
+def _poly_addmul(acc, off, a, b):
+    """Add the integer polynomial a * b into acc from index off on."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                acc[off + i + j] += x * y
+
+
+def _poly_rem(poly, monic):
+    """Remainder of an integer polynomial modulo a monic one, over Z, as
+    deg(monic) coefficients."""
+    r = list(poly)
     d = len(monic) - 1
-    while len(poly) > d:
-        lead = poly.pop()
+    for top in range(len(r) - 1, d - 1, -1):
+        lead = r[top]
         if lead:
             for k in range(d):
-                poly[len(poly) - d + k] = (poly[len(poly) - d + k] - lead * monic[k]) % modulus
-    poly += [0] * (d - len(poly))
-    return poly
+                r[top - d + k] -= lead * monic[k]
+    return r[:d]
 
 
 def _int_val(n, p, cap):
@@ -73,8 +81,7 @@ class PadicContext:
     precision : absolute cap N on pi-adic digits.
     """
 
-    def __init__(self, p, f=1, e=1, unram_poly=None, eis_poly=None, precision=20,
-                 base=None):
+    def __init__(self, p, f=1, e=1, unram_poly=None, eis_poly=None, precision=20):
         if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
             raise DomainError(f"p={p} is not prime")
         if f < 1 or e < 1 or precision < 1:
@@ -94,9 +101,7 @@ class PadicContext:
         self.eis_poly = tuple(tuple(int(c) for c in row) for row in eis_poly)
         self._check_unram()
         self._check_eisenstein()
-        self.base = base  # marked base context for extension towers
-        self._pi_pow_table = self._build_pi_powers()
-        self._inv_unit_b0 = None
+        self._p_over_pi_el = None
 
     # -- validation -------------------------------------------------------
 
@@ -120,29 +125,6 @@ class PadicContext:
         for row in rows[1:-1]:
             if any(c % self.p for c in row):
                 raise DomainError("eis_poly middle coefficients must be divisible by p")
-
-    def _build_pi_powers(self):
-        """Coordinates of pi^k for k = 0 .. 2e-2, as e x f integer tables."""
-        M = self.coeff_modulus
-        table = []
-        for k in range(self.e):
-            rows = [[0] * self.f for _ in range(self.e)]
-            rows[k][0] = 1
-            table.append(rows)
-        # pi^e = -sum_{i<e} b_i pi^i
-        for k in range(self.e, 2 * self.e - 1):
-            prev = table[k - 1]
-            rows = [[0] * self.f for _ in range(self.e)]
-            top = prev[self.e - 1]
-            for i in range(self.e - 1):
-                rows[i + 1] = list(prev[i])
-            for i in range(self.e):
-                bi = self.eis_poly[i]
-                prod = _poly_reduce(_poly_mul_mod(top, list(bi), M), list(self.unram_poly), M)
-                for j in range(self.f):
-                    rows[i][j] = (rows[i][j] - prod[j]) % M
-            table.append(rows)
-        return table
 
     # -- properties -------------------------------------------------------
 
@@ -239,11 +221,22 @@ class PadicContext:
         return x
 
     def pi_power(self, k):
-        x = self.one()
-        piel = self.pi()
-        for _ in range(k):
-            x = x * piel
-        return x
+        return self.pi() ** k
+
+    def _p_over_pi(self):
+        """The element p/pi (cached).  With b_0 = -p u, the Eisenstein
+        relation gives p/pi = u^-1 (pi^(e-1) + sum_{i>=1} b_i pi^(i-1))."""
+        if self._p_over_pi_el is None:
+            zero_rows = [[0] * self.f] * (self.e - 1)
+            u = self.element_from_poly([[-c // self.p for c in self.eis_poly[0]]] + zero_rows)
+            inv0 = _field_inverse(u.residue_poly(), list(self.unram_poly), self.p)
+            y = self.element_from_poly([inv0] + zero_rows)
+            acc = 1
+            while acc < self.coeff_digits:  # Newton to the full coefficient modulus
+                y = y * (2 - u * y)
+                acc *= 2
+            self._p_over_pi_el = y * self.element_from_poly(self.eis_poly[1:])
+        return self._p_over_pi_el
 
     def enumerate_residues(self, m):
         """All canonical residues of O_E / pi^m (use only for small sizes)."""
@@ -280,7 +273,7 @@ def _is_irreducible_mod_p(poly, p):
     # degree 4: rule out quadratic factors by trial division
     for b in range(p):
         for c in range(p):
-            if _poly_divides([c, b, 1], poly, p):
+            if not any(_poly_divmod_field(poly, [c, b, 1], p)[1]):
                 return False
     return True
 
@@ -290,23 +283,6 @@ def _poly_eval_mod(poly, a, p):
     for c in reversed(poly):
         acc = (acc * a + c) % p
     return acc
-
-
-def _poly_divides(g, h, p):
-    r = [c % p for c in h]
-    dg = len(g) - 1
-    while len(r) - 1 >= dg and any(r):
-        while r and r[-1] % p == 0:
-            r.pop()
-        if len(r) - 1 < dg:
-            break
-        lead = r[-1]
-        shift = len(r) - 1 - dg
-        for k in range(dg + 1):
-            r[shift + k] = (r[shift + k] - lead * g[k]) % p
-        while r and r[-1] % p == 0:
-            r.pop()
-    return not any(c % p for c in r)
 
 
 class PadicElement:
@@ -362,31 +338,32 @@ class PadicElement:
             other = self.context.from_int(other)
         self._check_same(other)
         ctx = self.context
-        e, f, M = ctx.e, ctx.f, ctx.coeff_modulus
-        a = [list(self.coords[i * f:(i + 1) * f]) for i in range(e)]
-        b = [list(other.coords[i * f:(i + 1) * f]) for i in range(e)]
-        acc = [[0] * f for _ in range(e)]
-        for i in range(e):
-            ai = a[i]
-            if not any(ai):
+        e, f, g = ctx.e, ctx.f, ctx.unram_poly
+        w = 2 * f - 1  # omega-degrees of a product of two W-coordinates
+        # 1. convolve over Z in (pi, omega): pi^r omega^j lands in slot r*w + j
+        acc = [0] * ((2 * e - 1) * w)
+        for i, x in enumerate(self.coords):
+            if x:
+                i += i // f * (f - 1)
+                for k, y in enumerate(other.coords):
+                    if y:
+                        acc[i + k + k // f * (f - 1)] += x * y
+        # 2. reduce the pi-rows by g from the top down, folding each pi^r with
+        #    r >= e into the rows below by pi^e = -sum_{i<e} b_i pi^i
+        low = []
+        for r in range(2 * e - 2, -1, -1):
+            row = _poly_rem(acc[r * w:(r + 1) * w], g)
+            if r < e:
+                low[:0] = row
                 continue
-            for k in range(e):
-                bk = b[k]
-                if not any(bk):
-                    continue
-                prod = _poly_reduce(_poly_mul_mod(ai, bk, M), list(ctx.unram_poly), M)
-                pw = ctx._pi_pow_table[i + k]
-                for r in range(e):
-                    row = pw[r]
-                    if not any(row):
-                        continue
-                    term = _poly_reduce(_poly_mul_mod(prod, row, M),
-                                        list(ctx.unram_poly), M)
-                    for j in range(f):
-                        acc[r][j] = (acc[r][j] + term[j]) % M
-        coords = tuple(acc[r][j] for r in range(e) for j in range(f))
-        va = min(self.pi_valuation_lower(), self.known_precision)
-        vb = min(other.pi_valuation_lower(), other.known_precision)
+            row = [-c for c in row]
+            for i in range(e):
+                _poly_addmul(acc, (r - e + i) * w, row, ctx.eis_poly[i])
+        # 3. take the coordinates mod M once
+        M = ctx.coeff_modulus
+        coords = tuple(c % M for c in low)
+        va = self.pi_valuation_lower()
+        vb = other.pi_valuation_lower()
         prec = min(ctx.precision, self.known_precision + vb, other.known_precision + va)
         return PadicElement(ctx, coords, prec)
 
@@ -491,11 +468,13 @@ class PadicElement:
 
     def shift_down(self, k=1):
         """Divide by pi^k; requires valuation >= k."""
-        ctx = self.context
         if k == 0:
             return self
-        v = self.pi_valuation_lower()
-        if v < k:
+        v = self.pi_valuation()
+        if v is None and self.known_precision < k:
+            raise PrecisionError(
+                f"division by pi^{k} needs {k} digits but only {self.known_precision} are known")
+        if v is not None and v < k:
             raise DomainError("element is not divisible by pi^k")
         x = self
         for _ in range(k):
@@ -503,32 +482,18 @@ class PadicElement:
         return x
 
     def _shift_down_once(self):
+        # x = a_0 + pi * y with a_0 in W, so x / pi = (a_0 / p) * (p / pi) + y
         ctx = self.context
-        e, f, M, p = ctx.e, ctx.f, ctx.coeff_modulus, ctx.p
-        rows = [list(self.coords[i * f:(i + 1) * f]) for i in range(e)]
-        a0 = rows[0]
+        f, p, M = ctx.f, ctx.p, ctx.coeff_modulus
+        a0 = self.coords[:f]
         if any(c % p for c in a0):
             # possible only because higher rows cancel; fall back via unit division
             raise PrecisionError("cannot shift: leading coordinate not divisible by p")
-        a0p = [c // p for c in a0]
-        out = [list(rows[i + 1]) for i in range(e - 1)] + [[0] * f]
-        if any(a0p):
-            # a0 / pi = a0p * (p / pi); p u = -b_0 = pi^e + sum_{i>=1} b_i pi^i
-            # so p/pi = u^{-1} (pi^{e-1} + sum_{i>=1} b_i pi^{i-1})
-            uinv = ctx._eis_unit_inverse()
-            coef = _poly_reduce(_poly_mul_mod(a0p, uinv, M), list(ctx.unram_poly), M)
-            add_rows = [[0] * f for _ in range(e)]
-            for j in range(f):
-                add_rows[e - 1][j] = coef[j] % M
-            for i in range(1, e):
-                bi = list(ctx.eis_poly[i])
-                term = _poly_reduce(_poly_mul_mod(coef, bi, M), list(ctx.unram_poly), M)
-                for j in range(f):
-                    add_rows[i - 1][j] = (add_rows[i - 1][j] + term[j]) % M
-            for i in range(e):
-                for j in range(f):
-                    out[i][j] = (out[i][j] + add_rows[i][j]) % M
-        coords = tuple(out[i][j] for i in range(e) for j in range(f))
+        coords = self.coords[f:] + (0,) * f
+        if any(a0):
+            a0p = PadicElement(ctx, tuple(c // p for c in a0) + (0,) * (ctx.degree - f))
+            term = a0p * ctx._p_over_pi()
+            coords = tuple((c + t) % M for c, t in zip(coords, term.coords))
         return PadicElement(ctx, coords, self.known_precision - 1)
 
     # -- misc --------------------------------------------------------------
@@ -557,29 +522,6 @@ class PadicElement:
                     terms.append(f"{c}{'*' + mon if mon else ''}")
         body = " + ".join(terms) if terms else "0"
         return f"<{body} + O(pi^{self.known_precision})>"
-
-
-def _eis_unit_inverse_for(ctx):
-    """Inverse in W of the unit u with eis constant term = -p*u (cached)."""
-    if ctx._inv_unit_b0 is None:
-        p, M, f = ctx.p, ctx.coeff_modulus, ctx.f
-        b0 = [(-c) % (M * p) for c in ctx.eis_poly[0]]
-        u = [(c // p) % M for c in b0]
-        # invert u in W via residue inversion + Newton
-        inv0 = _field_inverse([c % p for c in u], list(ctx.unram_poly), p)
-        y = inv0
-        acc = 1
-        while acc < ctx.coeff_digits:
-            prod = _poly_reduce(_poly_mul_mod(u, y, M), list(ctx.unram_poly), M)
-            two_minus = [(-c) % M for c in prod]
-            two_minus[0] = (two_minus[0] + 2) % M
-            y = _poly_reduce(_poly_mul_mod(y, two_minus, M), list(ctx.unram_poly), M)
-            acc *= 2
-        ctx._inv_unit_b0 = y
-    return ctx._inv_unit_b0
-
-
-PadicContext._eis_unit_inverse = _eis_unit_inverse_for
 
 
 def _field_inverse(a, monic, p):

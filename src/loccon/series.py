@@ -8,7 +8,7 @@ normal form under the relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from loccon.padic import (
     DomainError,
@@ -96,18 +96,6 @@ class AlgebraModel:
         for mono, c in terms.items():
             out[tuple(mono)] = self._coerce(c)
         return AdicSeries(self, out)
-
-    # -- sampling of coordinate values -----------------------------------
-
-    def random_coordinate(self, name, ext, rng):
-        """A coordinate value for one variable: valuation uniform over the
-        admissible range, then a uniform unit (boundary-aware sampling)."""
-        max_v = ext.precision - 1
-        lo = 1 if self.is_open(name) else 0
-        v = rng.randrange(lo, max_v + 1)
-        if rng.random() < 0.05:
-            return ext.zero()
-        return ext.random_with_pi_valuation(v, rng)
 
 
 def _mono_str(model, mono):

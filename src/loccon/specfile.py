@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from loccon.padic import DomainError, PadicContext, PadicElement
+from loccon.padic import DomainError, PadicContext
 from loccon.series import AdicSeries, AlgebraModel
 from loccon.groups import (
     GroupPresentation,

@@ -142,6 +142,16 @@ def test_json_output_file(capsys, tmp_path):
     assert json.loads(out.read_text()) == {"gamma": 4}
 
 
+def test_precision_error_is_an_inconclusive_report(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["--spec", FAMILY_SPEC, "--precision", "2", "--json", str(out),
+                 "domain", "sample"])
+    printed = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert printed["verdict"] == "inconclusive" and printed["reason"]
+    assert json.loads(out.read_text()) == printed
+
+
 def test_missing_spec_is_usage_error(capsys):
     code = main(["domain", "describe"])
     capsys.readouterr()

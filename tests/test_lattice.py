@@ -16,7 +16,7 @@ from loccon.lattice import (
     semisimplify_mod_p,
     stable_lattice,
 )
-from loccon.padic import DomainError, PadicContext, PadicNumber
+from loccon.padic import DomainError, PadicContext, PadicNumber, PrecisionError
 
 Z5 = PadicContext(5, precision=14)
 FREE1 = free_group(1)
@@ -148,24 +148,39 @@ def test_stable_lattice_integralizes():
     assert cert
 
 
-def test_stable_lattice_in_dimension_four():
+def _conjugated_four_cycle(ctx):
     """A 4-cycle conjugated by diag(1, pi, pi^2, pi^3): entries pi^-1 below
-    the diagonal and pi^3 in the corner.  Each orbit round costs as many
-    digits as the denominator, so the orbit's three rounds need more than
-    the 14 digits of Z5."""
-    from loccon.chainring import mat_inverse, mat_mul
-    from loccon.groups import cyclic_group
-    ctx = PadicContext(5, precision=20)
+    the diagonal and pi^3 in the corner."""
     M = [[PadicNumber(ctx.zero())] * 4 for _ in range(4)]
     for i in range(3):
         M[i + 1][i] = PadicNumber(ctx.one(), denom_pow=1)
     M[0][3] = PadicNumber(ctx.pi_power(3))
+    return M
+
+
+def test_stable_lattice_in_dimension_four():
+    """Each orbit round costs as many digits as the denominator, so the
+    orbit's three rounds need more than the 14 digits of Z5."""
+    from loccon.chainring import mat_inverse, mat_mul
+    from loccon.groups import cyclic_group
+    ctx = PadicContext(5, precision=20)
+    M = _conjugated_four_cycle(ctx)
     lat, C = stable_lattice(cyclic_group(4), 4, ctx, {"g": M})
     conj = mat_mul(mat_mul(mat_inverse(C), M), C)
     for row, lat_row in zip(conj, lat.gen_images["g"]):
         for x, y in zip(row, lat_row):
             assert x.to_integral() == y
     assert lat.trace_of_word(((0, 1),) * 4) == ctx.from_int(4)
+
+
+def test_stable_lattice_out_of_digits_is_a_precision_error():
+    """At 14 digits the orbit rounds use up the precision: the division that
+    follows needs more digits than are known, which is inconclusive, not a
+    proof that the element is not divisible."""
+    from loccon.groups import cyclic_group
+    ctx = PadicContext(5, precision=14)
+    with pytest.raises(PrecisionError):
+        stable_lattice(cyclic_group(4), 4, ctx, {"g": _conjugated_four_cycle(ctx)})
 
 
 def test_carayol_on_constructed_congruent_pair():

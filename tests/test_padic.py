@@ -1,6 +1,7 @@
 """Core valuation-ring arithmetic: exactness, canonical reduction, and the
 gamma-exponent calculus for marked extensions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from loccon.padic import (
     DomainError,
     PadicContext,
+    PadicElement,
     PadicNumber,
     PrecisionError,
     congruence_equiv_audit,
@@ -164,6 +166,21 @@ def test_shift_down_round_trip(ctx):
         assert same(x.shift_down(k), u)
 
 
+def test_shift_down_past_the_known_digits_is_a_precision_error():
+    # indistinguishable from 0 with 3 known digits: pi^4 | x cannot be decided
+    x = Z5.from_int(5 ** 3).reduce_mod(3)
+    with pytest.raises(PrecisionError):
+        x.shift_down(4)
+    assert x.shift_down(3).known_precision == 0
+
+
+def test_shift_down_below_an_exact_valuation_is_a_domain_error():
+    for ctx in CONTEXTS:
+        x = ctx.pi_power(2).reduce_mod(3)
+        with pytest.raises(DomainError):
+            x.shift_down(3)
+
+
 def test_division_by_p_in_ramified_context():
     # 35 = 7 * 5 = 7 * pi^2 in the pi^2 = 5 tower
     x = RAM2.from_int(35)
@@ -292,3 +309,168 @@ def test_padic_number_vp():
 def test_padic_number_to_integral():
     x = PadicNumber(RAM2.from_int(5), denom_pow=1)
     assert same(x.to_integral(), RAM2.pi())
+
+
+# -- the product and the shift against the pi-power-table reference ----------
+
+# Z_p; f = 2, 3; e = 2, 3 with non-default Eisenstein polynomials; the
+# default e = 2; f = 2 and f = 3 under e = 2 with omega in the Eisenstein
+# coefficients
+SHAPES = [
+    dict(p=5),
+    dict(p=5, f=2),
+    dict(p=3, f=3),
+    dict(p=5, e=2, eis_poly=[[10], [5], [1]]),
+    dict(p=3, e=3, eis_poly=[[6], [3], [9], [1]]),
+    dict(p=5, e=2),
+    dict(p=3, f=2, e=2, eis_poly=[[3, 6], [0, 3], [1, 0]]),
+    dict(p=2, f=3, e=2, eis_poly=[[2, 4, 2], [2, 0, 6], [1, 0, 0]]),
+]
+
+
+def _ref_poly_mul_mod(a, b, modulus):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % modulus
+    return out
+
+
+def _ref_poly_reduce(poly, monic, modulus):
+    poly = [c % modulus for c in poly]
+    d = len(monic) - 1
+    while len(poly) > d:
+        lead = poly.pop()
+        if lead:
+            for k in range(d):
+                poly[len(poly) - d + k] = (poly[len(poly) - d + k] - lead * monic[k]) % modulus
+    poly += [0] * (d - len(poly))
+    return poly
+
+
+def _ref_w_mul(ctx, a, b):
+    M = ctx.coeff_modulus
+    return _ref_poly_reduce(_ref_poly_mul_mod(a, b, M), list(ctx.unram_poly), M)
+
+
+def _ref_pi_powers(ctx):
+    """Coordinates of pi^k for k = 0 .. 2e-2, as e x f tables."""
+    e, f, M = ctx.e, ctx.f, ctx.coeff_modulus
+    table = []
+    for k in range(e):
+        rows = [[0] * f for _ in range(e)]
+        rows[k][0] = 1
+        table.append(rows)
+    for k in range(e, 2 * e - 1):
+        prev = table[k - 1]
+        rows = [[0] * f for _ in range(e)]
+        for i in range(e - 1):
+            rows[i + 1] = list(prev[i])
+        for i in range(e):
+            prod = _ref_w_mul(ctx, prev[e - 1], list(ctx.eis_poly[i]))
+            for j in range(f):
+                rows[i][j] = (rows[i][j] - prod[j]) % M
+        table.append(rows)
+    return table
+
+
+def ref_mul(x, y):
+    """(coords, known_precision) of x * y: every pair of pi-rows through the
+    pi-power table, reducing after each term."""
+    ctx = x.context
+    e, f, M = ctx.e, ctx.f, ctx.coeff_modulus
+    table = _ref_pi_powers(ctx)
+    a = [list(x.coords[i * f:(i + 1) * f]) for i in range(e)]
+    b = [list(y.coords[i * f:(i + 1) * f]) for i in range(e)]
+    acc = [[0] * f for _ in range(e)]
+    for i in range(e):
+        for k in range(e):
+            prod = _ref_w_mul(ctx, a[i], b[k])
+            for r, row in enumerate(table[i + k]):
+                term = _ref_w_mul(ctx, prod, row)
+                for j in range(f):
+                    acc[r][j] = (acc[r][j] + term[j]) % M
+    va = min(x.pi_valuation_lower(), x.known_precision)
+    vb = min(y.pi_valuation_lower(), y.known_precision)
+    prec = min(ctx.precision, x.known_precision + vb, y.known_precision + va)
+    return tuple(c for row in acc for c in row), prec
+
+
+def _ref_eis_unit_inverse(ctx):
+    """u^-1 mod M in W, where the Eisenstein constant term is -p u."""
+    p, M = ctx.p, ctx.coeff_modulus
+    u = [((-c) % (M * p) // p) % M for c in ctx.eis_poly[0]]
+    one = [1] + [0] * (ctx.f - 1)
+    y = next(list(y) for y in itertools.product(range(p), repeat=ctx.f)
+             if [c % p for c in _ref_w_mul(ctx, u, list(y))] == one)
+    acc = 1
+    while acc < ctx.coeff_digits:
+        two_minus = [(-c) % M for c in _ref_w_mul(ctx, u, y)]
+        two_minus[0] = (two_minus[0] + 2) % M
+        y = _ref_w_mul(ctx, y, two_minus)
+        acc *= 2
+    return y
+
+
+def ref_shift_down_once(x):
+    """(coords, known_precision) of x / pi by shifting pi-rows and adding
+    (a_0 / p) u^-1 (pi^(e-1) + sum_{i>=1} b_i pi^(i-1)) row by row."""
+    ctx = x.context
+    e, f, M, p = ctx.e, ctx.f, ctx.coeff_modulus, ctx.p
+    rows = [list(x.coords[i * f:(i + 1) * f]) for i in range(e)]
+    assert not any(c % p for c in rows[0])
+    out = rows[1:] + [[0] * f]
+    coef = _ref_w_mul(ctx, [c // p for c in rows[0]], _ref_eis_unit_inverse(ctx))
+    for j in range(f):
+        out[e - 1][j] = (out[e - 1][j] + coef[j]) % M
+    for i in range(1, e):
+        term = _ref_w_mul(ctx, coef, list(ctx.eis_poly[i]))
+        for j in range(f):
+            out[i - 1][j] = (out[i - 1][j] + term[j]) % M
+    return tuple(c for row in out for c in row), x.known_precision - 1
+
+
+def _drawn_element(data, ctx):
+    coords = data.draw(st.lists(st.integers(0, ctx.coeff_modulus - 1),
+                                min_size=ctx.degree, max_size=ctx.degree))
+    if data.draw(st.booleans()):  # sparse rows exercise the zero skips
+        coords = [c if i % 2 else 0 for i, c in enumerate(coords)]
+    return PadicElement(ctx, tuple(coords),
+                        data.draw(st.integers(0, ctx.precision)))
+
+
+@given(shape=st.sampled_from(SHAPES), precision=st.integers(1, 14), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_product_matches_the_pi_power_table_reference(shape, precision, data):
+    ctx = PadicContext(precision=precision, **shape)
+    x, y = _drawn_element(data, ctx), _drawn_element(data, ctx)
+    prod = x * y
+    assert (prod.coords, prod.known_precision) == ref_mul(x, y)
+
+
+@given(shape=st.sampled_from(SHAPES), precision=st.integers(1, 14),
+       k=st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_pi_power_matches_sequential_reference_products(shape, precision, k):
+    ctx = PadicContext(precision=precision, **shape)
+    want = ctx.one()
+    for _ in range(k):
+        coords, prec = ref_mul(want, ctx.pi())
+        want = PadicElement(ctx, coords, prec)
+    got = ctx.pi_power(k)
+    assert (got.coords, got.known_precision) == (want.coords, want.known_precision)
+
+
+@given(shape=st.sampled_from(SHAPES), precision=st.integers(1, 14), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_shift_down_matches_the_row_shift_reference(shape, precision, data):
+    ctx = PadicContext(precision=precision, **shape)
+    k = data.draw(st.integers(1, precision))
+    x = _drawn_element(data, ctx) * ctx.pi_power(k)
+    want = x
+    for _ in range(k):
+        coords, prec = ref_shift_down_once(want)
+        want = PadicElement(ctx, coords, prec)
+    got = x.shift_down(k)
+    assert (got.coords, got.known_precision) == (want.coords, want.known_precision)
