@@ -53,10 +53,13 @@ class IntegralRep:
 class ResidueRep:
     """Generator matrices over the chain ring O_E/pi^m.
 
-    Word products are kept unreduced and reduced mod pi^m on output.
+    Word products are kept unreduced and reduced mod pi^m on output.  With
+    ``lift`` (an IntegralRep reducing to this one) they are the lift's own
+    memoized full-precision products, so a word is multiplied out once for
+    the lift and all its reductions; no reduced matrix enters that memo.
     """
 
-    def __init__(self, group, dim, context, modulus, gen_images):
+    def __init__(self, group, dim, context, modulus, gen_images, lift=None):
         self.group = group
         self.dim = dim
         self.context = context
@@ -66,9 +69,13 @@ class ResidueRep:
         for name, M in self.gen_images.items():
             if not determinant(M).is_unit():
                 raise DomainError(f"generator {name!r} is singular mod pi")
-        self._words = {(): identity_matrix(context, dim)}
+        self._lift = lift
+        self._words = (lift._words if lift is not None
+                       else {(): identity_matrix(context, dim)})
 
     def _letter(self, let):
+        if self._lift is not None:
+            return self._lift._letter(let)
         M = self.gen_images[self.group.generators[let[0]]]
         return M if let[1] == 1 else mat_reduce_mod(mat_inverse(M), self.modulus)
 
@@ -82,11 +89,13 @@ class ResidueRep:
 
 
 def reduce_rep_mod(rep, m):
-    """Entrywise reduction of an IntegralRep (functorial in products)."""
+    """Entrywise reduction of an IntegralRep (functorial in products); the
+    reduction reads its word products from ``rep``'s memo."""
     if m > min(x.known_precision for M in rep.gen_images.values()
                for row in M for x in row):
         raise PrecisionError("not enough precision for this reduction")
-    return ResidueRep(rep.group, rep.dim, rep.context, m, rep.gen_images)
+    return ResidueRep(rep.group, rep.dim, rep.context, m, rep.gen_images,
+                      lift=rep)
 
 
 # -- isomorphism over chain rings -------------------------------------------
@@ -195,15 +204,19 @@ def _res_zero(x):
 
 
 def _echelon_insert(basis, vec, d):
-    """Insert into a residue-field row-echelon basis; True when dim grew."""
+    """Insert into a residue-field row-echelon basis; True when dim grew.
+
+    Each row is stored scaled to a unit pivot, so reducing by it needs no
+    division."""
     vec = list(vec)
     for piv, row in basis.items():
-        if not _res_zero(vec[piv]):
-            c = vec[piv] * row[piv].inverse()
+        c = vec[piv]
+        if not _res_zero(c):
             vec = [x - c * y for x, y in zip(vec, row)]
     for j in range(d):
         if not _res_zero(vec[j]):
-            basis[j] = vec
+            c = vec[j].inverse()
+            basis[j] = [x * c for x in vec]
             return True
     return False
 
@@ -276,17 +289,20 @@ def semisimplify_mod_p(r, word_cap=4, seed=0):
 
     factors = []
     complete = True
-
-    def recurse(mats, d):
-        nonlocal complete
-        if d == 0:
-            return
+    # (letter matrices, dim, word memo): an unsplit r reads r's own memo, so
+    # its traces are the word products r (and its lift) already share
+    todo = [(gen_mats, r.dim, r._words)]
+    while todo:
+        mats, d, memo = todo.pop()
         sub, certain = _find_proper_submodule(mats.values(), d, ctx, seed=seed)
         if sub is None:
-            if not certain:
-                complete = False
-            factors.append(_factor_record(mats, d, words, ctx))
-            return
+            complete = complete and certain
+            traces = tuple(
+                tuple(mat_trace(word_matrix(memo, w, mats.__getitem__))
+                      .reduce_mod(1).coords)
+                for w in words)
+            factors.append({"dim": d, "traces": traces})
+            continue
         sub_rows = [sub[j] for j in sorted(sub)]
         k = len(sub_rows)
         P = _extend_basis(sub_rows, d, ctx)
@@ -296,10 +312,8 @@ def semisimplify_mod_p(r, word_cap=4, seed=0):
             C = mat_mul(mat_mul(Pinv, M), P)
             sub_mats[let] = [[C[i][j] for j in range(k)] for i in range(k)]
             quo_mats[let] = [[C[i][j] for j in range(k, d)] for i in range(k, d)]
-        recurse(sub_mats, k)
-        recurse(quo_mats, d - k)
-
-    recurse(gen_mats, r.dim)
+        todo.append((sub_mats, k, {(): identity_matrix(ctx, k)}))
+        todo.append((quo_mats, d - k, {(): identity_matrix(ctx, d - k)}))
     factors.sort(key=lambda f: (f["dim"], f["traces"]))
     return {"factors": factors, "complete": complete}
 
@@ -317,14 +331,6 @@ def _extend_basis(rows, d, ctx):
             cols.append(e)
     # columns of P are the chosen vectors
     return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
-def _factor_record(mats, d, words, ctx):
-    memo = {(): identity_matrix(ctx, d)}
-    traces = tuple(
-        tuple(mat_trace(word_matrix(memo, w, mats.__getitem__)).reduce_mod(1).coords)
-        for w in words)
-    return {"dim": d, "traces": traces}
 
 
 # -- stable lattices --------------------------------------------------------

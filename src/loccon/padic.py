@@ -55,9 +55,9 @@ def _poly_rem(poly, monic):
     return r[:d]
 
 
-def _int_val(n, p, cap):
-    """p-adic valuation of an integer known mod p^cap; None if 0 mod p^cap."""
-    n %= p ** cap
+def _int_val(n, p, modulus):
+    """p-adic valuation of an integer known mod a power of p; None if 0."""
+    n %= modulus
     if n == 0:
         return None
     v = 0
@@ -119,7 +119,7 @@ class PadicContext:
         if list(rows[-1]) != [1] + [0] * (self.f - 1):
             raise DomainError("eis_poly must be monic")
         c0 = [c % self.p ** 2 for c in rows[0]]
-        v0 = min((_int_val(c, self.p, 2) for c in c0 if c % self.p ** 2), default=None)
+        v0 = min((_int_val(c, self.p, self.p ** 2) for c in c0 if c), default=None)
         if v0 != 1:
             raise DomainError("eis_poly constant term must have valuation exactly 1")
         for row in rows[1:-1]:
@@ -140,6 +140,8 @@ class PadicContext:
         return f"PadicContext(p={self.p}, f={self.f}, e={self.e}, N={self.precision})"
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, PadicContext)
                 and (self.p, self.f, self.e, self.unram_poly, self.eis_poly)
                 == (other.p, other.f, other.e, other.unram_poly, other.eis_poly))
@@ -161,8 +163,8 @@ class PadicContext:
         return PadicElement(self, tuple(coords))
 
     def pi(self):
-        if self.e == 1:
-            return self.from_int(self.p)
+        if self.e == 1:  # the root -b_0 of the Eisenstein polynomial x + b_0
+            return self.element_from_poly([[-c for c in self.eis_poly[0]]])
         coords = [0] * self.degree
         coords[self.f] = 1
         return PadicElement(self, tuple(coords))
@@ -285,16 +287,22 @@ def _poly_eval_mod(poly, a, p):
     return acc
 
 
+_UNSCANNED = object()  # PadicElement valuation not computed yet
+
+
 class PadicElement:
     """An element of O_E at known absolute pi-adic precision.
 
     Immutable.  Coordinates live in the basis {pi^i omega^j} with
-    0 <= i < e, 0 <= j < f, flattened row-major (i major).
+    0 <= i < e, 0 <= j < f, flattened row-major (i major).  ``valuation``
+    is what ``pi_valuation()`` returns, when the caller already knows it;
+    otherwise the first call scans the coordinates and caches the result.
     """
 
-    __slots__ = ("context", "coords", "known_precision")
+    __slots__ = ("context", "coords", "known_precision", "_valuation")
 
-    def __init__(self, context, coords, known_precision=None):
+    def __init__(self, context, coords, known_precision=None,
+                 valuation=_UNSCANNED):
         self.context = context
         self.coords = coords
         if known_precision is None:
@@ -302,11 +310,12 @@ class PadicElement:
         self.known_precision = min(known_precision, context.precision)
         if self.known_precision < 0:
             raise PrecisionError("element has no known digits left")
+        self._valuation = valuation
 
     # -- ring operations --------------------------------------------------
 
     def _check_same(self, other):
-        if self.context != other.context:
+        if self.context is not other.context and self.context != other.context:
             raise DomainError("mixed contexts; embed explicitly first")
 
     def __add__(self, other):
@@ -323,7 +332,7 @@ class PadicElement:
     def __neg__(self):
         M = self.context.coeff_modulus
         return PadicElement(self.context, tuple((-a) % M for a in self.coords),
-                            self.known_precision)
+                            self.known_precision, self._valuation)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -362,10 +371,13 @@ class PadicElement:
         # 3. take the coordinates mod M once
         M = ctx.coeff_modulus
         coords = tuple(c % M for c in low)
-        va = self.pi_valuation_lower()
-        vb = other.pi_valuation_lower()
-        prec = min(ctx.precision, self.known_precision + vb, other.known_precision + va)
-        return PadicElement(ctx, coords, prec)
+        va, vb = self.pi_valuation(), other.pi_valuation()
+        ka, kb = self.known_precision, other.known_precision
+        prec = min(ctx.precision, ka + (kb if vb is None else vb),
+                   kb + (ka if va is None else va))
+        # O_E is a discrete valuation ring: valuations add below the precision
+        v = None if va is None or vb is None or va + vb >= prec else va + vb
+        return PadicElement(ctx, coords, prec, v)
 
     __rmul__ = __mul__
 
@@ -385,18 +397,21 @@ class PadicElement:
 
     def pi_valuation(self):
         """Valuation in pi-units, or None when indistinguishable from 0."""
+        if self._valuation is not _UNSCANNED:
+            return self._valuation
         ctx = self.context
-        e, f, p = ctx.e, ctx.f, ctx.p
+        e, f, p, M = ctx.e, ctx.f, ctx.p, ctx.coeff_modulus
         best = None
         for i in range(e):
             for j in range(f):
-                v = _int_val(self.coords[i * f + j], p, ctx.coeff_digits)
+                v = _int_val(self.coords[i * f + j], p, M)
                 if v is not None:
                     cand = e * v + i
                     if best is None or cand < best:
                         best = cand
-        if best is None or best >= self.known_precision:
-            return None
+        if best is not None and best >= self.known_precision:
+            best = None
+        self._valuation = best
         return best
 
     def pi_valuation_lower(self):
@@ -464,7 +479,7 @@ class PadicElement:
         while acc < ctx.precision:
             y = y * (ctx.from_int(2) - self * y)
             acc *= 2
-        return PadicElement(ctx, y.coords, self.known_precision)
+        return PadicElement(ctx, y.coords, self.known_precision, 0)
 
     def shift_down(self, k=1):
         """Divide by pi^k; requires valuation >= k."""
@@ -478,10 +493,12 @@ class PadicElement:
             raise DomainError("element is not divisible by pi^k")
         x = self
         for _ in range(k):
-            x = x._shift_down_once()
+            if v is not None:
+                v -= 1
+            x = x._shift_down_once(v)
         return x
 
-    def _shift_down_once(self):
+    def _shift_down_once(self, valuation):
         # x = a_0 + pi * y with a_0 in W, so x / pi = (a_0 / p) * (p / pi) + y
         ctx = self.context
         f, p, M = ctx.f, ctx.p, ctx.coeff_modulus
@@ -494,14 +511,15 @@ class PadicElement:
             a0p = PadicElement(ctx, tuple(c // p for c in a0) + (0,) * (ctx.degree - f))
             term = a0p * ctx._p_over_pi()
             coords = tuple((c + t) % M for c, t in zip(coords, term.coords))
-        return PadicElement(ctx, coords, self.known_precision - 1)
+        return PadicElement(ctx, coords, self.known_precision - 1, valuation)
 
     # -- misc --------------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.context.from_int(other)
-        if not isinstance(other, PadicElement) or self.context != other.context:
+        if not isinstance(other, PadicElement) or (
+                self.context is not other.context and self.context != other.context):
             return NotImplemented
         m = min(self.known_precision, other.known_precision)
         v = (self - other).pi_valuation()

@@ -1,6 +1,8 @@
 """Integral representations, mod-pi^m isomorphism testing, stable lattices."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -196,6 +198,155 @@ def test_carayol_rejects_reducible_pairs():
     a, b = diag_pair(Z5)
     out = carayol_audit(a, b, 2)
     assert out["verdict"] == "precondition_failed"
+
+
+# -- shared word products ---------------------------------------------------
+
+
+def test_reductions_leave_the_lift_at_full_precision():
+    """A reduction reads its words from the lift's memo and must not write
+    reduced matrices into it."""
+    rng = random.Random(11)
+    rep = sample_res_irred(Z5, rng)
+    words = rep.group.words_up_to(3)
+    assert residually_absolutely_irreducible(rep)
+    for m in (1, 2):
+        for w in words:
+            reduce_rep_mod(rep, m).matrix_of_word(w)
+    fresh = IntegralRep(rep.group, rep.dim, Z5, rep.gen_images)
+    for w in words:
+        got, want = rep.matrix_of_word(w), fresh.matrix_of_word(w)
+        for r1, r2 in zip(got, want):
+            for x, y in zip(r1, r2):
+                assert x.known_precision == Z5.precision
+                assert (x.coords, x.known_precision) == (y.coords, y.known_precision)
+
+
+def _int_letters(rep):
+    """Letter matrices of a Z_p rep as integer matrices mod p."""
+    p = rep.context.p
+    out = {}
+    for gi, name in enumerate(rep.group.generators):
+        (a, b), (c, d) = [[x.coords[0] % p for x in row]
+                          for row in rep.gen_images[name]]
+        dinv = pow(a * d - b * c, -1, p)
+        out[(gi, 1)] = [[a, b], [c, d]]
+        out[(gi, -1)] = [[d * dinv % p, -b * dinv % p],
+                         [-c * dinv % p, a * dinv % p]]
+    return out
+
+
+def ref_semisimplify_dim2(rep):
+    """Factor records of a 2-dim Z_p rep mod p from integer matrices: an
+    invariant F_p-line gives its character and the quotient character,
+    otherwise the trace of each word product."""
+    p = rep.context.p
+    letters = _int_letters(rep)
+    if rep.group.kind == "finite":
+        words = list(rep.group.element_words().values())
+    else:
+        words = rep.group.words_up_to(4)
+    for v in [(1, t) for t in range(p)] + [(0, 1)]:
+        images = {let: (M[0][0] * v[0] + M[0][1] * v[1],
+                        M[1][0] * v[0] + M[1][1] * v[1])
+                  for let, M in letters.items()}
+        if all((v[0] * w[1] - v[1] * w[0]) % p == 0 for w in images.values()):
+            j = 0 if v[0] else 1
+            sub = {let: w[j] * pow(v[j], -1, p) % p for let, w in images.items()}
+            quo = {let: (M[0][0] * M[1][1] - M[0][1] * M[1][0]) * pow(sub[let], -1, p) % p
+                   for let, M in letters.items()}
+            factors = []
+            for char in (sub, quo):
+                traces = []
+                for w in words:
+                    t = 1
+                    for let in w:
+                        t = t * char[let] % p
+                    traces.append((t,))
+                factors.append({"dim": 1, "traces": tuple(traces)})
+            factors.sort(key=lambda f: (f["dim"], f["traces"]))
+            return factors
+    traces = []
+    for w in words:
+        M = [[1, 0], [0, 1]]
+        for let in w:
+            L = letters[let]
+            M = [[sum(M[i][t] * L[t][j] for t in range(2)) % p for j in range(2)]
+                 for i in range(2)]
+        traces.append(((M[0][0] + M[1][1]) % p,))
+    return [{"dim": 2, "traces": tuple(traces)}]
+
+
+def _reference_reps(case):
+    if case == "unipotent":
+        return [IntegralRep(FREE1, 2, Z5, {"g1": mat(Z5, [[1, 1], [0, 1]])})]
+    if case == "s3_standard":
+        return [s3_standard_rep(Z5)]
+    if case == "triangular":  # two distinct residual characters
+        return [IntegralRep(FREE2, 2, Z5, {"g1": mat(Z5, [[2, 1], [0, 3]]),
+                                           "g2": mat(Z5, [[1, 4], [5, 2]])})]
+    p, seed = case  # a seeded residually irreducible pair
+    rng = random.Random(seed)
+    a = sample_res_irred(PadicContext(p, precision=10), rng)
+    return [a, perturbed_conjugate(a, 2, rng)]
+
+
+@pytest.mark.parametrize("case", ["unipotent", "s3_standard", "triangular",
+                                  (3, 1), (3, 2), (5, 3), (5, 4)])
+def test_semisimplify_matches_integer_reference(case):
+    for rep in _reference_reps(case):
+        ss = semisimplify_mod_p(reduce_rep_mod(rep, 1))
+        assert ss["complete"]
+        assert ss["factors"] == ref_semisimplify_dim2(rep)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_semisimplify_permutation_rep_matches_fixed_points(n):
+    """Over Z_5 the permutation representation of S_n is the trivial
+    character plus the irreducible standard representation, whose trace is
+    the number of fixed points minus one."""
+    perms = {"s": [1, 0] + list(range(2, n)), "c": list(range(1, n)) + [0]}
+    ints = {name: [[int(perm[j] == i) for j in range(n)] for i in range(n)]
+            for name, perm in perms.items()}
+    rep = IntegralRep(symmetric_group(n), n, Z5,
+                      {name: mat(Z5, M) for name, M in ints.items()})
+    letters = {}
+    for gi, name in enumerate(rep.group.generators):
+        letters[(gi, 1)] = ints[name]
+        letters[(gi, -1)] = [list(col) for col in zip(*ints[name])]
+    trivial, standard = [], []
+    for w in rep.group.element_words().values():
+        M = [[int(i == j) for j in range(n)] for i in range(n)]
+        for let in w:
+            L = letters[let]
+            M = [[sum(M[i][t] * L[t][j] for t in range(n)) for j in range(n)]
+                 for i in range(n)]
+        trivial.append((1,))
+        standard.append(((sum(M[i][i] for i in range(n)) - 1) % 5,))
+    ss = semisimplify_mod_p(reduce_rep_mod(rep, 1))
+    assert ss["complete"]
+    assert ss["factors"] == [{"dim": 1, "traces": tuple(trivial)},
+                             {"dim": n - 1, "traces": tuple(standard)}]
+
+
+def test_reductions_leave_no_reference_cycle():
+    """With the cyclic collector off, reference counting alone must free a
+    rep, its reductions and the word products they share."""
+    rng = random.Random(5)
+    gc.disable()
+    try:
+        a = sample_res_irred(Z5, rng)
+        b = perturbed_conjugate(a, 2, rng)
+        assert carayol_audit(a, b, 2)["verdict"] == "pass"
+        rbar = reduce_rep_mod(a, 1)
+        semisimplify_mod_p(rbar)
+        alone = ResidueRep(FREE1, 2, Z5, 1, {"g1": mat(Z5, [[1, 1], [0, 1]])})
+        semisimplify_mod_p(alone)
+        refs = [weakref.ref(x) for x in (a, b, rbar, alone)]
+        del a, b, rbar, alone
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
 
 
 # -- shared harness helpers (also used by the acceptance gate) ---------------

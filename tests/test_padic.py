@@ -474,3 +474,41 @@ def test_shift_down_matches_the_row_shift_reference(shape, precision, data):
         want = PadicElement(ctx, coords, prec)
     got = x.shift_down(k)
     assert (got.coords, got.known_precision) == (want.coords, want.known_precision)
+
+
+def _scanned_valuation(x):
+    return PadicElement(x.context, x.coords, x.known_precision).pi_valuation()
+
+
+@given(shape=st.sampled_from(SHAPES), precision=st.integers(1, 14), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_cached_valuations_match_a_fresh_scan(shape, precision, data):
+    """Products, inverses, shifts and negation set their result's valuation
+    without scanning it; every cached valuation must be what a scan finds."""
+    ctx = PadicContext(precision=precision, **shape)
+    x, y = _drawn_element(data, ctx), _drawn_element(data, ctx)
+    if data.draw(st.booleans()):
+        x.pi_valuation()  # negation copies a known valuation
+    k = data.draw(st.integers(0, precision))
+    m = data.draw(st.integers(0, x.known_precision))
+    results = [x + y, x - y, -x, x * y, x * y * x, x.reduce_mod(m),
+               (x * ctx.pi_power(k)).shift_down(k),
+               (ctx.one() + ctx.pi() * y).inverse()]
+    if x.is_unit():
+        results.append(x.inverse())
+    for r in results:
+        assert r.pi_valuation() == _scanned_valuation(r)
+
+
+def test_pi_is_the_eisenstein_root_when_e_is_one():
+    """For e = 1 the uniformizer is the root -b_0 of x + b_0, the element
+    that division by pi divides by."""
+    ctx = PadicContext(5, eis_poly=[[-10], [1]], precision=6)
+    assert ctx.pi().coords == (10,)
+    assert ctx.pi().shift_down(1).coords == (1,)
+    assert ctx.pi_power(3).shift_down(3) == ctx.one()
+    unram = PadicContext(5, f=2, eis_poly=[[-5, 5], [1, 0]], precision=6)
+    assert unram.pi().shift_down(1) == unram.one()
+    default = PadicContext(5, precision=6)
+    assert default.pi().coords == default.from_int(5).coords == (5,)
+    assert default.pi().shift_down(1).coords == (1,)
