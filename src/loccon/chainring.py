@@ -193,7 +193,10 @@ def nullspace_mod(rows, ctx, m):
             if j == r:
                 continue
             if _val(M[r][j], m) < m:
-                q = (M[r][j] * unit_inv).shift_down(a)
+                # q is known mod pi^(m-a) only, but any lift of it is an
+                # exact column operation over O/pi^m: take its coordinates
+                # as exact, so V (and the generators) stay known mod pi^m
+                q = ctx.from_coords((M[r][j] * unit_inv).shift_down(a).coords)
                 for i in range(n):
                     M[i][j] = M[i][j] - q * M[i][r]
                 for i in range(k):
@@ -214,6 +217,26 @@ def nullspace_mod(rows, ctx, m):
             gen = [V[i][j].reduce_mod(m) for i in range(k)]
             gens.append((gen, 0))
     return gens
+
+
+def full_rank_mod_p(rows, p):
+    """Whether the square integer matrix with the given rows is invertible
+    over F_p (Gaussian elimination; the entries need not be reduced)."""
+    n = len(rows)
+    rows = [[x % p for x in row] for row in rows]
+    for c in range(n):
+        i = next((i for i in range(c, n) if rows[i][c]), None)
+        if i is None:
+            return False
+        pivot = rows[i]
+        rows[i] = rows[c]
+        inv = pow(pivot[c], -1, p)
+        for r in rows[c + 1:]:
+            if r[c]:
+                q = r[c] * inv
+                for j in range(c + 1, n):
+                    r[j] = (r[j] - q * pivot[j]) % p
+    return True
 
 
 # -- span closure -----------------------------------------------------------

@@ -5,12 +5,14 @@ trace-congruence isomorphism harness."""
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
 from loccon.chainring import (
     ChainSpan,
     determinant,
+    full_rank_mod_p,
     identity_matrix,
     mat_inverse,
     mat_mul,
@@ -136,51 +138,95 @@ def iso_mod(a, b, search_cap=1 << 20, rand_budget=2000, seed=0):
     An invertible intertwiner exists iff some residue-field combination of
     the solution-space generators is invertible mod pi, so the search over
     the mod-pi span is a complete decision procedure when it is enumerable.
+    Candidates are tested on residues: a combination is invertible mod pi
+    iff its F_p image has full rank (det over F_p of the image is the norm
+    of det over F_q), so only the winner is built over O_E/pi^m.
     """
     gens = intertwiner_space(a, b)
     unit_gens = [g for g, s in gens if s == 0]
-    d, m, ctx = a.dim, a.modulus, a.context
+    d, ctx = a.dim, a.context
     if not unit_gens:
         return IsoResult("not_isomorphic", None,
                          "solution module is contained in pi * M_d")
-    q = ctx.residue_field_size
+    p, f, q = ctx.p, ctx.f, ctx.residue_field_size
     t = len(unit_gens)
+    n = d * f
+    # one F_p image per digit (k, j), k major: that of omega^j G_k, packed
+    # into one int with entry i in bits [w i, w (i + 1)); a candidate is a
+    # sum of t f multiples of these, and w leaves no carry between entries
+    w = (t * f * (p - 1) ** 2).bit_length()
+    packed = [sum(x << (w * i) for i, x in enumerate(img))
+              for g in unit_gens
+              for img in _residue_images(
+                  [g[i * d:(i + 1) * d] for i in range(d)], ctx)]
+    mask = (1 << w) - 1
+    shifts = [[w * (r * n + s) for s in range(n)] for r in range(n)]
+
+    def invertible(digits):
+        v = sum(map(operator.mul, digits, packed))
+        return full_rank_mod_p([[v >> s & mask for s in row] for row in shifts], p)
+
     if q ** t <= search_cap:
-        for combo in itertools.product(range(q), repeat=t):
-            if not any(combo):
-                continue
-            X = _combine(unit_gens, combo, ctx, d)
-            if determinant(X).is_unit():
-                X = mat_reduce_mod(X, m)
-                _assert_intertwines(a, b, X)
+        # k major, j minor: ctx.enumerate_residues(1) for each generator
+        for digits in itertools.product(range(p), repeat=t * f):
+            if invertible(digits):
+                X = _intertwiner(a, b, unit_gens, digits)
                 return IsoResult("isomorphic", X, "explicit intertwiner")
         return IsoResult("not_isomorphic", None,
                          "no invertible element in the mod-pi solution span "
                          "(exhaustive)")
     rng = random.Random(seed)
     for _ in range(rand_budget):
-        combo = [rng.randrange(q) for _ in range(t)]
-        if not any(combo):
-            continue
-        X = _combine(unit_gens, combo, ctx, d)
-        if determinant(X).is_unit():
-            X = mat_reduce_mod(X, m)
-            _assert_intertwines(a, b, X)
+        # each draw is the index of a residue in that same order
+        draws = [rng.randrange(q) for _ in range(t)]
+        digits = [c // p ** (f - 1 - j) % p for c in draws for j in range(f)]
+        if invertible(digits):
+            X = _intertwiner(a, b, unit_gens, digits)
             return IsoResult("isomorphic", X, "explicit intertwiner")
     return IsoResult("inconclusive", None,
                      f"randomized search exhausted ({rand_budget} trials) with a "
                      "nonzero solution space")
 
 
-def _combine(unit_gens, combo, ctx, d):
+def _residue_images(X, ctx):
+    """The F_p matrices of X, omega X, ..., omega^(f-1) X acting on F_q^d.
+
+    Each is flat and (d f) x (d f): block (r, s) is the matrix of
+    multiplication by omega^j X[r][s] on F_q in the basis 1, omega, ...,
+    omega^(f-1), read off the residues of X[r][s] omega^k for k <= 2f - 2.
+    """
+    d, f = len(X), ctx.f
+    n = d * f
+    powers = [ctx.one()]
+    for _ in range(2 * f - 2):
+        powers.append(powers[-1] * ctx.omega())
+    images = [[0] * (n * n) for _ in range(f)]
+    for r in range(d):
+        for s in range(d):
+            res = [(X[r][s] * w).residue_poly() for w in powers]
+            for j, img in enumerate(images):
+                for col in range(f):
+                    for row, x in enumerate(res[j + col]):
+                        img[(r * f + row) * n + s * f + col] = x
+    return images
+
+
+def _intertwiner(a, b, unit_gens, digits):
+    """sum_k c_k G_k mod pi^m, c_k lifted from its f residue digits,
+    checked to intertwine a and b."""
+    ctx, d, f = a.context, a.dim, a.context.f
+    zeros = [0] * (ctx.degree - f)
     X = [[ctx.zero()] * d for _ in range(d)]
-    for c, g in zip(combo, unit_gens):
-        if c == 0:
+    for k, g in enumerate(unit_gens):
+        c = list(digits[k * f:(k + 1) * f])
+        if not any(c):
             continue
-        cc = ctx.from_int(c)
+        cc = ctx.from_coords(c + zeros)
         for i in range(d):
             for j in range(d):
                 X[i][j] = X[i][j] + cc * g[i * d + j]
+    X = mat_reduce_mod(X, a.modulus)
+    _assert_intertwines(a, b, X)
     return X
 
 

@@ -645,8 +645,6 @@ def embed(x, ctx_E):
     ctx_L = x.context
     if ctx_L == ctx_E:
         return x
-    if not is_extension(ctx_L, ctx_E):
-        raise DomainError("unsupported extension pair")
     e_rel = relative_ramification(ctx_L, ctx_E)
     M = ctx_E.coeff_modulus
     coords = [0] * ctx_E.degree

@@ -88,6 +88,42 @@ def test_nullspace_is_annihilated():
                     assert v is None or v >= m
 
 
+@pytest.mark.parametrize("p,e,m", [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2),
+                                   (2, 2, 3)])
+def test_nullspace_generates_the_enumerated_solution_module(p, e, m):
+    """Over O/pi^m, against enumeration: the generators annihilate the rows,
+    and their O-span is the whole solution set."""
+    ctx = PadicContext(p, e=e, precision=6)
+    residues = list(ctx.enumerate_residues(m))
+    zero = ctx.zero().reduce_mod(m)
+    rng = random.Random(p * 100 + e * 10 + m)
+
+    def key(vec):
+        return tuple(x.reduce_mod(m).coords for x in vec)
+
+    for _ in range(20):
+        k = rng.randrange(1, 4)
+        rows = [[rng.choice(residues) for _ in range(k)]
+                for _ in range(rng.randrange(1, 4))]
+
+        def solves(vec):
+            return mat_is_zero_mod(
+                [[sum((a * x for a, x in zip(r, vec)), start=zero)]
+                 for r in rows], m)
+
+        gens = [g for g, _ in nullspace_mod(rows, ctx, m)]
+        assert all(solves(g) for g in gens)
+        solutions = {key(v) for v in itertools.product(residues, repeat=k)
+                     if solves(v)}
+        span = set()
+        for cs in itertools.product(residues, repeat=len(gens)):
+            vec = [zero] * k
+            for c, g in zip(cs, gens):
+                vec = [x + c * y for x, y in zip(vec, g)]
+            span.add(key(vec))
+        assert span == solutions
+
+
 def test_nullspace_of_zero_matrix_is_everything():
     rows = [[Z5.zero()] * 2 for _ in range(2)]
     gens = nullspace_mod(rows, Z5, 3)

@@ -1,15 +1,27 @@
 """Integral representations, mod-pi^m isomorphism testing, stable lattices."""
 
 import gc
+import itertools
 import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loccon.chainring import (
+    determinant,
+    full_rank_mod_p,
+    mat_inverse,
+    mat_mul,
+    mat_reduce_mod,
+)
 from loccon.groups import free_group, symmetric_group
 from loccon.lattice import (
     IntegralRep,
+    IsoResult,
     ResidueRep,
+    _residue_images,
     carayol_audit,
     intertwiner_space,
     iso_mod,
@@ -19,6 +31,7 @@ from loccon.lattice import (
     stable_lattice,
 )
 from loccon.padic import DomainError, PadicContext, PadicNumber, PrecisionError
+from tests.test_padic import SHAPES
 
 Z5 = PadicContext(5, precision=14)
 FREE1 = free_group(1)
@@ -347,6 +360,192 @@ def test_reductions_leave_no_reference_cycle():
         assert [r() for r in refs] == [None] * 4
     finally:
         gc.enable()
+
+
+# -- iso_mod against brute force and the full-precision candidate loop --------
+
+
+def intertwines(a, b, X):
+    m = a.modulus
+    for name in a.group.generators:
+        for r1, r2 in zip(mat_mul(X, a.gen_images[name]),
+                          mat_mul(b.gen_images[name], X)):
+            for x, y in zip(r1, r2):
+                v = (x - y).pi_valuation()
+                if v is not None and v < m:
+                    return False
+    return True
+
+
+def brute_force_isomorphic(a, b):
+    """Whether some X in GL_d(O/pi^m) has X a(g) = b(g) X mod pi^m, by
+    enumerating all of M_d(O/pi^m)."""
+    d = a.dim
+    residues = list(a.context.enumerate_residues(a.modulus))
+    for entries in itertools.product(residues, repeat=d * d):
+        X = [list(entries[i * d:(i + 1) * d]) for i in range(d)]
+        if determinant(X).is_unit() and intertwines(a, b, X):
+            return True
+    return False
+
+
+def unit_det_matrix(ctx, rng):
+    while True:
+        M = [[ctx.random_element(rng) for _ in range(2)] for _ in range(2)]
+        if determinant(M).is_unit():
+            return M
+
+
+def one_generator_pairs(ctx, m, seed):
+    """Seeded (A, B) pairs of one-generator reps mod pi^m: conjugates,
+    perturbed conjugates, diagonal pairs that agree mod pi, and unrelated
+    matrices."""
+    rng = random.Random(seed)
+    pi = ctx.pi()
+    pairs = []
+    for _ in range(3):
+        A = unit_det_matrix(ctx, rng)
+        C = unit_det_matrix(ctx, rng)
+        conj = mat_mul(mat_mul(C, A), mat_inverse(C))
+        pairs.append((A, conj))
+        k = rng.randrange(1, m + 1)
+        pk = ctx.pi_power(k)
+        pairs.append((A, [[x + ctx.random_element(rng) * pk for x in row]
+                          for row in conj]))
+        u1, u2 = ctx.random_unit(rng), ctx.random_unit(rng)
+        zero = ctx.zero()
+        pairs.append(([[u1, zero], [zero, u2]],
+                      [[u1 * (ctx.one() + pi * ctx.random_element(rng)), zero],
+                       [zero, u2 * (ctx.one() - pi * ctx.random_element(rng))]]))
+        pairs.append((A, unit_det_matrix(ctx, rng)))
+    return [tuple(ResidueRep(FREE1, 2, ctx, m, {"g1": M}) for M in pair)
+            for pair in pairs]
+
+
+TINY_RINGS = {
+    "Z2": PadicContext(2, precision=6),
+    "Z3": PadicContext(3, precision=6),
+    "Z2-e2": PadicContext(2, e=2, precision=6),
+    "W(F4)": PadicContext(2, f=2, precision=6),
+}
+
+
+@pytest.mark.parametrize("ring,m", [("Z2", 1), ("Z2", 2), ("Z3", 1),
+                                    ("Z2-e2", 2), ("W(F4)", 1)])
+def test_iso_mod_agrees_with_brute_force(ring, m):
+    ctx = TINY_RINGS[ring]
+    statuses = set()
+    for seed in range(4):
+        for a, b in one_generator_pairs(ctx, m, seed):
+            res = iso_mod(a, b)
+            want = brute_force_isomorphic(a, b)
+            assert res.status == ("isomorphic" if want else "not_isomorphic")
+            statuses.add(res.status)
+            if want:
+                X = res.intertwiner
+                assert determinant(X).is_unit()
+                assert intertwines(a, b, X)
+    assert statuses == {"isomorphic", "not_isomorphic"}
+
+
+def reference_iso_mod(a, b, search_cap=1 << 20, rand_budget=2000, seed=0):
+    """The full-precision candidate loop: each combination of the unit
+    generators with integer coefficients c < q is built over O_E/pi^m and
+    kept when its determinant is a unit.  For f = 1 these are the
+    residue-field combinations, in the order iso_mod tries them."""
+    gens = intertwiner_space(a, b)
+    unit_gens = [g for g, s in gens if s == 0]
+    d, m, ctx = a.dim, a.modulus, a.context
+    if not unit_gens:
+        return IsoResult("not_isomorphic", None,
+                         "solution module is contained in pi * M_d")
+    q = ctx.residue_field_size
+    t = len(unit_gens)
+
+    def combine(combo):
+        X = [[ctx.zero()] * d for _ in range(d)]
+        for c, g in zip(combo, unit_gens):
+            if c == 0:
+                continue
+            cc = ctx.from_int(c)
+            for i in range(d):
+                for j in range(d):
+                    X[i][j] = X[i][j] + cc * g[i * d + j]
+        return X
+
+    if q ** t <= search_cap:
+        combos = itertools.product(range(q), repeat=t)
+    else:
+        rng = random.Random(seed)
+        combos = ([rng.randrange(q) for _ in range(t)]
+                  for _ in range(rand_budget))
+    for combo in combos:
+        if not any(combo):
+            continue
+        X = combine(combo)
+        if determinant(X).is_unit():
+            return IsoResult("isomorphic", mat_reduce_mod(X, m),
+                             "explicit intertwiner")
+    if q ** t <= search_cap:
+        return IsoResult("not_isomorphic", None,
+                         "no invertible element in the mod-pi solution span "
+                         "(exhaustive)")
+    return IsoResult("inconclusive", None,
+                     f"randomized search exhausted ({rand_budget} trials) with a "
+                     "nonzero solution space")
+
+
+def _as_bytes(res):
+    X = res.intertwiner
+    coords = None if X is None else [[(x.coords, x.known_precision) for x in row]
+                                     for row in X]
+    return res.status, res.certificate, coords
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_iso_mod_matches_the_full_precision_loop_when_f_is_one(p):
+    """Same status, certificate and intertwiner coordinates as the loop
+    that built every candidate, exhaustive and randomized."""
+    ctx = PadicContext(p, precision=8)
+    cases = []
+    for m in (1, 2, 3):
+        cases += one_generator_pairs(ctx, m, seed=p * 10 + m)
+    rng = random.Random(p)
+    for n in (1, 2):
+        a = sample_res_irred(ctx, rng)
+        b = perturbed_conjugate(a, n, rng)
+        cases.append((reduce_rep_mod(a, n), reduce_rep_mod(b, n)))
+    statuses = set()
+    for a, b in cases:
+        for kw in ({}, {"search_cap": 1, "seed": 3},
+                   {"search_cap": 1, "rand_budget": 2, "seed": 1}):
+            got = iso_mod(a, b, **kw)
+            assert _as_bytes(got) == _as_bytes(reference_iso_mod(a, b, **kw))
+            statuses.add(got.status)
+    assert statuses == {"isomorphic", "not_isomorphic", "inconclusive"}
+
+
+@given(shape=st.sampled_from(SHAPES), d=st.integers(1, 3), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_residue_image_rank_decides_unit_determinant(shape, d, data):
+    """The F_p image of X (F_q^d as F_p^(df)) has full rank exactly when
+    det X is a unit; likewise for omega^j X."""
+    ctx = PadicContext(precision=data.draw(st.integers(1, 6)), **shape)
+    pi = ctx.pi()
+    X = []
+    for _ in range(d):
+        row = []
+        for _ in range(d):
+            x = ctx.from_coords(data.draw(st.lists(
+                st.integers(0, ctx.coeff_modulus - 1),
+                min_size=ctx.degree, max_size=ctx.degree)))
+            row.append(x * pi if data.draw(st.booleans()) else x)
+        X.append(row)
+    unit = determinant(X).is_unit()
+    n = d * ctx.f
+    for img in _residue_images(X, ctx):
+        rows = [img[r:r + n] for r in range(0, n * n, n)]
+        assert full_rank_mod_p(rows, ctx.p) == unit
 
 
 # -- shared harness helpers (also used by the acceptance gate) ---------------

@@ -256,6 +256,14 @@ def test_embed_scales_valuation():
     assert embed(Z5.from_int(5), RAM2).pi_valuation() == 2
 
 
+def test_embed_rejects_an_unsupported_pair():
+    for x, target in ((RAM2.one(), Z5), (Z5.one(), MIXED), (MIXED.one(), UNRAM2)):
+        with pytest.raises(DomainError, match="unsupported extension pair"):
+            embed(x, target)
+    same_as_z5 = PadicContext(5, precision=12)
+    assert embed(Z5.from_int(7), same_as_z5) == Z5.from_int(7)
+
+
 def test_gamma_injectivity_small():
     ok, witness = gamma_injectivity_exhaustive(Z5, RAM2, 2)
     assert ok and witness is None
