@@ -2,6 +2,7 @@
 
 from loccon.padic import (
     DomainError,
+    InconclusiveError,
     PadicContext,
     PadicElement,
     PadicNumber,
@@ -23,6 +24,7 @@ __all__ = [
     "AdicSeries",
     "AlgebraModel",
     "DomainError",
+    "InconclusiveError",
     "IntegralRep",
     "ModelPoint",
     "PadicContext",

@@ -219,26 +219,6 @@ def nullspace_mod(rows, ctx, m):
     return gens
 
 
-def full_rank_mod_p(rows, p):
-    """Whether the square integer matrix with the given rows is invertible
-    over F_p (Gaussian elimination; the entries need not be reduced)."""
-    n = len(rows)
-    rows = [[x % p for x in row] for row in rows]
-    for c in range(n):
-        i = next((i for i in range(c, n) if rows[i][c]), None)
-        if i is None:
-            return False
-        pivot = rows[i]
-        rows[i] = rows[c]
-        inv = pow(pivot[c], -1, p)
-        for r in rows[c + 1:]:
-            if r[c]:
-                q = r[c] * inv
-                for j in range(c + 1, n):
-                    r[j] = (r[j] - q * pivot[j]) % p
-    return True
-
-
 # -- span closure -----------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from loccon.padic import (
     DomainError,
+    InconclusiveError,
     PadicElement,
     PadicNumber,
     PrecisionError,
@@ -419,7 +420,7 @@ def main(argv=None):
     except (SpecError, FileNotFoundError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
-    except PrecisionError as exc:
+    except InconclusiveError as exc:
         return _emit({"verdict": "inconclusive", "reason": str(exc)}, args)
     except DomainError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

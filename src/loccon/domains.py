@@ -256,18 +256,11 @@ def sqrt_in_context(a, ext):
     if v % 2:
         return None
     u = a.shift_down(v)
-    # residue-field square test (cyclic group of order q - 1)
-    q = ext.residue_field_size
-    r = u.residue_poly()
-    if ext.f == 1:
-        if pow(r[0], (q - 1) // 2, ext.p) != 1:
-            return None
-        y0 = _tonelli(r[0], ext.p)
-        y = ext.from_int(y0)
-    else:
-        y = _residue_sqrt_ext(u, ext)
-        if y is None:
-            return None
+    F = ext.residue_field
+    y0 = F.sqrt(F.of(u))
+    if y0 is None:
+        return None
+    y = F.lift(y0)
     # Newton: y <- (y + u/y)/2
     inv2 = ext.from_int(2).inverse()
     acc = 1
@@ -275,30 +268,6 @@ def sqrt_in_context(a, ext):
         y = (y + u * y.inverse()) * inv2
         acc *= 2
     return y * ext.pi_power(v // 2)
-
-
-def _tonelli(n, p):
-    n %= p
-    if n == 0:
-        return 0
-    for y in range(1, p):
-        if (y * y) % p == n:
-            return y
-    return None
-
-
-def _residue_sqrt_ext(u, ext):
-    for combo_int in range(1, ext.residue_field_size):
-        digits = []
-        x = combo_int
-        for _ in range(ext.f):
-            digits.append(x % ext.p)
-            x //= ext.p
-        cand = ext.element_from_poly([digits] + [[0] * ext.f] * (ext.e - 1))
-        vv = (cand * cand - u).pi_valuation()
-        if vv is None or vv >= 1:
-            return cand
-    return None
 
 
 def cover_fiber(model, ext, tval):

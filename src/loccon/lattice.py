@@ -5,14 +5,12 @@ trace-congruence isomorphism harness."""
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from loccon.chainring import (
     ChainSpan,
-    determinant,
-    full_rank_mod_p,
     identity_matrix,
     mat_inverse,
     mat_mul,
@@ -22,7 +20,12 @@ from loccon.chainring import (
     relations_hold,
     word_matrix,
 )
-from loccon.padic import DomainError, PadicNumber, PrecisionError
+from loccon.padic import DomainError, InconclusiveError, PadicNumber, PrecisionError
+
+
+def _residues(F, M):
+    """The matrix M over O_E as a matrix over the residue field F."""
+    return [[F.of(x) for x in row] for row in M]
 
 
 class IntegralRep:
@@ -34,8 +37,9 @@ class IntegralRep:
         self.context = context
         self.gen_images = dict(gen_images)
         self._words = {(): identity_matrix(context, dim)}
+        F = context.residue_field
         for name, M in self.gen_images.items():
-            if not determinant(M).is_unit():
+            if F.rank(_residues(F, M)) < dim:
                 raise DomainError(f"generator {name!r} has non-unit determinant")
         if group.kind == "finite" and not relations_hold(
                 group, self._words, self._letter):
@@ -68,8 +72,9 @@ class ResidueRep:
         self.modulus = modulus
         self.gen_images = {name: mat_reduce_mod(M, modulus)
                            for name, M in gen_images.items()}
+        F = context.residue_field
         for name, M in self.gen_images.items():
-            if not determinant(M).is_unit():
+            if F.rank(_residues(F, M)) < dim:
                 raise DomainError(f"generator {name!r} is singular mod pi")
         self._lift = lift
         self._words = (lift._words if lift is not None
@@ -138,99 +143,63 @@ def iso_mod(a, b, search_cap=1 << 20, rand_budget=2000, seed=0):
     An invertible intertwiner exists iff some residue-field combination of
     the solution-space generators is invertible mod pi, so the search over
     the mod-pi span is a complete decision procedure when it is enumerable.
-    Candidates are tested on residues: a combination is invertible mod pi
-    iff its F_p image has full rank (det over F_p of the image is the norm
-    of det over F_q), so only the winner is built over O_E/pi^m.
+    Candidates sum_k c_k G_k are tested over F_q, so only the winner is
+    built over O_E/pi^m.
     """
     gens = intertwiner_space(a, b)
     unit_gens = [g for g, s in gens if s == 0]
-    d, ctx = a.dim, a.context
+    d, F = a.dim, a.context.residue_field
     if not unit_gens:
         return IsoResult("not_isomorphic", None,
                          "solution module is contained in pi * M_d")
-    p, f, q = ctx.p, ctx.f, ctx.residue_field_size
-    t = len(unit_gens)
-    n = d * f
-    # one F_p image per digit (k, j), k major: that of omega^j G_k, packed
-    # into one int with entry i in bits [w i, w (i + 1)); a candidate is a
-    # sum of t f multiples of these, and w leaves no carry between entries
-    w = (t * f * (p - 1) ** 2).bit_length()
-    packed = [sum(x << (w * i) for i, x in enumerate(img))
-              for g in unit_gens
-              for img in _residue_images(
-                  [g[i * d:(i + 1) * d] for i in range(d)], ctx)]
-    mask = (1 << w) - 1
-    shifts = [[w * (r * n + s) for s in range(n)] for r in range(n)]
+    q, t = F.q, len(unit_gens)
+    residues = _residues(F, unit_gens)
 
-    def invertible(digits):
-        v = sum(map(operator.mul, digits, packed))
-        return full_rank_mod_p([[v >> s & mask for s in row] for row in shifts], p)
+    def invertible(combo):
+        X = [0] * (d * d)
+        for c, g in zip(combo, residues):
+            if c:
+                X = F.axpy(c, X, g)
+        return F.rank(X[i * d:(i + 1) * d] for i in range(d)) == d
 
-    if q ** t <= search_cap:
-        # k major, j minor: ctx.enumerate_residues(1) for each generator
-        for digits in itertools.product(range(p), repeat=t * f):
-            if invertible(digits):
-                X = _intertwiner(a, b, unit_gens, digits)
-                return IsoResult("isomorphic", X, "explicit intertwiner")
+    exhaustive = q ** t <= search_cap
+    if exhaustive:
+        combos = itertools.product(range(q), repeat=t)
+    else:
+        rng = random.Random(seed)
+        combos = ([rng.randrange(q) for _ in range(t)] for _ in range(rand_budget))
+    for combo in combos:
+        if invertible(combo):
+            X = _intertwiner(a, b, unit_gens, combo)
+            return IsoResult("isomorphic", X, "explicit intertwiner")
+    if exhaustive:
         return IsoResult("not_isomorphic", None,
                          "no invertible element in the mod-pi solution span "
                          "(exhaustive)")
-    rng = random.Random(seed)
-    for _ in range(rand_budget):
-        # each draw is the index of a residue in that same order
-        draws = [rng.randrange(q) for _ in range(t)]
-        digits = [c // p ** (f - 1 - j) % p for c in draws for j in range(f)]
-        if invertible(digits):
-            X = _intertwiner(a, b, unit_gens, digits)
-            return IsoResult("isomorphic", X, "explicit intertwiner")
     return IsoResult("inconclusive", None,
                      f"randomized search exhausted ({rand_budget} trials) with a "
                      "nonzero solution space")
 
 
-def _residue_images(X, ctx):
-    """The F_p matrices of X, omega X, ..., omega^(f-1) X acting on F_q^d.
-
-    Each is flat and (d f) x (d f): block (r, s) is the matrix of
-    multiplication by omega^j X[r][s] on F_q in the basis 1, omega, ...,
-    omega^(f-1), read off the residues of X[r][s] omega^k for k <= 2f - 2.
-    """
-    d, f = len(X), ctx.f
-    n = d * f
-    powers = [ctx.one()]
-    for _ in range(2 * f - 2):
-        powers.append(powers[-1] * ctx.omega())
-    images = [[0] * (n * n) for _ in range(f)]
-    for r in range(d):
-        for s in range(d):
-            res = [(X[r][s] * w).residue_poly() for w in powers]
-            for j, img in enumerate(images):
-                for col in range(f):
-                    for row, x in enumerate(res[j + col]):
-                        img[(r * f + row) * n + s * f + col] = x
-    return images
-
-
-def _intertwiner(a, b, unit_gens, digits):
-    """sum_k c_k G_k mod pi^m, c_k lifted from its f residue digits,
-    checked to intertwine a and b."""
-    ctx, d, f = a.context, a.dim, a.context.f
-    zeros = [0] * (ctx.degree - f)
+def _intertwiner(a, b, unit_gens, combo):
+    """sum_k c_k G_k mod pi^m, c_k lifted from F_q, checked to intertwine
+    a and b."""
+    ctx, d = a.context, a.dim
     X = [[ctx.zero()] * d for _ in range(d)]
-    for k, g in enumerate(unit_gens):
-        c = list(digits[k * f:(k + 1) * f])
-        if not any(c):
+    for c, g in zip(combo, unit_gens):
+        if not c:
             continue
-        cc = ctx.from_coords(c + zeros)
+        cc = ctx.residue_field.lift(c)
         for i in range(d):
             for j in range(d):
                 X[i][j] = X[i][j] + cc * g[i * d + j]
     X = mat_reduce_mod(X, a.modulus)
-    _assert_intertwines(a, b, X)
+    _check_intertwines(a, b, X)
     return X
 
 
-def _assert_intertwines(a, b, X):
+def _check_intertwines(a, b, X):
+    """Raise unless X a(g) = b(g) X mod pi^m for every generator g."""
     m = a.modulus
     for name in a.group.generators:
         L = mat_mul(X, a.gen_images[name])
@@ -238,82 +207,29 @@ def _assert_intertwines(a, b, X):
         for r1, r2 in zip(L, R):
             for x, y in zip(r1, r2):
                 v = (x - y).pi_valuation()
-                assert v is None or v >= m, "intertwiner verification failed"
+                if v is not None and v < m:
+                    raise RuntimeError("intertwiner verification failed")
 
 
 # -- semisimplification mod pi ----------------------------------------------
 
 
-def _res_zero(x):
-    v = x.pi_valuation()
-    return v is None or v >= 1
-
-
-def _echelon_insert(basis, vec, d):
-    """Insert into a residue-field row-echelon basis; True when dim grew.
-
-    Each row is stored scaled to a unit pivot, so reducing by it needs no
-    division."""
-    vec = list(vec)
-    for piv, row in basis.items():
-        c = vec[piv]
-        if not _res_zero(c):
-            vec = [x - c * y for x, y in zip(vec, row)]
-    for j in range(d):
-        if not _res_zero(vec[j]):
-            c = vec[j].inverse()
-            basis[j] = [x * c for x in vec]
-            return True
-    return False
-
-
-def _spin(vecs, mats, d):
-    basis = {}
-    frontier = []
-    for v in vecs:
-        if _echelon_insert(basis, v, d):
-            frontier.append(v)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for M in mats:
-                w = [sum((M[i][t] * v[t] for t in range(1, d)),
-                         start=M[i][0] * v[0]) for i in range(d)]
-                if _echelon_insert(basis, list(w), d):
-                    nxt.append(w)
-        frontier = nxt
-    return basis
-
-
-def _find_proper_submodule(mats, d, ctx, line_budget=300000, rand_budget=200,
+def _find_proper_submodule(mats, d, F, line_budget=300000, rand_budget=200,
                            seed=0):
-    q = ctx.residue_field_size
-    n_lines = (q ** d - 1) // (q - 1)
-    if n_lines <= line_budget:
-        # exhaustive over projective representatives: complete decision
-        for vec in _projective_vectors(ctx, d):
-            basis = _spin([vec], mats, d)
+    q = F.q
+    exhaustive = (q ** d - 1) // (q - 1) <= line_budget
+    if exhaustive:  # projective representatives: a complete decision
+        vecs = ([0] * lead + [F.one, *tail] for lead in range(d)
+                for tail in itertools.product(range(q), repeat=d - lead - 1))
+    else:
+        rng = random.Random(seed)
+        vecs = ([rng.randrange(q) for _ in range(d)] for _ in range(rand_budget))
+    for vec in vecs:
+        if any(vec):
+            basis = F.spin([vec], mats)
             if 0 < len(basis) < d:
                 return basis, True
-        return None, True
-    rng = random.Random(seed)
-    scalars = list(ctx.enumerate_residues(1))
-    for _ in range(rand_budget):
-        vec = [scalars[rng.randrange(q)] for _ in range(d)]
-        if all(_res_zero(x) for x in vec):
-            continue
-        basis = _spin([vec], mats, d)
-        if 0 < len(basis) < d:
-            return basis, True
-    return None, False
-
-
-def _projective_vectors(ctx, d):
-    scalars = list(ctx.enumerate_residues(1))
-    one = ctx.one()
-    for lead in range(d):
-        for tail in itertools.product(scalars, repeat=d - lead - 1):
-            yield [ctx.zero()] * lead + [one] + list(tail)
+    return None, exhaustive
 
 
 def semisimplify_mod_p(r, word_cap=4, seed=0):
@@ -321,62 +237,64 @@ def semisimplify_mod_p(r, word_cap=4, seed=0):
 
     Returns {"factors": [{dim, traces}], "complete": bool}; traces are the
     residue coordinates of the factor's trace on a fixed word list, which
-    distinguishes non-isomorphic factors.
+    distinguishes non-isomorphic factors.  Computed over F_q from the
+    residues of the generators.
     """
     if r.modulus != 1:
         raise DomainError("semisimplification is defined at modulus 1")
-    ctx = r.context
+    F = r.context.residue_field
     if r.group.kind == "finite":
         words = list(r.group.element_words().values())
     else:
         words = r.group.words_up_to(word_cap)
-    gen_mats = {(gi, s): word_matrix(r._words, ((gi, s),), r._letter)
-                for gi in range(len(r.group.generators)) for s in (1, -1)}
+    letters = {}
+    for gi, name in enumerate(r.group.generators):
+        G = _residues(F, r.gen_images[name])
+        letters[(gi, 1)], letters[(gi, -1)] = G, F.inverse(G)
 
     factors = []
     complete = True
-    # (letter matrices, dim, word memo): an unsplit r reads r's own memo, so
-    # its traces are the word products r (and its lift) already share
-    todo = [(gen_mats, r.dim, r._words)]
+    todo = [(letters, r.dim)]
     while todo:
-        mats, d, memo = todo.pop()
-        sub, certain = _find_proper_submodule(mats.values(), d, ctx, seed=seed)
+        mats, d = todo.pop()
+        sub, certain = _find_proper_submodule(mats.values(), d, F, seed=seed)
         if sub is None:
             complete = complete and certain
-            traces = tuple(
-                tuple(mat_trace(word_matrix(memo, w, mats.__getitem__))
-                      .reduce_mod(1).coords)
-                for w in words)
-            factors.append({"dim": d, "traces": traces})
+            factors.append({"dim": d, "traces": _word_traces(F, mats, d, words)})
             continue
-        sub_rows = [sub[j] for j in sorted(sub)]
-        k = len(sub_rows)
-        P = _extend_basis(sub_rows, d, ctx)
-        Pinv = mat_inverse(P)
+        k = len(sub)
+        P = _extend_basis([sub[j] for j in sorted(sub)], d, F)
+        Pinv = F.inverse(P)
         sub_mats, quo_mats = {}, {}
         for let, M in mats.items():
-            C = mat_mul(mat_mul(Pinv, M), P)
-            sub_mats[let] = [[C[i][j] for j in range(k)] for i in range(k)]
-            quo_mats[let] = [[C[i][j] for j in range(k, d)] for i in range(k, d)]
-        todo.append((sub_mats, k, {(): identity_matrix(ctx, k)}))
-        todo.append((quo_mats, d - k, {(): identity_matrix(ctx, d - k)}))
+            C = F.mat_mul(F.mat_mul(Pinv, M), P)
+            sub_mats[let] = [row[:k] for row in C[:k]]
+            quo_mats[let] = [row[k:] for row in C[k:]]
+        todo.append((sub_mats, k))
+        todo.append((quo_mats, d - k))
     factors.sort(key=lambda f: (f["dim"], f["traces"]))
     return {"factors": factors, "complete": complete}
 
 
-def _extend_basis(rows, d, ctx):
+def _word_traces(F, letters, d, words):
+    """The residue coordinates of the trace of each word's product of the
+    F_q letter matrices."""
+    traces = []
+    for w in words:
+        M = reduce(F.mat_mul, [letters[let] for let in w], F.identity(d))
+        t = reduce(F.add, [M[i][i] for i in range(d)])
+        traces.append(tuple(F.lift(t).coords))
+    return tuple(traces)
+
+
+def _extend_basis(rows, d, F):
     """Invertible matrix whose first columns are the given row vectors."""
     basis = {}
     cols = []
-    for v in rows:
-        if _echelon_insert(basis, list(v), d):
-            cols.append(list(v))
-    for j in range(d):
-        e = [ctx.one() if i == j else ctx.zero() for i in range(d)]
-        if _echelon_insert(basis, list(e), d):
-            cols.append(e)
-    # columns of P are the chosen vectors
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+    for v in rows + F.identity(d):
+        if F.insert(basis, v):
+            cols.append(v)
+    return [list(row) for row in zip(*cols)]
 
 
 # -- stable lattices --------------------------------------------------------
@@ -388,8 +306,8 @@ def stable_lattice(group, dim, context, gen_images, rounds_budget=40,
 
     ``gen_images`` maps generators to matrices of PadicNumber (possibly
     non-integral).  Returns (IntegralRep, certificate C) with C^{-1} rho C
-    integral, or raises DomainError("unbounded ...") when the orbit lattice
-    fails to stabilize within the budget.
+    integral, or raises InconclusiveError("unbounded ...") when the orbit
+    lattice fails to stabilize within the budget.
     """
     ctx = context
     d = dim
@@ -408,14 +326,14 @@ def stable_lattice(group, dim, context, gen_images, rounds_budget=40,
             candidates.extend(list(v) for v in zip(*mat_mul(M, C)))
         new_basis, denom = _lattice_basis(candidates, ctx, d)
         if denom > denom_budget:
-            raise DomainError("unbounded: orbit lattice keeps growing "
-                              "(no stable lattice at working precision)")
+            raise InconclusiveError("unbounded: orbit lattice keeps growing "
+                                    "(no stable lattice at working precision)")
         if _same_lattice(basis, new_basis, ctx, d):
             basis = new_basis
             break
         basis = new_basis
     else:
-        raise DomainError("unbounded: orbit did not stabilize within budget")
+        raise InconclusiveError("unbounded: orbit did not stabilize within budget")
 
     C = [list(col) for col in zip(*basis)]
     Cinv = mat_inverse(C)
@@ -482,15 +400,20 @@ def _sublattice(b1, b2, ctx, d):
 # -- trace-congruence harness ----------------------------------------------
 
 
-def residually_absolutely_irreducible(rep, word_cap=4, seed=0):
-    """Single full-dimension mod-pi factor with scalar endomorphisms."""
-    rbar = reduce_rep_mod(rep, 1)
-    ss = semisimplify_mod_p(rbar, word_cap=word_cap, seed=seed)
-    if len(ss["factors"]) != 1 or ss["factors"][0]["dim"] != rep.dim:
-        return False
-    endo = intertwiner_space(rbar, rbar)
-    dim_endo = sum(1 for _, s in endo if s == 0)
-    return dim_endo == 1
+def residually_absolutely_irreducible(rep):
+    """Burnside's criterion: the generators' residues span M_d(F_q) as an
+    algebra.  Spins I under right multiplication by each generator, as a
+    d^2 x d^2 matrix on row-major flattened matrices; inverse letters add
+    nothing, as each G^-1 is a polynomial in G."""
+    F, d = rep.context.residue_field, rep.dim
+    maps = []
+    for M in rep.gen_images.values():
+        G = _residues(F, M)
+        # (X G)[r][s] = sum_t X[r][t] G[t][s]
+        maps.append([[G[c % d][s] if c // d == r else 0
+                      for c in range(d * d)]
+                     for r in range(d) for s in range(d)])
+    return len(F.spin([[x for row in F.identity(d) for x in row]], maps)) == d * d
 
 
 def carayol_audit(a, b, n, word_cap=4, seed=0):
@@ -502,8 +425,8 @@ def carayol_audit(a, b, n, word_cap=4, seed=0):
         words = list(a.group.element_words().values())
     else:
         words = a.group.words_up_to(word_cap)
-    irr_a = residually_absolutely_irreducible(a, word_cap=word_cap, seed=seed)
-    irr_b = residually_absolutely_irreducible(b, word_cap=word_cap, seed=seed)
+    irr_a = residually_absolutely_irreducible(a)
+    irr_b = residually_absolutely_irreducible(b)
     if not (irr_a and irr_b):
         report["verdict"] = "precondition_failed"
         report["reason"] = "residual absolute irreducibility fails"

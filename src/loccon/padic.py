@@ -10,28 +10,26 @@ context's absolute precision cap.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
 
-class PrecisionError(ArithmeticError):
+class InconclusiveError(Exception):
+    """No verdict: a precision, budget or precondition limit was reached."""
+
+
+class PrecisionError(InconclusiveError):
     """An operation needed more pi-adic digits than are known."""
 
 
 class DomainError(ValueError):
     """An argument violates a valuation or domain constraint."""
-
-
-def _poly_mul_mod(a, b, modulus):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % modulus
-    return out
 
 
 def _poly_addmul(acc, off, a, b):
@@ -102,6 +100,7 @@ class PadicContext:
         self._check_unram()
         self._check_eisenstein()
         self._p_over_pi_el = None
+        self._residue_field = None
 
     # -- validation -------------------------------------------------------
 
@@ -135,6 +134,13 @@ class PadicContext:
     @property
     def residue_field_size(self):
         return self.p ** self.f
+
+    @property
+    def residue_field(self):
+        """The residue field F_q = O_E/pi (built on first use)."""
+        if self._residue_field is None:
+            self._residue_field = ResidueField(self)
+        return self._residue_field
 
     def __repr__(self):
         return f"PadicContext(p={self.p}, f={self.f}, e={self.e}, N={self.precision})"
@@ -231,8 +237,8 @@ class PadicContext:
         if self._p_over_pi_el is None:
             zero_rows = [[0] * self.f] * (self.e - 1)
             u = self.element_from_poly([[-c // self.p for c in self.eis_poly[0]]] + zero_rows)
-            inv0 = _field_inverse(u.residue_poly(), list(self.unram_poly), self.p)
-            y = self.element_from_poly([inv0] + zero_rows)
+            F = self.residue_field
+            y = F.lift(F.inv(F.of(u)))
             acc = 1
             while acc < self.coeff_digits:  # Newton to the full coefficient modulus
                 y = y * (2 - u * y)
@@ -431,9 +437,6 @@ class PadicElement:
     def is_unit(self):
         return self.pi_valuation() == 0
 
-    def is_zero_at_precision(self):
-        return self.pi_valuation() is None
-
     def reduce_mod(self, m):
         """Canonical residue mod pi^m, as an element of known precision m."""
         ctx = self.context
@@ -451,29 +454,15 @@ class PadicElement:
                 coords.append(self.coords[i * f + j] % mod)
         return PadicElement(ctx, tuple(coords), m)
 
-    def agrees_with(self, other, m):
-        """Whether self == other modulo pi^m."""
-        diff = self - other
-        if m > diff.known_precision:
-            raise PrecisionError("not enough precision to compare at this modulus")
-        v = diff.pi_valuation()
-        return v is None or v >= m
-
     # -- division ----------------------------------------------------------
-
-    def residue_poly(self):
-        """Image in the residue field, as an omega-polynomial mod p."""
-        f, p = self.context.f, self.context.p
-        return [self.coords[j] % p for j in range(f)]
 
     def inverse(self):
         """Inverse of a unit, via residue-field inversion and Newton lifting."""
         ctx = self.context
         if self.pi_valuation() != 0:
             raise DomainError("only units are invertible in O_E")
-        res = self.residue_poly()
-        inv0 = _field_inverse(res, list(ctx.unram_poly), ctx.p)
-        y = ctx.element_from_poly([inv0] + [[0] * ctx.f] * (ctx.e - 1))
+        F = ctx.residue_field
+        y = F.lift(F.inv(F.of(self)))
         # Newton: y <- y(2 - xy), doubling pi-adic accuracy each step
         acc = 1
         while acc < ctx.precision:
@@ -542,29 +531,6 @@ class PadicElement:
         return f"<{body} + O(pi^{self.known_precision})>"
 
 
-def _field_inverse(a, monic, p):
-    """Inverse of a in F_p[y]/(monic) via extended Euclid."""
-    if not any(c % p for c in a):
-        raise DomainError("zero is not invertible in the residue field")
-    f = len(monic) - 1
-    if f == 1:
-        return [pow(a[0] % p, -1, p)]
-    r0, r1 = [c % p for c in monic], [c % p for c in a]
-    s0, s1 = [0], [1]
-    while True:
-        while r1 and r1[-1] % p == 0:
-            r1.pop()
-        if len(r1) == 1:
-            inv = pow(r1[0], -1, p)
-            return [(c * inv) % p for c in s1] + [0] * (f - len(s1))
-        if not r1:
-            raise DomainError("element shares a factor with the modulus")
-        q, r = _poly_divmod_field(r0, r1, p)
-        s = _poly_sub_mod(s0, _poly_mul_mod(q, s1, p), p)
-        r0, r1 = r1, r
-        s0, s1 = s1, s
-
-
 def _poly_divmod_field(num, den, p):
     num = [c % p for c in num]
     den = [c % p for c in den]
@@ -587,11 +553,166 @@ def _poly_divmod_field(num, den, p):
     return q, r
 
 
-def _poly_sub_mod(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return [(x - y) % p for x, y in zip(a, b)]
+class ResidueField:
+    """The residue field F_q = O_E/pi of a context, with ints as elements.
+
+    The int 0 <= a < q names the residue whose omega-coordinates c_0, ...,
+    c_{f-1} (c_j the coefficient of omega^j) are the base-p digits of a,
+    c_0 the most significant: the order of ``ctx.enumerate_residues(1)``.
+    Products are taken over Z in omega and reduced by the unramified
+    polynomial; for f = 1 each operation is one integer operation mod p, and
+    extension fields with q <= 64 keep their sums and products in q^2-entry
+    tables.
+
+    Linear algebra keeps an echelon basis as a dict {pivot column: row},
+    each row 1 at its pivot and 0 at the pivots of the rows inserted before
+    it; ``insert`` is the one elimination step, and ``rank``, ``spin`` and
+    ``inverse`` are built on it.
+    """
+
+    def __init__(self, ctx):
+        self._context = weakref.ref(ctx)  # the context owns the field
+        self.p, self.f, self.q = ctx.p, ctx.f, ctx.residue_field_size
+        self.one = self.p ** (self.f - 1)  # c_0 = 1, the rest 0
+        self._unram_poly = ctx.unram_poly
+        self._add_table = self._mul_table = None
+        if self.f > 1 and self.q <= 64:  # filled by the polynomial arithmetic
+            pairs = [divmod(i, self.q) for i in range(self.q ** 2)]
+            self._add_table = [self.add(a, b) for a, b in pairs]
+            self._mul_table = [self.mul(a, b) for a, b in pairs]
+
+    def _coeffs(self, a):
+        c = [0] * self.f
+        for j in range(self.f - 1, -1, -1):
+            a, c[j] = divmod(a, self.p)
+        return c
+
+    def _index(self, coeffs):
+        a = 0
+        for c in coeffs:
+            a = a * self.p + c % self.p
+        return a
+
+    def of(self, x):
+        """The residue of a PadicElement."""
+        if x.known_precision < 1:
+            raise PrecisionError("residue mod pi requested but no digit is known")
+        return self._index(x.coords[:self.f])
+
+    def lift(self, a):
+        """The element of O_E with the digits of a, at full precision."""
+        ctx = self._context()
+        return ctx.from_coords(self._coeffs(a) + [0] * (ctx.degree - self.f))
+
+    # -- arithmetic -------------------------------------------------------
+
+    def add(self, a, b):
+        if self.f == 1:
+            return (a + b) % self.p
+        if self._add_table:
+            return self._add_table[a * self.q + b]
+        return self._index(map(operator.add, self._coeffs(a), self._coeffs(b)))
+
+    def sub(self, a, b):
+        return self.add(a, self.mul((self.p - 1) * self.one, b))
+
+    def mul(self, a, b):
+        if self.f == 1:
+            return a * b % self.p
+        if self._mul_table:
+            return self._mul_table[a * self.q + b]
+        acc = [0] * (2 * self.f - 1)
+        _poly_addmul(acc, 0, self._coeffs(a), self._coeffs(b))
+        return self._index(_poly_rem(acc, self._unram_poly))
+
+    def dot(self, u, v):
+        """sum_i u_i v_i."""
+        if self.f == 1:
+            return sum(map(operator.mul, u, v)) % self.p
+        return functools.reduce(self.add, map(self.mul, u, v), 0)
+
+    def inv(self, a):
+        if a == 0:
+            raise DomainError("zero is not invertible in the residue field")
+        out, n = self.one, self.q - 2  # a^(q-2), by squaring
+        while n:
+            if n & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            n >>= 1
+        return out
+
+    def sqrt(self, a):
+        """A square root of a, or None.  Of the roots y and -y it is the one
+        with the smaller sum_j c_j p^j (digits read from omega^(f-1) down)."""
+        y = next((y for y in range(self.q) if self.mul(y, y) == a), None)
+        if y is None:
+            return None
+        return min(y, self.sub(0, y),
+                   key=lambda z: self._index(reversed(self._coeffs(z))))
+
+    # -- linear algebra ---------------------------------------------------
+
+    def axpy(self, c, u, v):
+        """The vector u + c v."""
+        if self.f == 1:
+            p = self.p
+            return [(x + c * y) % p for x, y in zip(u, v)]
+        return [self.add(x, self.mul(c, y)) for x, y in zip(u, v)]
+
+    def identity(self, d):
+        return [[self.one if i == j else 0 for j in range(d)] for i in range(d)]
+
+    def mat_mul(self, A, B):
+        cols = list(zip(*B))
+        return [[self.dot(row, col) for col in cols] for row in A]
+
+    def reduce(self, basis, vec):
+        """vec minus the combination of basis rows that clears every pivot."""
+        for piv, row in basis.items():
+            if vec[piv]:
+                vec = self.axpy(self.sub(0, vec[piv]), vec, row)
+        return vec
+
+    def insert(self, basis, vec):
+        """Add vec to an echelon basis; True when the span grew."""
+        vec = self.reduce(basis, vec)
+        for j, x in enumerate(vec):
+            if x:
+                c = self.inv(x)
+                basis[j] = [self.mul(c, y) for y in vec]
+                return True
+        return False
+
+    def rank(self, rows):
+        basis = {}
+        return sum(self.insert(basis, row) for row in rows)
+
+    def spin(self, vecs, mats):
+        """Echelon basis of the smallest subspace that holds ``vecs`` and is
+        mapped into itself by each matrix of ``mats`` (acting on columns)."""
+        basis = {}
+        frontier = [v for v in vecs if self.insert(basis, v)]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for M in mats:
+                    w = [self.dot(row, v) for row in M]
+                    if self.insert(basis, w):
+                        nxt.append(w)
+            frontier = nxt
+        return basis
+
+    def inverse(self, M):
+        """Inverse of an invertible matrix.  Each row (r | s) inserted from
+        (M | -I) has r = -s M, so reducing (e_j | 0) to (0 | s) gives
+        s = e_j M^-1."""
+        d = len(M)
+        eye = self.identity(d)
+        basis = {}
+        for row, e in zip(M, eye):
+            self.insert(basis, list(row) + [self.sub(0, x) for x in e])
+        return [self.reduce(basis, e + [0] * d)[d:] for e in eye]
 
 
 @dataclass(frozen=True)

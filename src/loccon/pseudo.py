@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from loccon.padic import DomainError
+from loccon.padic import DomainError, InconclusiveError
 from loccon.series import AdicSeries
 
 
@@ -142,7 +142,7 @@ class PseudoRep2:
         if self.group.kind != "finite":
             raise DomainError("the exhaustive route needs a finite group")
         if self.group.order > 24:
-            raise DomainError("exhaustive route limited to |G| <= 24")
+            raise InconclusiveError("exhaustive route limited to |G| <= 24")
         ctx = self.base
         n = self.group.order
         # regular representation: permutation matrices of left multiplication
@@ -161,8 +161,11 @@ class PseudoRep2:
             if f not in uniq:
                 uniq.append(f)
         # factor traces are aligned with element_words() iteration order
-        tbar = tuple(tuple(self.value(el).reduce_mod(1).coords) for el in words)
-        verdict = _decompose_trace(tbar, uniq, ctx)
+        F = ctx.residue_field
+        tbar = [F.of(self.value(el)) for el in words]
+        traces = [[F.of(ctx.from_coords(list(t), precision=1)) for t in f["traces"]]
+                  for f in uniq]
+        verdict = _decompose_trace(tbar, [f["dim"] for f in uniq], traces, F)
         out = {"complete": ss["complete"], "factors": uniq}
         if verdict is None:
             out["verdict"] = "no_decomposition"
@@ -246,26 +249,22 @@ def _eq_mod(a, b, m):
     return v is None or v >= m
 
 
-def _decompose_trace(tbar, factors, ctx):
-    """Non-negative integer combination of factor traces equal to tbar with
-    total dimension 2, by exhaustive search (d = 2 only)."""
-    dims = [f["dim"] for f in factors]
-    for combo in itertools.product(range(3), repeat=len(factors)):
+def _decompose_trace(tbar, dims, traces, F):
+    """Non-negative integer combination of the factor traces (over the
+    residue field F) equal to tbar with total dimension 2, by exhaustive
+    search (d = 2 only)."""
+    for combo in itertools.product(range(3), repeat=len(dims)):
         if sum(c * d for c, d in zip(dims, combo)) != 2:
             continue
         ok = True
-        for pos in range(len(tbar)):
-            acc = ctx.zero()
-            for c, f in zip(combo, factors):
-                if c:
-                    acc = acc + ctx.from_int(c) * _coords_to_elem(ctx, f["traces"][pos])
-            if tuple(acc.reduce_mod(1).coords) != tbar[pos]:
+        for pos, want in enumerate(tbar):
+            acc = 0
+            for c, tr in zip(combo, traces):
+                for _ in range(c):
+                    acc = F.add(acc, tr[pos])
+            if acc != want:
                 ok = False
                 break
         if ok:
             return list(combo)
     return None
-
-
-def _coords_to_elem(ctx, coords):
-    return ctx.from_coords(list(coords), precision=1)

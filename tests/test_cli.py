@@ -152,6 +152,57 @@ def test_precision_error_is_an_inconclusive_report(capsys, tmp_path):
     assert json.loads(out.read_text()) == printed
 
 
+ORDER_25_SPEC = """
+[context base]
+p = 5
+precision = 8
+
+[rep R]
+context = base
+group = cyclic 25
+dim = 2
+matrix g = 1 , 0 ; 0 , 1
+
+[pseudorep T]
+rep = R
+"""
+
+
+def _unstable_orbit(**budget):
+    """stable_lattice on diag(1/pi, 1), whose orbit lattice grows each round.
+
+    Spec reps are integral, so their orbit is stable at once; the budget rows
+    swap in this generator to reach the limits through the CLI."""
+    from loccon import lattice
+    from loccon.padic import PadicNumber
+
+    def run(group, dim, ctx, images):
+        zero, one = PadicNumber(ctx.zero()), PadicNumber(ctx.one())
+        M = [[PadicNumber(ctx.one(), denom_pow=1), zero], [zero, one]]
+        return lattice.stable_lattice(group, dim, ctx,
+                                      {name: M for name in images}, **budget)
+    return run
+
+
+@pytest.mark.parametrize("limit,argv,patch", [
+    ("|G| <= 24", ["pseudorep", "mf"], None),
+    ("orbit lattice keeps growing", ["lattice", "stabilize"],
+     _unstable_orbit(denom_budget=1)),
+    ("did not stabilize within budget", ["lattice", "stabilize"],
+     _unstable_orbit(rounds_budget=1)),
+])
+def test_budget_and_precondition_limits_exit_2(capsys, tmp_path, monkeypatch,
+                                               limit, argv, patch):
+    """The README contract: a budget or precondition limit is inconclusive."""
+    spec = tmp_path / "order25.spec"
+    spec.write_text(ORDER_25_SPEC)
+    if patch is not None:
+        monkeypatch.setattr("loccon.cli.stable_lattice", patch)
+    code, rep = run(capsys, "--spec", str(spec), *argv)
+    assert code == 2
+    assert rep["verdict"] == "inconclusive" and limit in rep["reason"]
+
+
 def test_missing_spec_is_usage_error(capsys):
     code = main(["domain", "describe"])
     capsys.readouterr()

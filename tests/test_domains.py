@@ -171,6 +171,31 @@ def test_sqrt_in_unramified_extension():
     assert (s * s - un.from_int(2)).pi_valuation() is None
 
 
+def test_sqrt_in_context_picks_the_first_root_in_little_endian_digit_order():
+    """Over W(F_25) the root returned is the first residue c_0 + c_1 omega
+    with c_0 varying fastest, the reverse of enumerate_residues(1); for 4
+    of the 12 nonzero squares that is not the first root in that order."""
+    un = PadicContext(5, f=2, precision=10)
+    little_endian = [un.from_coords([c0, c1]) for c1 in range(5) for c0 in range(5)]
+    squares = differ = 0
+    for u in un.enumerate_residues(1):
+        if not u.is_unit():
+            continue
+        u = un.from_coords(list(u.coords))
+        roots = [y for y in little_endian if (y * y - u).pi_valuation() != 0]
+        s = sqrt_in_context(u, un)
+        if not roots:
+            assert s is None
+            continue
+        squares += 1
+        assert (s * s - u).pi_valuation() is None
+        assert (s - roots[0]).pi_valuation() != 0
+        first_in_order = next(y for y in un.enumerate_residues(1)
+                              if (y * y - u).pi_valuation() != 0)
+        differ += (first_in_order - roots[0]).pi_valuation() == 0
+    assert (squares, differ) == (12, 4)
+
+
 def test_cover_fiber():
     pts = cover_fiber(COVER, Z3, Z3.from_int(-9))
     assert len(pts) == 2

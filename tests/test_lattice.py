@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from loccon.chainring import (
     determinant,
-    full_rank_mod_p,
     mat_inverse,
     mat_mul,
     mat_reduce_mod,
@@ -21,7 +20,7 @@ from loccon.lattice import (
     IntegralRep,
     IsoResult,
     ResidueRep,
-    _residue_images,
+    _check_intertwines,
     carayol_audit,
     intertwiner_space,
     iso_mod,
@@ -528,9 +527,10 @@ def test_iso_mod_matches_the_full_precision_loop_when_f_is_one(p):
 @given(shape=st.sampled_from(SHAPES), d=st.integers(1, 3), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_residue_image_rank_decides_unit_determinant(shape, d, data):
-    """The F_p image of X (F_q^d as F_p^(df)) has full rank exactly when
-    det X is a unit; likewise for omega^j X."""
+    """The residue of X has full rank over F_q exactly when det X is a
+    unit."""
     ctx = PadicContext(precision=data.draw(st.integers(1, 6)), **shape)
+    F = ctx.residue_field
     pi = ctx.pi()
     X = []
     for _ in range(d):
@@ -542,10 +542,58 @@ def test_residue_image_rank_decides_unit_determinant(shape, d, data):
             row.append(x * pi if data.draw(st.booleans()) else x)
         X.append(row)
     unit = determinant(X).is_unit()
-    n = d * ctx.f
-    for img in _residue_images(X, ctx):
-        rows = [img[r:r + n] for r in range(0, n * n, n)]
-        assert full_rank_mod_p(rows, ctx.p) == unit
+    assert (F.rank([[F.of(x) for x in row] for row in X]) == d) == unit
+
+
+def test_a_wrong_intertwiner_is_refused():
+    """The check raises, also under python -O, when X does not intertwine."""
+    a = ResidueRep(FREE1, 2, Z5, 1, {"g1": mat(Z5, [[1, 1], [0, 1]])})
+    b = ResidueRep(FREE1, 2, Z5, 1, {"g1": mat(Z5, [[1, 0], [0, 1]])})
+    with pytest.raises(RuntimeError, match="intertwiner verification failed"):
+        _check_intertwines(a, b, mat(Z5, [[1, 0], [0, 1]]))
+    _check_intertwines(a, a, mat(Z5, [[1, 0], [0, 1]]))
+
+
+# -- Burnside's criterion against semisimplification and End ------------------
+
+
+def ref_residually_absolutely_irreducible(rep):
+    """One full-dimension mod-pi factor whose endomorphisms are the
+    scalars: the test residually_absolutely_irreducible replaced."""
+    rbar = reduce_rep_mod(rep, 1)
+    ss = semisimplify_mod_p(rbar)
+    if len(ss["factors"]) != 1 or ss["factors"][0]["dim"] != rep.dim:
+        return False
+    return sum(1 for _, s in intertwiner_space(rbar, rbar) if s == 0) == 1
+
+
+BURNSIDE_RINGS = {
+    "Z3": PadicContext(3, precision=6),
+    "Z5": PadicContext(5, precision=6),
+    "W(F4)": PadicContext(2, f=2, precision=6),
+    "Z3-e2": PadicContext(3, e=2, precision=6),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(BURNSIDE_RINGS))
+def test_burnside_agrees_with_semisimplification_and_end(ring):
+    ctx = BURNSIDE_RINGS[ring]
+    rng = random.Random(ring)
+    verdicts = set()
+    for _ in range(40):
+        group = FREE1 if rng.random() < 0.2 else FREE2
+        mats = {name: unit_det_matrix(ctx, rng) for name in group.generators}
+        if rng.random() < 0.3:  # a common invariant line
+            for M in mats.values():
+                M[1][0] = M[1][0] * ctx.pi()
+        try:
+            rep = IntegralRep(group, 2, ctx, mats)
+        except DomainError:
+            continue
+        want = ref_residually_absolutely_irreducible(rep)
+        assert residually_absolutely_irreducible(rep) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # -- shared harness helpers (also used by the acceptance gate) ---------------

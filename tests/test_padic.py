@@ -1,8 +1,10 @@
 """Core valuation-ring arithmetic: exactness, canonical reduction, and the
 gamma-exponent calculus for marked extensions."""
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -482,6 +484,65 @@ def test_shift_down_matches_the_row_shift_reference(shape, precision, data):
         want = PadicElement(ctx, coords, prec)
     got = x.shift_down(k)
     assert (got.coords, got.known_precision) == (want.coords, want.known_precision)
+
+
+def _full_precision_element(data, ctx):
+    return ctx.from_coords(data.draw(st.lists(
+        st.integers(0, ctx.coeff_modulus - 1),
+        min_size=ctx.degree, max_size=ctx.degree)))
+
+
+FIELD_SHAPES = SHAPES + [dict(p=11, f=2)]  # q = 121: no addition/product tables
+
+
+@given(shape=st.sampled_from(FIELD_SHAPES), precision=st.integers(1, 8), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_residue_field_of_commutes_with_the_ring_operations(shape, precision, data):
+    ctx = PadicContext(precision=precision, **shape)
+    F = ctx.residue_field
+    x, y = _full_precision_element(data, ctx), _full_precision_element(data, ctx)
+    a, b = F.of(x), F.of(y)
+    assert 0 <= a < F.q
+    assert F.of(x + y) == F.add(a, b)
+    assert F.of(x - y) == F.sub(a, b)
+    assert F.of(-x) == F.sub(0, a)
+    assert F.of(x * y) == F.mul(a, b)
+    assert F.of(F.lift(a)) == a
+    if x.is_unit():
+        assert F.of(x.inverse()) == F.inv(a)
+    else:
+        assert a == 0
+        with pytest.raises(DomainError):
+            F.inv(a)
+    root = F.sqrt(F.mul(a, a))
+    assert root is not None and F.mul(root, root) == F.mul(a, a)
+    with pytest.raises(PrecisionError):
+        F.of(PadicElement(ctx, x.coords, 0))
+
+
+@given(shape=st.sampled_from(FIELD_SHAPES))
+@settings(max_examples=40, deadline=None)
+def test_residue_field_indexes_residues_in_enumeration_order(shape):
+    ctx = PadicContext(precision=3, **shape)
+    F = ctx.residue_field
+    residues = list(ctx.enumerate_residues(1))
+    assert [F.of(r) for r in residues] == list(range(F.q))
+    assert all(F.lift(a) == r for a, r in enumerate(residues))
+    assert F.of(ctx.one()) == F.one
+    squares = {F.mul(a, a) for a in range(F.q)}
+    assert [a for a in range(F.q) if F.sqrt(a) is not None] == sorted(squares)
+
+
+def test_a_context_and_its_residue_field_leave_no_cycle():
+    gc.disable()
+    try:
+        ctx = PadicContext(5, f=2, precision=6)
+        assert ctx.residue_field.lift(7) == ctx.from_coords([1, 2])
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _scanned_valuation(x):

@@ -24,3 +24,11 @@ def test_every_import_is_used():
             unused += [f"{path.name}:{node.lineno} {name}"
                        for name in names if name not in used]
     assert unused == []
+
+
+def test_no_assert_statement():
+    """``python -O`` strips ``assert``, so every check in the package raises."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
