@@ -17,7 +17,7 @@ import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd
 
 
 class InconclusiveError(Exception):
@@ -101,6 +101,13 @@ class PadicContext:
         self._check_eisenstein()
         self._p_over_pi_el = None
         self._residue_field = None
+        # v_p of gcd(M, row) for a pi-row of coordinates; M itself: a zero row
+        self._gcd_valuation = {p ** k: k for k in range(self.coeff_digits)}
+        self._gcd_valuation[self.coeff_modulus] = None
+        self._moduli = {}  # m -> per-coordinate moduli of O_E / pi^m
+        # id(ctx_L) -> (weakref to ctx_L, (e_rel, ctx_L == self)) for every
+        # validated pair O_L -> O_E; weak, so the cache keeps no context alive
+        self._pairs = {}
 
     # -- validation -------------------------------------------------------
 
@@ -155,6 +162,29 @@ class PadicContext:
     def __hash__(self):
         return hash((self.p, self.f, self.e, self.unram_poly, self.eis_poly))
 
+    def _extension_of(self, ctx_L):
+        """(e_rel, ctx_L == self) for a supported pair O_L -> O_E = self,
+        validated once per source context; an unsupported pair is not cached
+        and raises every time."""
+        hit = self._pairs.get(id(ctx_L))
+        if hit is not None and hit[0]() is ctx_L:
+            return hit[1]
+        if not is_extension(ctx_L, self):
+            raise DomainError("unsupported extension pair")
+        info = (self.e // ctx_L.e, ctx_L == self)
+        self._pairs[id(ctx_L)] = (weakref.ref(ctx_L), info)
+        return info
+
+    def _residue_moduli(self, m):
+        """The modulus p^ceil((m - i)/e) of each coordinate of a residue mod
+        pi^m (cached per m)."""
+        mods = self._moduli.get(m)
+        if mods is None:
+            mods = self._moduli[m] = tuple(
+                self.p ** max(0, -((i - m) // self.e))
+                for i in range(self.e) for _ in range(self.f))
+        return mods
+
     # -- element constructors --------------------------------------------
 
     def zero(self):
@@ -184,10 +214,15 @@ class PadicContext:
         return PadicElement(self, tuple(coords))
 
     def from_coords(self, coords, precision=None):
-        coords = [c % self.coeff_modulus for c in coords]
+        M = self.coeff_modulus
+        coords = tuple([c % M for c in coords])
         if len(coords) != self.degree:
             raise DomainError(f"expected {self.degree} coordinates")
-        return PadicElement(self, tuple(coords), precision)
+        if precision is None or precision > self.precision:
+            precision = self.precision
+        elif precision < 0:
+            raise PrecisionError("element has no known digits left")
+        return _element(self, coords, precision)
 
     def element_from_poly(self, pi_rows):
         """Element from an e x f table of integers (pi-row, omega-column)."""
@@ -199,8 +234,8 @@ class PadicContext:
     # -- sampling ---------------------------------------------------------
 
     def random_element(self, rng):
-        return PadicElement(
-            self, tuple(rng.randrange(self.coeff_modulus) for _ in range(self.degree)))
+        M, draw = self.coeff_modulus, rng.randrange
+        return _element(self, tuple([draw(M) for _ in range(self.degree)]), self.precision)
 
     def random_unit(self, rng):
         while True:
@@ -247,14 +282,13 @@ class PadicContext:
         return self._p_over_pi_el
 
     def enumerate_residues(self, m):
-        """All canonical residues of O_E / pi^m (use only for small sizes)."""
-        digit_counts = [max(0, ceil((m - i) / self.e)) for i in range(self.e)]
-        ranges = []
-        for i in range(self.e):
-            for _ in range(self.f):
-                ranges.append(range(self.p ** digit_counts[i]))
-        for combo in itertools.product(*ranges):
-            yield self.from_coords(list(combo), precision=m)
+        """All canonical residues of O_E / pi^m, 0 <= m <= precision (use
+        only for small sizes)."""
+        if not 0 <= m <= self.precision:
+            raise PrecisionError(
+                f"residues mod pi^{m} requested at precision {self.precision}")
+        for combo in itertools.product(*map(range, self._residue_moduli(m))):
+            yield _element(self, combo, m)
 
 
 def _default_unram_poly(p, f):
@@ -294,6 +328,18 @@ def _poly_eval_mod(poly, a, p):
 
 
 _UNSCANNED = object()  # PadicElement valuation not computed yet
+_new = object.__new__
+
+
+def _element(ctx, coords, known_precision, valuation=_UNSCANNED):
+    """A PadicElement from coordinates reduced mod the coefficient modulus
+    and a precision 0 <= known_precision <= ctx.precision, unchecked."""
+    x = _new(PadicElement)
+    x.context = ctx
+    x.coords = coords
+    x.known_precision = known_precision
+    x._valuation = valuation
+    return x
 
 
 class PadicElement:
@@ -325,28 +371,41 @@ class PadicElement:
             raise DomainError("mixed contexts; embed explicitly first")
 
     def __add__(self, other):
+        ctx = self.context
         if isinstance(other, int):
-            other = self.context.from_int(other)
-        self._check_same(other)
-        M = self.context.coeff_modulus
-        coords = tuple((a + b) % M for a, b in zip(self.coords, other.coords))
-        return PadicElement(self.context, coords,
-                            min(self.known_precision, other.known_precision))
+            other = ctx.from_int(other)
+        if other.context is not ctx:
+            self._check_same(other)
+        M = ctx.coeff_modulus
+        ka, kb = self.known_precision, other.known_precision
+        return _element(ctx, tuple([(a + b) % M for a, b in zip(self.coords, other.coords)]),
+                        ka if ka < kb else kb)
 
     __radd__ = __add__
 
     def __neg__(self):
         M = self.context.coeff_modulus
-        return PadicElement(self.context, tuple((-a) % M for a in self.coords),
-                            self.known_precision, self._valuation)
+        return _element(self.context, tuple([(-a) % M for a in self.coords]),
+                        self.known_precision, self._valuation)
 
     def __sub__(self, other):
+        ctx = self.context
         if isinstance(other, int):
-            other = self.context.from_int(other)
-        return self + (-other)
+            other = ctx.from_int(other)
+        if other.context is not ctx:
+            self._check_same(other)
+        M = ctx.coeff_modulus
+        ka, kb = self.known_precision, other.known_precision
+        return _element(ctx, tuple([(a - b) % M for a, b in zip(self.coords, other.coords)]),
+                        ka if ka < kb else kb)
 
     def __rsub__(self, other):
-        return (-self) + other
+        if not isinstance(other, int):
+            return NotImplemented
+        M = self.context.coeff_modulus
+        coords = [(-a) % M for a in self.coords]
+        coords[0] = (other - self.coords[0]) % M
+        return _element(self.context, tuple(coords), self.known_precision)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -406,15 +465,13 @@ class PadicElement:
         if self._valuation is not _UNSCANNED:
             return self._valuation
         ctx = self.context
-        e, f, p, M = ctx.e, ctx.f, ctx.p, ctx.coeff_modulus
+        e, f, M, val = ctx.e, ctx.f, ctx.coeff_modulus, ctx._gcd_valuation
+        c = self.coords
         best = None
-        for i in range(e):
-            for j in range(f):
-                v = _int_val(self.coords[i * f + j], p, M)
-                if v is not None:
-                    cand = e * v + i
-                    if best is None or cand < best:
-                        best = cand
+        for i in range(e):  # gcd(M, row) = p^v, or M when the row is 0
+            v = val[gcd(M, *c[i * f:(i + 1) * f])]
+            if v is not None and (best is None or e * v + i < best):
+                best = e * v + i
         if best is not None and best >= self.known_precision:
             best = None
         self._valuation = best
@@ -445,14 +502,8 @@ class PadicElement:
                 f"residue mod pi^{m} requested but only {self.known_precision} digits known")
         if m < 0:
             raise DomainError("modulus must be >= 0")
-        e, f, p = ctx.e, ctx.f, ctx.p
-        coords = []
-        for i in range(e):
-            digits = max(0, ceil((m - i) / e))
-            mod = p ** digits
-            for j in range(f):
-                coords.append(self.coords[i * f + j] % mod)
-        return PadicElement(ctx, tuple(coords), m)
+        mods = ctx._residue_moduli(m)
+        return _element(ctx, tuple([c % q for c, q in zip(self.coords, mods)]), m)
 
     # -- division ----------------------------------------------------------
 
@@ -756,26 +807,22 @@ def is_extension(ctx_L, ctx_E):
 
 
 def relative_ramification(ctx_L, ctx_E):
-    if not is_extension(ctx_L, ctx_E):
-        raise DomainError("unsupported extension pair")
-    return ctx_E.e // ctx_L.e
+    return ctx_E._extension_of(ctx_L)[0]
 
 
 def embed(x, ctx_E):
     """Image of x in a marked extension context."""
     ctx_L = x.context
-    if ctx_L == ctx_E:
+    if ctx_L is ctx_E:
         return x
-    e_rel = relative_ramification(ctx_L, ctx_E)
+    e_rel, same = ctx_E._extension_of(ctx_L)
+    if same:
+        return x
+    # ctx_L is unramified (e = 1) over the same W, or Z_p: its coordinates
+    # are the omega-row of pi^0
     M = ctx_E.coeff_modulus
-    coords = [0] * ctx_E.degree
-    if ctx_L.f == 1 and ctx_E.f >= 1:
-        coords[0] = x.coords[0] % M
-    else:
-        for j in range(ctx_L.f):
-            coords[j] = x.coords[j] % M
-    prec = min(ctx_E.precision, x.known_precision * e_rel)
-    return PadicElement(ctx_E, tuple(coords), prec)
+    coords = tuple([c % M for c in x.coords]) + (0,) * (ctx_E.degree - ctx_L.f)
+    return _element(ctx_E, coords, min(ctx_E.precision, x.known_precision * e_rel))
 
 
 def gamma_injectivity_exhaustive(ctx_L, ctx_E, n):
@@ -798,13 +845,18 @@ def congruence_transfer_holds(alpha, beta, ctx_L, n):
     """Two-way check: a-b in pi_E^m O_E  <=>  a-b in pi_L^n O_L, m = gamma.
 
     alpha, beta live in the extension context; alpha-beta must come from O_L.
-    Returns (equivalence_ok, lhs, rhs).
+    Returns (equivalence_ok, lhs, rhs).  Raises PrecisionError when alpha-beta
+    is 0 to fewer than m known digits, so neither side can be read.
     """
     ctx_E = alpha.context
     e_rel = relative_ramification(ctx_L, ctx_E)
     m = gamma_exponent(e_rel, n)
     diff = alpha - beta
     v = diff.pi_valuation()
+    if v is None and diff.known_precision < m:
+        raise PrecisionError(
+            f"a - b is 0 to the {diff.known_precision} known digits; "
+            f"deciding it mod pi_E^{m} needs {m}")
     lhs = v is None or v >= m
     # alpha - beta comes from O_L, so v_piL = v_piE / e_rel
     rhs = v is None or v >= n * e_rel

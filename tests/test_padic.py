@@ -6,9 +6,10 @@ import itertools
 import random
 import weakref
 from fractions import Fraction
+from math import ceil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loccon.padic import (
@@ -321,6 +322,76 @@ def test_padic_number_to_integral():
     assert same(x.to_integral(), RAM2.pi())
 
 
+def test_transfer_check_refuses_a_congruence_it_cannot_see():
+    """With 2 known digits, a - b = 5 (v_E = 2) looks like 0; claiming
+    a = b mod pi_E^3 from it would be unsound."""
+    L = PadicContext(5, precision=12)
+    E = PadicContext(5, e=2, precision=2)
+    b = E.from_int(3)
+    a = b + embed(L.from_int(5), E)
+    with pytest.raises(PrecisionError):
+        congruence_transfer_holds(a, b, L, 2)
+    # gamma = 1 needs one digit: v_E(5) >= 1 and v_L(5) >= 1 both hold
+    assert congruence_transfer_holds(a, b, L, 1) == (True, True, True)
+
+
+# -- the validated-pair cache -------------------------------------------------
+
+
+def test_an_unsupported_pair_is_rejected_before_and_after_a_cached_one():
+    target = PadicContext(5, e=2, precision=8)
+    bad = [PadicContext(3, precision=8), PadicContext(5, e=2, eis_poly=[[10], [5], [1]])]
+    for _ in range(2):
+        for ctx in bad:
+            with pytest.raises(DomainError, match="unsupported extension pair"):
+                embed(ctx.one(), target)
+    base = PadicContext(5, precision=8)
+    assert embed(base.from_int(5), target).pi_valuation() == 2
+    for _ in range(2):
+        for ctx in bad:
+            with pytest.raises(DomainError, match="unsupported extension pair"):
+                embed(ctx.one(), target)
+            with pytest.raises(DomainError, match="unsupported extension pair"):
+                relative_ramification(ctx, target)
+
+
+def test_a_source_that_reuses_a_dead_sources_id_is_validated_afresh():
+    """The cache is keyed by id(ctx_L); a new object at a dead context's
+    address is checked, not taken for the dead one."""
+    target = PadicContext(5, e=2, precision=8)
+    base = PadicContext(5, precision=8)
+    assert relative_ramification(base, target) == 2
+    dead_id = id(base)
+    del base
+    made = []  # kept alive, so each try takes a fresh address
+    while len(made) < 100 and (not made or id(made[-1]) != dead_id):
+        made.append(PadicContext(3, precision=8))
+    if id(made[-1]) != dead_id:
+        pytest.skip("the allocator reused no address")
+    with pytest.raises(DomainError, match="unsupported extension pair"):
+        relative_ramification(made[-1], target)
+
+
+def test_an_equal_source_context_gets_the_same_relative_ramification():
+    target = PadicContext(5, e=3, precision=9)
+    base, twin = PadicContext(5, precision=8), PadicContext(5, precision=8)
+    assert base == twin and base is not twin
+    for _ in range(2):
+        assert relative_ramification(base, target) == relative_ramification(twin, target) == 3
+        a, b = embed(base.from_int(7), target), embed(twin.from_int(7), target)
+        assert (a.coords, a.known_precision) == (b.coords, b.known_precision)
+
+
+def test_embedding_into_an_equal_context_returns_the_element():
+    ctx = PadicContext(5, e=2, precision=8)
+    twin = PadicContext(5, e=2, precision=6)
+    assert ctx == twin and ctx is not twin
+    x = ctx.from_int(7)
+    for _ in range(2):
+        assert embed(x, twin) is x
+        assert embed(x, ctx) is x
+
+
 # -- the product and the shift against the pi-power-table reference ----------
 
 # Z_p; f = 2, 3; e = 2, 3 with non-default Eisenstein polynomials; the
@@ -534,13 +605,19 @@ def test_residue_field_indexes_residues_in_enumeration_order(shape):
 
 
 def test_a_context_and_its_residue_field_leave_no_cycle():
+    """The residue field and the validated-pair cache, a context's own pair
+    included, hold contexts by weak reference."""
     gc.disable()
     try:
         ctx = PadicContext(5, f=2, precision=6)
+        base = PadicContext(5, precision=6)
         assert ctx.residue_field.lift(7) == ctx.from_coords([1, 2])
-        ref = weakref.ref(ctx)
-        del ctx
-        assert ref() is None
+        assert embed(base.from_int(3), ctx) == ctx.from_int(3)  # base -> ctx
+        assert relative_ramification(ctx, ctx) == 1  # ctx -> ctx, on itself
+        assert ctx.from_int(30).reduce_mod(2).coords == (5, 0)
+        refs = weakref.ref(ctx), weakref.ref(base)
+        del ctx, base
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
 
@@ -581,3 +658,148 @@ def test_pi_is_the_eisenstein_root_when_e_is_one():
     default = PadicContext(5, precision=6)
     assert default.pi().coords == default.from_int(5).coords == (5,)
     assert default.pi().shift_down(1).coords == (1,)
+
+
+# -- the element path against the straightforward references ------------------
+
+
+def _ref_int_val(n, p, modulus):
+    n %= modulus
+    if n == 0:
+        return None
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def ref_pi_valuation(ctx, coords, known_precision):
+    """The coordinate-by-coordinate scan: min over coordinates of e v_p + i."""
+    e, f = ctx.e, ctx.f
+    best = None
+    for i in range(e):
+        for j in range(f):
+            v = _ref_int_val(coords[i * f + j], ctx.p, ctx.coeff_modulus)
+            if v is not None and (best is None or e * v + i < best):
+                best = e * v + i
+    return None if best is None or best >= known_precision else best
+
+
+def ref_add(x, y):
+    M = x.context.coeff_modulus
+    return (tuple((a + b) % M for a, b in zip(x.coords, y.coords)),
+            min(x.known_precision, y.known_precision))
+
+
+def ref_sub(x, y):
+    """Negate, then add."""
+    M = y.context.coeff_modulus
+    neg = PadicElement(y.context, tuple((-b) % M for b in y.coords), y.known_precision)
+    return ref_add(x, neg)
+
+
+def ref_reduce_mod(x, m):
+    ctx = x.context
+    coords = []
+    for i in range(ctx.e):
+        mod = ctx.p ** max(0, ceil((m - i) / ctx.e))
+        coords.extend(c % mod for c in x.coords[i * ctx.f:(i + 1) * ctx.f])
+    return tuple(coords), m
+
+
+def ref_from_coords(ctx, coords, precision=None):
+    """(coords, known_precision), or the exception type raised."""
+    coords = tuple(c % ctx.coeff_modulus for c in coords)
+    if len(coords) != ctx.degree:
+        return DomainError
+    prec = min(ctx.precision if precision is None else precision, ctx.precision)
+    return PrecisionError if prec < 0 else (coords, prec)
+
+
+def ref_enumerate_residues(ctx, m):
+    ranges = []
+    for i in range(ctx.e):
+        ranges += [range(ctx.p ** max(0, ceil((m - i) / ctx.e)))] * ctx.f
+    return [(combo, m) for combo in itertools.product(*ranges)]
+
+
+def ref_embed(x, ctx_E):
+    ctx_L = x.context
+    if ctx_L == ctx_E:
+        return x.coords, x.known_precision
+    coords = [0] * ctx_E.degree
+    for j in range(ctx_L.f):
+        coords[j] = x.coords[j] % ctx_E.coeff_modulus
+    return tuple(coords), min(ctx_E.precision, x.known_precision * (ctx_E.e // ctx_L.e))
+
+
+def assert_matches(got, want):
+    coords, prec = want
+    assert (got.coords, got.known_precision) == (coords, prec)
+    assert got.pi_valuation() == ref_pi_valuation(got.context, coords, prec)
+
+
+@given(shape=st.sampled_from(SHAPES), precision=st.integers(1, 14), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_ring_operations_match_the_references(shape, precision, data):
+    ctx = PadicContext(precision=precision, **shape)
+    x, y = _drawn_element(data, ctx), _drawn_element(data, ctx)
+    n = data.draw(st.integers(-3 * ctx.coeff_modulus, 3 * ctx.coeff_modulus))
+    assert x.pi_valuation() == ref_pi_valuation(ctx, x.coords, x.known_precision)
+    assert_matches(x + y, ref_add(x, y))
+    assert_matches(x - y, ref_sub(x, y))
+    assert_matches(n - x, ref_sub(ctx.from_int(n), x))
+    v = ref_pi_valuation(ctx, *ref_sub(x, y))
+    assert (x == y) == (v is None or v >= min(x.known_precision, y.known_precision))
+    assert x == x
+    for m in range(x.known_precision + 1):
+        assert_matches(x.reduce_mod(m), ref_reduce_mod(x, m))
+
+
+@given(shape=st.sampled_from(SHAPES), precision=st.integers(1, 14), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_constructors_match_the_references(shape, precision, data):
+    ctx = PadicContext(precision=precision, **shape)
+    M = ctx.coeff_modulus
+    size = data.draw(st.sampled_from([ctx.degree, ctx.degree, ctx.degree + 1]))
+    coords = data.draw(st.lists(st.integers(-2 * M, 2 * M), min_size=size, max_size=size))
+    for prec in (None, data.draw(st.integers(-2, precision + 3))):
+        want = ref_from_coords(ctx, coords, prec)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                ctx.from_coords(coords, prec)
+        else:
+            assert_matches(ctx.from_coords(coords, prec), want)
+    m = data.draw(st.integers(0, min(precision, 4)))
+    want = ref_enumerate_residues(ctx, m)
+    assume(len(want) <= 2000)
+    got = list(ctx.enumerate_residues(m))
+    assert len(got) == len(want)
+    for r, w in zip(got, want):
+        assert_matches(r, w)
+
+
+def test_residues_beyond_the_precision_are_refused():
+    for m in (-1, Z5.precision + 1):
+        with pytest.raises(PrecisionError):
+            next(Z5.enumerate_residues(m))
+
+
+@given(shape=st.sampled_from(SHAPES),
+       precisions=st.tuples(st.integers(1, 14), st.integers(1, 14)), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_embed_matches_the_reference_on_every_supported_pair(shape, precisions, data):
+    """Sources: Z_p and the unramified W below each shape, and the shape itself."""
+    E = PadicContext(precision=precisions[1], **shape)
+    p, f = shape["p"], shape.get("f", 1)
+    for L in (PadicContext(p, precision=precisions[0]),
+              PadicContext(p, f=f, precision=precisions[0]),
+              PadicContext(precision=precisions[0], **shape)):
+        assert is_extension(L, E)
+        x = _drawn_element(data, L)
+        for _ in range(2):  # validating the pair, then the cached pair
+            got = embed(x, E)
+            assert_matches(got, ref_embed(x, E))
+            if L == E:
+                assert got is x
