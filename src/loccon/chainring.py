@@ -126,7 +126,10 @@ def word_matrix(memo, word, letter):
 
 def relations_hold(group, memo, letter):
     """Whether the word matrices of a finite group's elements multiply like
-    the group: M(w_x) M(g) == M(w_{xg}) for every element x, generator g."""
+    the group: M(w_x) M(g) == M(w_{xg}) for every element x, generator g.
+    A free group has no relations, so any matrices satisfy them."""
+    if group.kind == "free":
+        return True
     words = group.element_words()
     for x, w in words.items():
         for gi, g in enumerate(group.gen_elements):

@@ -67,7 +67,7 @@ def _load(args, need=True):
     return specfile.load_spec(args.spec, precision_override=args.precision)
 
 
-def _extensions(spec, args):
+def _extensions(spec):
     names = spec.params.get("extensions")
     if names is None:
         return [spec.sole("models").base if spec.models else
@@ -173,7 +173,7 @@ def cmd_family(args):
     if args.op == "audit":
         dom = spec.sole("domains")
         rep = fam.pointwise_constancy_audit(
-            dom, n, _extensions(spec, args),
+            dom, n, _extensions(spec),
             _param(spec, args, "samples", 25), seed=args.seed,
             word_cap=_param(spec, args, "word_cap", 3))
         return _emit(rep, args)
@@ -269,7 +269,7 @@ def cmd_pseudorep(args):
     if args.op == "audit":
         dom = spec.sole("domains")
         rep = ps.constancy_audit(dom, _param(spec, args, "n", 1),
-                                 _extensions(spec, args),
+                                 _extensions(spec),
                                  _param(spec, args, "samples", 25),
                                  seed=args.seed)
         return _emit(rep, args)

@@ -22,7 +22,10 @@ from loccon.padic import (
     gamma_exponent,
     relative_ramification,
 )
-from loccon.series import AlgebraModel, _check_point, _point_context
+from loccon.series import AlgebraModel, _check_point, _point_context, cover_rhs
+
+# sampling gives up after this many draws per requested point
+_SAMPLE_BUDGET = 20
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ class ResidueDomain:
         vp = Fraction(v, e_E)
         return vp > cf.threshold if cf.strict else vp >= cf.threshold
 
-    def sample(self, ext, count, seed=0, budget_factor=20):
+    def sample(self, ext, count, seed=0):
         """Up to `count` member points over ext, deterministic under seed."""
         rng = random.Random(seed)
         e_rel = relative_ramification(self.model.base, ext)
@@ -139,7 +142,7 @@ class ResidueDomain:
             raise PrecisionError("extension precision too small for this depth")
         out = []
         tries = 0
-        while len(out) < count and tries < budget_factor * count:
+        while len(out) < count and tries < _SAMPLE_BUDGET * count:
             tries += 1
             pt = self._sample_one(ext, thr, e_rel, rng)
             if pt is None:
@@ -185,21 +188,12 @@ class ResidueDomain:
                 return ModelPoint(model, {z1: zeta1, z2: zeta2})
             except DomainError:
                 return None
-        # cover: parameterize by the cover variable
-        d, yvar, g = rel[1], rel[2], rel[3]
-        tvar = [v for v in model.vars if v != yvar][0]
+        # cover y^d = c*t: parameterize by the cover variable
+        d, yvar, tvar, c = model.linear_cover()
         y0 = embed(self.center.coords[yvar], ext)
         t = rng.randrange(thr, ext.precision) if rng.random() > 0.5 else thr
         y = y0 + ext.random_with_pi_valuation(t, rng)
-        (gmono, gc), = g.items()
-        gcel = model.base.from_int(gc) if isinstance(gc, int) else gc
-        ti = model.vars.index(tvar)
-        if gmono[ti] != 1 or sum(gmono) != 1:
-            return None
-        c = embed(gcel, ext)
-        if not c.is_unit():
-            return None
-        tval = y ** d * c.inverse()
+        tval = y ** d * embed(c, ext).inverse()
         try:
             return ModelPoint(model, {yvar: y, tvar: tval})
         except DomainError:
@@ -275,18 +269,11 @@ def cover_fiber(model, ext, tval):
     rel = model.relation
     if rel is None or rel[0] != "cover":
         raise DomainError("not a cover model")
-    d, yvar, g = rel[1], rel[2], rel[3]
+    d, yvar = rel[1], rel[2]
     if d != 2:
         raise DomainError("fiber solving implemented for degree-2 covers only")
     tvar = [v for v in model.vars if v != yvar][0]
-    gval = ext.zero()
-    for gm, gc in g.items():
-        gcel = model.base.from_int(gc) if isinstance(gc, int) else gc
-        term = embed(gcel, ext)
-        ti = model.vars.index(tvar)
-        term = term * tval ** gm[ti]
-        gval = gval + term
-    root = sqrt_in_context(gval, ext)
+    root = sqrt_in_context(cover_rhs(model, {tvar: tval}, ext), ext)
     if root is None:
         return []
     if root.pi_valuation() is None:
@@ -303,11 +290,7 @@ def cover_compare(model, center, n, ext, samples=100, seed=0, n_budget=4):
     depth at which the preimage of the downstairs neighborhood equals the
     upstairs one (reported as found/not found within the budget).
     """
-    rel = model.relation
-    if rel is None or rel[0] != "cover":
-        raise DomainError("not a cover model")
-    d, yvar, g = rel[1], rel[2], rel[3]
-    tvar = [v for v in model.vars if v != yvar][0]
+    d, yvar, tvar, _ = model.linear_cover()
     base = model.base
     down_model = AlgebraModel(base, (), (tvar,), None, model.degree_cap)
     down_center = ModelPoint(down_model, {tvar: center.coords[tvar]})

@@ -42,8 +42,7 @@ class RepFamily:
                             for i in range(dim)]}
         for M in self.gen_images.values():
             determinant(M).inverse()  # raises when the determinant is not a unit
-        if group.kind == "finite" and not relations_hold(
-                group, self._words, self._letter):
+        if not relations_hold(group, self._words, self._letter):
             raise DomainError("generator matrices violate the group's relations")
 
     # -- word calculus -----------------------------------------------------

@@ -105,17 +105,16 @@ class Character:
             unit = y * _num_pow(PadicNumber(ctx.from_int(ctx.p)), -yv)
         return _num_pow(unit, self.weight) * _num_pow(self.value_at_p, yv)
 
-    def is_regular(self, max_i=10):
+    def is_regular(self):
         """Non-regular exactly when (weight, value) is (i, p^i) or
-        (1-i, p^{-i}) for some i >= 0."""
+        (1-i, p^{-i}) for some i >= 0: the weight fixes i, to i = weight
+        when weight >= 0 and to i = 1 - weight when weight <= 1."""
         ctx = self.context
         p_num = PadicNumber(ctx.from_int(ctx.p))
-        for i in range(max_i + 1):
-            if self.weight == i and _num_eq(self.value_at_p, _num_pow(p_num, i)):
-                return False
-            if self.weight == 1 - i and _num_eq(self.value_at_p, _num_pow(p_num, -i)):
-                return False
-        return True
+        w = self.weight
+        if w >= 0 and self.value_at_p == _num_pow(p_num, w):
+            return False
+        return not (w <= 1 and self.value_at_p == _num_pow(p_num, w - 1))
 
 
 def _num_pow(x, n):
@@ -127,11 +126,6 @@ def _num_pow(x, n):
     for _ in range(n):
         out = out * x
     return out
-
-
-def _num_eq(a, b):
-    d = a - b
-    return d.num.pi_valuation() is None
 
 
 # -- filtered (phi, N)-modules ----------------------------------------------
@@ -196,7 +190,7 @@ def semistable_context(p, precision=20):
     return PadicContext(p, e=2, precision=precision)
 
 
-def semistable_module(k, L_inv, ctx=None, precision=20):
+def semistable_module(k, L_inv, ctx=None):
     """N = [[0,0],[1,0]] (0 at L = infinity), filtration line e_1 + L e_2
     (e_1 + e_2 at infinity), phi = diag(varpi^k, varpi^{k-2}).
 

@@ -1,9 +1,9 @@
 """Group presentations: free groups (dense models of topologically finitely
 generated profinite groups) and finite groups given by multiplication tables.
 
-Words are tuples of (generator index, exponent sign); finite-group elements
-are integers 0..order-1 with precomputed generator words from a breadth-first
-search.
+Words are tuples of (generator index, exponent sign).  Finite-group elements
+are integers 0..order-1 with generator words from a breadth-first search;
+free-group elements are reduced words, enumerated up to a word-length cap.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ class GroupPresentation:
     kind: str  # "free" | "finite"
     generators: tuple
     table: tuple | None = None       # finite: table[i][j] = product
-    identity: int | None = None
-    gen_elements: tuple | None = None  # finite: element index of each generator
+    identity: int | tuple | None = None  # free: the empty word ()
+    gen_elements: tuple | None = None  # the element of each generator
 
     def __post_init__(self):
         if self.kind == "finite":
@@ -49,7 +49,7 @@ class GroupPresentation:
         if len(self._bfs_words()) != n:
             raise DomainError("declared generators do not generate the group")
 
-    # -- finite-group structure ------------------------------------------
+    # -- elements ------------------------------------------------------------
 
     @property
     def order(self):
@@ -58,16 +58,24 @@ class GroupPresentation:
         return len(self.table)
 
     def multiply(self, a, b):
+        if self.kind == "free":
+            return self.reduce_word(a + b)
         return self.table[a][b]
 
     def inverse_element(self, a):
+        if self.kind == "free":
+            return self.invert_word(a)
         e = self.identity
         for b in range(self.order):
             if self.table[a][b] == e:
                 return b
         raise DomainError("no inverse found")
 
-    def elements(self):
+    def elements(self, cap=None):
+        """Every element of a finite group (``cap`` is ignored), or the
+        reduced words of length <= cap of a free group."""
+        if self.kind == "free":
+            return self.words_up_to(cap)
         return range(self.order)
 
     def _bfs_words(self):
@@ -89,7 +97,10 @@ class GroupPresentation:
             frontier = nxt
         return words
 
-    def element_words(self):
+    def element_words(self, cap=None):
+        """{element: word in the generators} over ``elements(cap)``."""
+        if self.kind == "free":
+            return {w: w for w in self.words_up_to(cap)}
         return self._bfs_words()
 
     # -- word utilities ---------------------------------------------------
@@ -125,7 +136,8 @@ class GroupPresentation:
 
 
 def free_group(r):
-    return GroupPresentation("free", tuple(f"g{i+1}" for i in range(r)))
+    return GroupPresentation("free", tuple(f"g{i+1}" for i in range(r)), None,
+                             (), tuple(((i, 1),) for i in range(r)))
 
 
 def cyclic_group(n):

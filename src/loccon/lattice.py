@@ -41,8 +41,7 @@ class IntegralRep:
         for name, M in self.gen_images.items():
             if F.rank(_residues(F, M)) < dim:
                 raise DomainError(f"generator {name!r} has non-unit determinant")
-        if group.kind == "finite" and not relations_hold(
-                group, self._words, self._letter):
+        if not relations_hold(group, self._words, self._letter):
             raise DomainError("matrices violate the group relations")
 
     def _letter(self, let):
@@ -243,10 +242,7 @@ def semisimplify_mod_p(r, word_cap=4, seed=0):
     if r.modulus != 1:
         raise DomainError("semisimplification is defined at modulus 1")
     F = r.context.residue_field
-    if r.group.kind == "finite":
-        words = list(r.group.element_words().values())
-    else:
-        words = r.group.words_up_to(word_cap)
+    words = r.group.element_words(word_cap).values()
     letters = {}
     for gi, name in enumerate(r.group.generators):
         G = _residues(F, r.gen_images[name])
@@ -421,10 +417,7 @@ def carayol_audit(a, b, n, word_cap=4, seed=0):
     forces a mod-pi^n isomorphism; failures under valid preconditions are
     flagged as theorem violations."""
     report = {"n": n, "word_cap": word_cap}
-    if a.group.kind == "finite":
-        words = list(a.group.element_words().values())
-    else:
-        words = a.group.words_up_to(word_cap)
+    words = a.group.element_words(word_cap).values()
     irr_a = residually_absolutely_irreducible(a)
     irr_b = residually_absolutely_irreducible(b)
     if not (irr_a and irr_b):

@@ -42,29 +42,10 @@ class PseudoRep2:
             raise DomainError(f"value not available for word of length {len(w)}")
         return self.values[w]
 
-    def _mul(self, x, y):
-        if self.group.kind == "finite":
-            return self.group.multiply(x, y)
-        return self.group.reduce_word(tuple(x) + tuple(y))
-
-    def _inv(self, x):
-        if self.group.kind == "finite":
-            return self.group.inverse_element(x)
-        return self.group.invert_word(x)
-
-    def _identity(self):
-        return self.group.identity if self.group.kind == "finite" else ()
-
-    def _elements(self, length=None):
-        if self.group.kind == "finite":
-            return list(self.group.elements())
-        cap = self.word_cap if length is None else length
-        return self.group.words_up_to(cap)
-
     def determinant(self, g):
         """D(g) = (T(g)^2 - T(g^2))/2."""
         t = self.value(g)
-        t2 = self.value(self._mul(g, g))
+        t2 = self.value(self.group.multiply(g, g))
         half = _half(self.base)
         return (t * t - t2) * half
 
@@ -74,12 +55,12 @@ class PseudoRep2:
         """T(1) = 2, symmetry, and the d = 2 identity on sampled pairs plus
         all generator pairs."""
         report = {"verdict": "pass", "violations": []}
-        two = _const(self.base, 2)
-        if not _eq(self.value(self._identity()), two):
+        group = self.group
+        if self.value(group.identity) != 2:
             report["verdict"] = "fail"
             report["violations"].append({"axiom": "T(1)=2"})
             return report
-        small = self._elements(2) if self.group.kind == "free" else self._elements()
+        small = group.elements(2)
         rng = random.Random(seed)
         pairs = [(g, h) for g in small for h in small]
         if len(pairs) > pair_budget:
@@ -87,18 +68,18 @@ class PseudoRep2:
         checkable = 0
         for g, h in pairs:
             try:
-                lhs_sym = self.value(self._mul(g, h))
-                rhs_sym = self.value(self._mul(h, g))
+                lhs_sym = self.value(group.multiply(g, h))
+                rhs_sym = self.value(group.multiply(h, g))
                 lhs = self.value(g) * self.value(h)
-                rhs = self.value(self._mul(g, h)) \
-                    + self.determinant(g) * self.value(self._mul(self._inv(g), h))
+                rhs = self.value(group.multiply(g, h)) + self.determinant(g) \
+                    * self.value(group.multiply(group.inverse_element(g), h))
             except DomainError:
                 continue  # word escaped the cap
             checkable += 1
-            if not _eq(lhs_sym, rhs_sym):
+            if lhs_sym != rhs_sym:
                 report["verdict"] = "fail"
                 report["violations"].append({"axiom": "symmetry", "pair": str((g, h))})
-            if not _eq(lhs, rhs):
+            if lhs != rhs:
                 report["verdict"] = "fail"
                 report["violations"].append({"axiom": "d=2 identity", "pair": str((g, h))})
         report["pairs_checked"] = checkable
@@ -134,7 +115,7 @@ class PseudoRep2:
 
     # -- multiplicity-freeness --------------------------------------------
 
-    def residually_multiplicity_free(self, word_cap=4, seed=0):
+    def residually_multiplicity_free(self, seed=0):
         """Decompose T mod pi as a sum of irreducible traces of the group,
         found on the regular representation; multiplicity-free when no
         factor repeats."""
@@ -202,14 +183,9 @@ def from_rep_trace(rep, word_cap=4):
     families."""
     if rep.dim != 2:
         raise DomainError("pseudorepresentations are implemented for d = 2")
-    group = rep.group
-    if group.kind == "finite":
-        words = group.element_words()
-        values = {el: rep.trace_of_word(w) for el, w in words.items()}
-        base = _rep_base(rep)
-        return PseudoRep2(group, values, base)
-    values = {w: rep.trace_of_word(w) for w in group.words_up_to(word_cap)}
-    return PseudoRep2(group, values, _rep_base(rep), word_cap=word_cap)
+    values = {el: rep.trace_of_word(w)
+              for el, w in rep.group.element_words(word_cap).items()}
+    return PseudoRep2(rep.group, values, _rep_base(rep), word_cap=word_cap)
 
 
 def _rep_base(rep):
@@ -224,23 +200,10 @@ def _base_p(base):
     return base.p
 
 
-def _const(base, k):
-    if hasattr(base, "constant"):
-        return base.constant(k)
-    return base.from_int(k)
-
-
 def _half(base):
     if hasattr(base, "constant"):
         return base.constant(pow(2, -1, base.base.coeff_modulus))
     return base.from_int(2).inverse()
-
-
-def _eq(a, b):
-    diff = a - b
-    if isinstance(diff, AdicSeries):
-        return all(c.pi_valuation() is None for c in diff.terms.values())
-    return diff.pi_valuation() is None
 
 
 def _eq_mod(a, b, m):

@@ -72,6 +72,23 @@ class AlgebraModel:
     def is_open(self, name):
         return name in self.open_vars
 
+    def linear_cover(self):
+        """(d, yvar, tvar, c) for a cover relation y^d = c*t with c a unit
+        of the base: the only shape the cover closed forms (recentering,
+        sampling, pushforward comparison) are written for."""
+        rel = self.relation
+        if rel is None or rel[0] != "cover":
+            raise DomainError("not a cover model")
+        d, yvar, g = rel[1], rel[2], rel[3]
+        others = [v for v in self.vars if v != yvar]
+        t_mono = tuple(int(v != yvar) for v in self.vars)
+        if len(others) != 1 or list(g) != [t_mono]:
+            raise DomainError("cover closed forms need y^d = c*t")
+        c = self._coerce(g[t_mono])
+        if not c.is_unit():
+            raise DomainError("cover relation constant must be a unit")
+        return d, yvar, others[0], c
+
     # -- series constructors ---------------------------------------------
 
     def _coerce(self, c):
@@ -371,19 +388,7 @@ class AdicSeries:
 
     def _recenter_cover(self, center, scales):
         model = self.model
-        d, yvar, g = model.relation[1], model.relation[2], model.relation[3]
-        others = [v for v in model.vars if v != yvar]
-        # closed form only for y^d = c * t with a single unit constant c
-        if len(others) != 1 or len(g) != 1:
-            raise DomainError("cover recentering supported only for y^d = c*t")
-        tvar = others[0]
-        (gmono, gc), = g.items()
-        ti = model.vars.index(tvar)
-        if gmono[ti] != 1 or sum(gmono) != 1:
-            raise DomainError("cover recentering supported only for y^d = c*t")
-        c = model.base.from_int(gc) if isinstance(gc, int) else gc
-        if not c.is_unit():
-            raise DomainError("cover relation constant must be a unit")
+        d, yvar, tvar, c = model.linear_cover()
         y0, t0 = center[yvar], center[tvar]
         if (y0 ** d - c * t0).pi_valuation() is not None:
             raise DomainError("cover center must satisfy the relation")
@@ -442,9 +447,8 @@ def _normalize(model, terms):
                     rest = list(mono)
                     rest[yi] -= d
                     for gm, gc in g.items():
-                        gcel = model.base.from_int(gc) if isinstance(gc, int) else gc
                         new = tuple(r + q for r, q in zip(rest, gm))
-                        add = c * gcel
+                        add = c * model._coerce(gc)
                         work[new] = work[new] + add if new in work else add
                     changed = True
     # degree cap on open variables, then drop exact zeros
@@ -503,15 +507,20 @@ def _check_point(model, point, ext):
         if resid.pi_valuation() is not None:
             raise DomainError("point violates the annulus relation")
     else:
-        d, yvar, g = rel[1], rel[2], rel[3]
-        gval = ext.zero()
-        for gm, gc in g.items():
-            gcel = model.base.from_int(gc) if isinstance(gc, int) else gc
-            term = embed(gcel, ext)
-            for name, a in zip(model.vars, gm):
-                if a:
-                    term = term * point[name] ** a
-            gval = gval + term
-        resid = point[yvar] ** d - gval
+        d, yvar = rel[1], rel[2]
+        resid = point[yvar] ** d - cover_rhs(model, point, ext)
         if resid.pi_valuation() is not None:
             raise DomainError("point violates the cover relation")
+
+
+def cover_rhs(model, coords, ext):
+    """The right side g of a cover relation y^d = g, evaluated over ext at
+    ``coords`` (values of the variables g involves)."""
+    gval = ext.zero()
+    for gm, gc in model.relation[3].items():
+        term = embed(model._coerce(gc), ext)
+        for name, a in zip(model.vars, gm):
+            if a:
+                term = term * coords[name] ** a
+        gval = gval + term
+    return gval

@@ -166,7 +166,7 @@ def _ctx_sig(ctx):
     return (ctx.p, ctx.f, ctx.e, ctx.unram_poly, ctx.eis_poly, ctx.precision)
 
 
-def _model_sig(model, spec):
+def _model_sig(model):
     rel = model.relation
     if rel is not None and rel[0] == "cover":
         rel = (rel[0], rel[1], rel[2], tuple(sorted(rel[3].items())))
@@ -182,7 +182,7 @@ def _spec_signature(spec):
     fams = {}
     for name, fam in spec.families.items():
         fams[name] = (fam.group.kind, fam.group.generators, fam.dim,
-                      _model_sig(fam.model, spec),
+                      _model_sig(fam.model),
                       tuple((g, tuple(tuple(_series_sig(x) for x in row)
                                       for row in M))
                             for g, M in sorted(fam.gen_images.items())))
@@ -195,7 +195,7 @@ def _spec_signature(spec):
                             for g, M in sorted(rep.gen_images.items())))
     doms = {}
     for name, dom in spec.domains.items():
-        doms[name] = (dom.kind, dom.n, _model_sig(dom.model, spec),
+        doms[name] = (dom.kind, dom.n, _model_sig(dom.model),
                       tuple(sorted((v, c.coords)
                                    for v, c in dom.center.coords.items())))
     pseudos = {}
@@ -206,7 +206,7 @@ def _spec_signature(spec):
                                        else v.coords)
                                       for k, v in ps.values.items())))
     return ({k: _ctx_sig(v) for k, v in spec.contexts.items()},
-            {k: _model_sig(v, spec) for k, v in spec.models.items()},
+            {k: _model_sig(v) for k, v in spec.models.items()},
             {k: (v.kind, v.generators, v.table) for k, v in spec.groups.items()},
             fams, reps, doms, pseudos, dict(spec.params))
 

@@ -410,7 +410,7 @@ def test_criterion_8_phi_modules(criterion):
             expect = not any(
                 (w == i and val_exp == i) or (w == 1 - i and val_exp == -i)
                 for i in range(0, 11))
-            if chi.is_regular(10) != expect:
+            if chi.is_regular() != expect:
                 ok = False
     criterion(8, "phi-module invariants, weak admissibility, regularity", ok)
     assert ok

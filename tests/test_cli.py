@@ -117,6 +117,42 @@ def test_cover_compare(capsys):
     assert rep["preimage_equality"]["n0"] == 1
 
 
+COVER_TEMPLATE = """
+[context base]
+p = {p}
+precision = 16
+
+[model cover]
+context = base
+open = Y T
+relation = cover 2 Y : {rhs}
+
+[domain D]
+model = cover
+kind = wideopen
+n = 2
+center = Y : 0 , T : 0
+"""
+
+
+@pytest.mark.parametrize("p,rhs,error", [
+    (3, "1*T + 1*T^2", "need y^d = c*t"),
+    (3, "1*T^2", "need y^d = c*t"),
+    (5, "5*T", "must be a unit"),
+])
+@pytest.mark.parametrize("op", ["sample", "cover-compare"])
+def test_cover_closed_forms_refuse_other_shapes(capsys, tmp_path, p, rhs,
+                                                error, op):
+    """The cover closed forms hold for y^d = c*t with c a unit only; any
+    other relation is a usage error, not a verdict over zero points."""
+    spec = tmp_path / "cover.spec"
+    spec.write_text(COVER_TEMPLATE.format(p=p, rhs=rhs))
+    code = main(["--spec", str(spec), "domain", op, "--samples", "5"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert error in json.loads(captured.err)["error"]
+
+
 def test_phimod_wadm(capsys):
     code, rep = run(capsys, "phimod", "wadm", "--k", "2", "--p", "5",
                     "--ap", "5")

@@ -20,16 +20,18 @@ def test_orders():
 
 
 def test_identity_and_inverses():
-    g = dihedral_group(5)
-    e = g.identity
-    for x in g.elements():
-        assert g.multiply(x, g.inverse_element(x)) == e
+    for g, cap in ((dihedral_group(5), None), (free_group(2), 3)):
+        e = g.identity
+        for x in g.elements(cap):
+            assert g.multiply(x, g.inverse_element(x)) == e
+            assert g.multiply(e, x) == x == g.multiply(x, e)
 
 
 def test_element_words_reproduce_elements():
-    for g in (cyclic_group(4), symmetric_group(3), dihedral_group(4)):
-        words = g.element_words()
-        assert len(words) == g.order
+    for g, cap in ((cyclic_group(4), None), (symmetric_group(3), None),
+                   (dihedral_group(4), None), (free_group(2), 3)):
+        words = g.element_words(cap)
+        assert sorted(words) == sorted(g.elements(cap))
         for el, w in words.items():
             acc = g.identity
             for gi, sign in w:

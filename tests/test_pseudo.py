@@ -59,6 +59,9 @@ def test_axiom_violation_detected():
     vals[1] = Z5.from_int(3)  # breaks the d = 2 identity
     ps = PseudoRep2(g, vals, Z5)
     assert ps.axiom_check(seed=0)["verdict"] == "fail"
+    vals[0] = Z5.from_int(1)  # T(1) = 1
+    rep = PseudoRep2(g, vals, Z5).axiom_check(seed=0)
+    assert rep["violations"] == [{"axiom": "T(1)=2"}]
 
 
 def test_determinant_of_doubled_trivial_is_one():
