@@ -1,14 +1,13 @@
 """Matrices over the coefficient rings, and linear algebra over the chain
 rings O_E/pi^m.
 
-The matrix layer (``mat_mul``, ``determinant``, ``mat_inverse``,
-``word_matrix``) works over any commutative ring whose elements support
-``+ - *`` and ``inverse()``, raising DomainError for a non-unit:
-PadicElement (O_E), PadicNumber (E) and AdicSeries (O_X(X)).  Determinant
-and inverse both come from one division-free characteristic polynomial
-(Berkowitz), so they need no pivot search; with a bounded variable the
-series algebra is not local, and an invertible matrix need not have a
-unit entry.
+The matrix layer (``mat_mul``, ``determinant``, ``mat_inverse``) works
+over any commutative ring whose elements support ``+ - *`` and
+``inverse()``, raising DomainError for a non-unit: PadicElement (O_E),
+PadicNumber (E) and AdicSeries (O_X(X)).  Determinant and inverse both
+come from one division-free characteristic polynomial (Berkowitz), so they
+need no pivot search; with a bounded variable the series algebra is not
+local, and an invertible matrix need not have a unit entry.
 
 The solution-module and span code below works over O_E/pi^m: these rings
 are local principal ideal rings, so rank and solution-space computations
@@ -102,44 +101,6 @@ def mat_inverse(A):
             B[i][i] = B[i][i] + c[k]
     scale = dinv if d % 2 else -dinv
     return [[x * scale for x in row] for row in B]
-
-
-def word_matrix(memo, word, letter):
-    """The product of the letter matrices of ``word``, left to right.
-
-    ``memo`` maps words to their products and holds the identity under
-    ``()``; ``letter(let)`` gives the matrix of a one-letter word, cached
-    in ``memo`` like any other word.  Products are memoized by prefix, so a
-    word whose prefix is already known costs one ``mat_mul``.
-    """
-    word = tuple(word)
-    M = memo.get(word)
-    if M is None:
-        if len(word) == 1:
-            M = letter(word[0])
-        else:
-            M = mat_mul(word_matrix(memo, word[:-1], letter),
-                        word_matrix(memo, word[-1:], letter))
-        memo[word] = M
-    return M
-
-
-def relations_hold(group, memo, letter):
-    """Whether the word matrices of a finite group's elements multiply like
-    the group: M(w_x) M(g) == M(w_{xg}) for every element x, generator g.
-    A free group has no relations, so any matrices satisfy them."""
-    if group.kind == "free":
-        return True
-    words = group.element_words()
-    for x, w in words.items():
-        for gi, g in enumerate(group.gen_elements):
-            prod = mat_mul(word_matrix(memo, w, letter),
-                           word_matrix(memo, ((gi, 1),), letter))
-            target = word_matrix(memo, words[group.multiply(x, g)], letter)
-            if not all(a == b for r1, r2 in zip(prod, target)
-                       for a, b in zip(r1, r2)):
-                return False
-    return True
 
 
 def mat_is_zero_mod(A, m):

@@ -77,6 +77,12 @@ class ClosedForm:
         }
 
 
+def _pi_threshold(kind, n, e_rel):
+    """The threshold for v_piE(g(y)) on U^(n) (kind 'U') or V^(n) (kind
+    'V') over an extension of relative ramification index e_rel."""
+    return gamma_exponent(e_rel, n) if kind == "U" else n * e_rel
+
+
 class ResidueDomain:
     """U^(n) (kind 'U') or V^(n) (kind 'V') around a base point."""
 
@@ -88,11 +94,8 @@ class ResidueDomain:
         self.ideal_gens = ideal_gens
         self.closed_form = closed_form
 
-    # threshold for v_piE(g(y)) over an extension of relative index e_rel
     def pi_threshold(self, e_rel):
-        if self.kind == "U":
-            return gamma_exponent(e_rel, self.n)
-        return self.n * e_rel
+        return _pi_threshold(self.kind, self.n, e_rel)
 
     def member(self, y):
         """Membership of a point over a marked extension of the base.
@@ -317,7 +320,7 @@ def cover_compare(model, center, n, ext, samples=100, seed=0, n_budget=4):
     for nn in range(1, n_budget + 1):
         entry = {}
         for kind in ("U", "V"):
-            thr = gamma_exponent(e_rel, nn) if kind == "U" else nn * e_rel
+            thr = _pi_threshold(kind, nn, e_rel)
             if y0_is_zero:
                 # upstairs: v(y) >= thr; preimage: d v(y) >= thr
                 pre_thr = math.ceil(thr / d)

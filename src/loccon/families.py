@@ -6,62 +6,38 @@ from __future__ import annotations
 
 import itertools
 
-from loccon.chainring import (
-    ChainSpan,
-    determinant,
-    mat_inverse,
-    mat_trace,
-    relations_hold,
-    word_matrix,
-)
+from loccon.chainring import ChainSpan, determinant
+from loccon.lattice import IntegralRep
 from loccon.padic import DomainError, gamma_exponent, relative_ramification
 from loccon.series import AdicSeries
 
 
-class RepFamily:
+class RepFamily(IntegralRep):
     """d x d matrices of AdicSeries over a model, one per group generator.
 
     Generator images must be invertible with integral inverse (unit
-    determinant in the integral algebra).
+    determinant in the integral algebra).  Entries that are not series
+    (integers, elements of the base) become constant series.
     """
 
     def __init__(self, group, dim, model, gen_images):
-        self.group = group
-        self.dim = dim
         self.model = model
-        self.gen_images = {}
-        for name in group.generators:
-            if name not in gen_images:
-                raise DomainError(f"missing matrix for generator {name!r}")
-            M = [[model._coerce(x) if not isinstance(x, AdicSeries) else x
-                  for x in row] for row in gen_images[name]]
-            if len(M) != dim or any(len(r) != dim for r in M):
-                raise DomainError("generator matrices must be d x d")
-            self.gen_images[name] = M
-        self._words = {(): [[model.constant(1 if i == j else 0) for j in range(dim)]
-                            for i in range(dim)]}
-        for M in self.gen_images.values():
-            determinant(M).inverse()  # raises when the determinant is not a unit
-        if not relations_hold(group, self._words, self._letter):
-            raise DomainError("generator matrices violate the group's relations")
+        super().__init__(group, dim, model.base, gen_images)
 
-    # -- word calculus -----------------------------------------------------
+    def _coerce(self, x):
+        return x if isinstance(x, AdicSeries) else self.model.constant(x)
 
-    def _letter(self, let):
-        M = self.gen_images[self.group.generators[let[0]]]
-        return M if let[1] == 1 else mat_inverse(M)
-
-    def matrix_of_word(self, word):
-        return [row[:] for row in word_matrix(self._words, word, self._letter)]
-
-    def trace_of_word(self, word):
-        return mat_trace(word_matrix(self._words, word, self._letter))
+    def _is_unit(self, M):
+        try:
+            determinant(M).inverse()
+        except DomainError:
+            return False
+        return True
 
     # -- specialization ----------------------------------------------------
 
     def specialize(self, point):
         """Integral representation at a point of the model."""
-        from loccon.lattice import IntegralRep
         coords = dict(point.coords)
         images = {}
         for name, M in self.gen_images.items():

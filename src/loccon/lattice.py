@@ -17,8 +17,6 @@ from loccon.chainring import (
     mat_reduce_mod,
     mat_trace,
     nullspace_mod,
-    relations_hold,
-    word_matrix,
 )
 from loccon.padic import DomainError, InconclusiveError, PadicNumber, PrecisionError
 
@@ -29,33 +27,95 @@ def _residues(F, M):
 
 
 class IntegralRep:
-    """d x d matrices over O_E with unit determinant, one per generator."""
+    """d x d matrices over O_E with unit determinant, exactly one per
+    generator, satisfying the group's relations.
+
+    The one representation class: ``ResidueRep`` (over O_E/pi^m) and
+    ``families.RepFamily`` (over O_X(X)) change only how an entry is
+    brought into their ring (``_coerce``, applied to generator entries and
+    to every output) and, for families, the unit test.  Word products are
+    memoized by prefix in ``_words``.
+    """
+
+    _lift = None  # a representation whose memo and letters this one shares
 
     def __init__(self, group, dim, context, gen_images):
         self.group = group
         self.dim = dim
         self.context = context
-        self.gen_images = dict(gen_images)
-        self._words = {(): identity_matrix(context, dim)}
-        F = context.residue_field
-        for name, M in self.gen_images.items():
-            if F.rank(_residues(F, M)) < dim:
+        for name in gen_images:
+            if name not in group.generators:
+                raise DomainError(f"matrix for {name!r}, which is not a generator")
+        self.gen_images = {}
+        for name in group.generators:
+            if name not in gen_images:
+                raise DomainError(f"missing matrix for generator {name!r}")
+            M = gen_images[name]
+            if len(M) != dim or any(len(row) != dim for row in M):
+                raise DomainError(f"matrix for generator {name!r} is not "
+                                  f"{dim} x {dim}")
+            M = self._coerced(M)
+            if not self._is_unit(M):
                 raise DomainError(f"generator {name!r} has non-unit determinant")
-        if not relations_hold(group, self._words, self._letter):
+            self.gen_images[name] = M
+        if self._lift is not None:  # the lift has passed the relations check
+            self._words = self._lift._words
+            return
+        self._words = {(): self._coerced(identity_matrix(context, dim))}
+        if not self._relations_hold():
             raise DomainError("matrices violate the group relations")
 
+    def _coerce(self, x):
+        return x
+
+    def _coerced(self, M):
+        return [[self._coerce(x) for x in row] for row in M]
+
+    def _is_unit(self, M):
+        F = self.context.residue_field
+        return F.rank(_residues(F, M)) == self.dim
+
     def _letter(self, let):
+        if self._lift is not None:
+            return self._lift._letter(let)
         M = self.gen_images[self.group.generators[let[0]]]
         return M if let[1] == 1 else mat_inverse(M)
 
+    def _product(self, word):
+        """The product of the letter matrices of ``word``, left to right.
+
+        Products are memoized by prefix in ``_words``, letters (inverse
+        letters included) as one-letter words, so a word whose prefix is
+        already known costs one ``mat_mul``.
+        """
+        word = tuple(word)
+        M = self._words.get(word)
+        if M is None:
+            M = (self._letter(word[0]) if len(word) == 1 else
+                 mat_mul(self._product(word[:-1]), self._product(word[-1:])))
+            self._words[word] = M
+        return M
+
+    def _relations_hold(self):
+        """M(w_x) M(g) == M(w_xg) for every element x and generator g of a
+        finite group; a free group has no relations."""
+        group = self.group
+        if group.kind == "free":
+            return True
+        words = group.element_words()
+        return all(mat_mul(self._product(w), self._product(((gi, 1),)))
+                   == self._product(words[group.multiply(x, g)])
+                   for x, w in words.items()
+                   for gi, g in enumerate(group.gen_elements))
+
     def matrix_of_word(self, word):
-        return [row[:] for row in word_matrix(self._words, word, self._letter)]
+        return self._coerced(self._product(word))
 
     def trace_of_word(self, word):
-        return mat_trace(word_matrix(self._words, word, self._letter))
+        return self._coerce(mat_trace(self._product(word)))
 
 
-class ResidueRep:
+class ResidueRep(IntegralRep):
     """Generator matrices over the chain ring O_E/pi^m.
 
     Word products are kept unreduced and reduced mod pi^m on output.  With
@@ -65,33 +125,17 @@ class ResidueRep:
     """
 
     def __init__(self, group, dim, context, modulus, gen_images, lift=None):
-        self.group = group
-        self.dim = dim
-        self.context = context
         self.modulus = modulus
-        self.gen_images = {name: mat_reduce_mod(M, modulus)
-                           for name, M in gen_images.items()}
-        F = context.residue_field
-        for name, M in self.gen_images.items():
-            if F.rank(_residues(F, M)) < dim:
-                raise DomainError(f"generator {name!r} is singular mod pi")
         self._lift = lift
-        self._words = (lift._words if lift is not None
-                       else {(): identity_matrix(context, dim)})
+        super().__init__(group, dim, context, gen_images)
 
-    def _letter(self, let):
-        if self._lift is not None:
-            return self._lift._letter(let)
-        M = self.gen_images[self.group.generators[let[0]]]
-        return M if let[1] == 1 else mat_reduce_mod(mat_inverse(M), self.modulus)
+    def _coerce(self, x):
+        return x.reduce_mod(self.modulus)
 
-    def matrix_of_word(self, word):
-        return mat_reduce_mod(word_matrix(self._words, word, self._letter),
-                              self.modulus)
-
-    def trace_of_word(self, word):
-        M = word_matrix(self._words, word, self._letter)
-        return mat_trace(M).reduce_mod(self.modulus)
+    # the same functions, named on this class too so that per-class traced
+    # names (perfbench/run.py) resolve
+    matrix_of_word = IntegralRep.matrix_of_word
+    trace_of_word = IntegralRep.trace_of_word
 
 
 def reduce_rep_mod(rep, m):

@@ -178,21 +178,17 @@ def _series_sig(s):
     return tuple(sorted((m, c.coords) for m, c in s.terms.items()))
 
 
+def _rep_sig(rep, ring_sig, entry_sig):
+    return (rep.group.kind, rep.group.generators, rep.dim, ring_sig,
+            tuple((g, tuple(tuple(entry_sig(x) for x in row) for row in M))
+                  for g, M in sorted(rep.gen_images.items())))
+
+
 def _spec_signature(spec):
-    fams = {}
-    for name, fam in spec.families.items():
-        fams[name] = (fam.group.kind, fam.group.generators, fam.dim,
-                      _model_sig(fam.model),
-                      tuple((g, tuple(tuple(_series_sig(x) for x in row)
-                                      for row in M))
-                            for g, M in sorted(fam.gen_images.items())))
-    reps = {}
-    for name, rep in spec.reps.items():
-        reps[name] = (rep.group.kind, rep.group.generators, rep.dim,
-                      _ctx_sig(rep.context),
-                      tuple((g, tuple(tuple(x.coords for x in row)
-                                      for row in M))
-                            for g, M in sorted(rep.gen_images.items())))
+    fams = {name: _rep_sig(fam, _model_sig(fam.model), _series_sig)
+            for name, fam in spec.families.items()}
+    reps = {name: _rep_sig(rep, _ctx_sig(rep.context), lambda x: x.coords)
+            for name, rep in spec.reps.items()}
     doms = {}
     for name, dom in spec.domains.items():
         doms[name] = (dom.kind, dom.n, _model_sig(dom.model),
@@ -309,7 +305,7 @@ def _load_block(spec, block, precision_override):
         elif t == "group":
             spec.groups[block["name"]] = _load_group(block)
         elif t == "family":
-            spec.families[block["name"]] = _load_family(spec, block)
+            spec.families[block["name"]] = _load_rep(spec, block)
         elif t == "rep":
             spec.reps[block["name"]] = _load_rep(spec, block)
         elif t == "pseudorep":
@@ -417,33 +413,18 @@ def _group_ref(spec, val, lineno):
     raise SpecError(f"cannot parse group reference {val!r}", lineno)
 
 
-def _load_family(spec, block):
-    from loccon.families import RepFamily
-    e = _entries_dict(block, multi=("matrix",))
-    model_name, lineno = _get(e, "model", block)
-    model = _resolve(spec.models, model_name, "model", lineno)
-    gval, glineno = _get(e, "group", block)
-    group = _group_ref(spec, gval, glineno)
-    dim = _get_int(e, "dim", block)
-    images = {}
-    for key, val, lineno in e.get("matrix", []):
-        parts = key.split()
-        if len(parts) != 2:
-            raise SpecError("matrix keys look like 'matrix <generator>'", lineno)
-        rows = val.split(";")
-        images[parts[1]] = [
-            [parse_series_literal(cell, model, lineno)
-             for cell in row.split(",")] for row in rows]
-    fam = RepFamily(group, dim, model, images)
-    fam._spec_group_ref = gval
-    return fam
-
-
 def _load_rep(spec, block):
+    """A [rep] block (matrices over a context) or a [family] block (matrices
+    of series over a model): group, dim and one ``matrix <gen>`` line per
+    generator."""
+    from loccon.families import RepFamily
     from loccon.lattice import IntegralRep
     e = _entries_dict(block, multi=("matrix",))
-    ctx_name, lineno = _get(e, "context", block)
-    ctx = _resolve(spec.contexts, ctx_name, "context", lineno)
+    family = block["type"] == "family"
+    ref = "model" if family else "context"
+    parse = parse_series_literal if family else parse_element_token
+    ring_name, lineno = _get(e, ref, block)
+    ring = _resolve(getattr(spec, ref + "s"), ring_name, ref, lineno)
     gval, glineno = _get(e, "group", block)
     group = _group_ref(spec, gval, glineno)
     dim = _get_int(e, "dim", block)
@@ -452,10 +433,11 @@ def _load_rep(spec, block):
         parts = key.split()
         if len(parts) != 2:
             raise SpecError("matrix keys look like 'matrix <generator>'", lineno)
-        images[parts[1]] = [
-            [parse_element_token(cell, ctx, lineno) for cell in row.split(",")]
-            for row in val.split(";")]
-    rep = IntegralRep(group, dim, ctx, images)
+        if parts[1] in images:
+            raise SpecError(f"duplicate key {key!r}", lineno)
+        images[parts[1]] = [[parse(cell, ring, lineno) for cell in row.split(",")]
+                            for row in val.split(";")]
+    rep = (RepFamily if family else IntegralRep)(group, dim, ring, images)
     rep._spec_group_ref = gval
     return rep
 
@@ -575,25 +557,13 @@ def print_spec(spec):
             " ".join(str(c) for c in row) for row in group.table))
         out.append("")
     for name, fam in spec.families.items():
-        out.append(f"[family {name}]")
-        out.append(f"model = {_name_of(spec.models, fam.model)}")
-        out.append(f"group = {_group_str(fam)}")
-        out.append(f"dim = {fam.dim}")
-        for gname in fam.group.generators:
-            M = fam.gen_images[gname]
-            out.append(f"matrix {gname} = " + " ; ".join(
-                " , ".join(series_literal(x) for x in row) for row in M))
-        out.append("")
+        out += _rep_lines(f"[family {name}]",
+                          f"model = {_name_of(spec.models, fam.model)}",
+                          fam, series_literal)
     for name, rep in spec.reps.items():
-        out.append(f"[rep {name}]")
-        out.append(f"context = {_name_of(spec.contexts, rep.context)}")
-        out.append(f"group = {_group_str(rep)}")
-        out.append(f"dim = {rep.dim}")
-        for gname in rep.group.generators:
-            M = rep.gen_images[gname]
-            out.append(f"matrix {gname} = " + " ; ".join(
-                " , ".join(element_literal(x) for x in row) for row in M))
-        out.append("")
+        out += _rep_lines(f"[rep {name}]",
+                          f"context = {_name_of(spec.contexts, rep.context)}",
+                          rep, element_literal)
     for name, dom in spec.domains.items():
         out.append(f"[domain {name}]")
         out.append(f"model = {_name_of(spec.models, dom.model)}")
@@ -615,6 +585,14 @@ def print_spec(spec):
             out.append(f"{key} = {val}")
         out.append("")
     return "\n".join(out)
+
+
+def _rep_lines(header, ring_line, rep, literal):
+    out = [header, ring_line, f"group = {_group_str(rep)}", f"dim = {rep.dim}"]
+    for gname in rep.group.generators:
+        out.append(f"matrix {gname} = " + " ; ".join(
+            " , ".join(literal(x) for x in row) for row in rep.gen_images[gname]))
+    return out + [""]
 
 
 def _group_str(obj):

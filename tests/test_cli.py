@@ -153,6 +153,39 @@ def test_cover_closed_forms_refuse_other_shapes(capsys, tmp_path, p, rhs,
     assert error in json.loads(captured.err)["error"]
 
 
+MALFORMED_REP = """
+[context base]
+p = 5
+precision = 12
+
+[rep R]
+context = base
+group = free {rank}
+dim = 2
+{matrices}
+"""
+
+
+@pytest.mark.parametrize("rank,matrices,error", [
+    (2, "matrix g1 = 1 , 1 ; 0 , 1", "missing matrix for generator 'g2'"),
+    (1, "matrix g1 = 1 , 0 , 0 ; 0 , 1 , 0 ; 0 , 0 , 1", "is not 2 x 2"),
+    (1, "matrix g1 = 1 , 1 ; 0 , 1\nmatrix h = 2 , 0 ; 0 , 1",
+     "'h', which is not a generator"),
+])
+@pytest.mark.parametrize("argv", [["semisimplify"], ["reduce", "--m", "2"],
+                                  ["stabilize"]])
+def test_malformed_rep_is_usage_error(capsys, tmp_path, rank, matrices,
+                                      error, argv):
+    """A rep block needs exactly one d x d matrix per generator; anything
+    else is a usage error, never a crash or a verdict."""
+    spec = tmp_path / "rep.spec"
+    spec.write_text(MALFORMED_REP.format(rank=rank, matrices=matrices))
+    code = main(["--spec", str(spec), "lattice", *argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert error in json.loads(captured.err)["error"]
+
+
 def test_phimod_wadm(capsys):
     code, rep = run(capsys, "phimod", "wadm", "--k", "2", "--p", "5",
                     "--ap", "5")

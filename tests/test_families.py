@@ -5,6 +5,7 @@ import pytest
 from loccon.domains import ModelPoint, describe
 from loccon.families import RepFamily
 from loccon.groups import cyclic_group, free_group
+from loccon.lattice import IntegralRep, ResidueRep
 from loccon.padic import DomainError, PadicContext
 from loccon.series import AlgebraModel
 
@@ -30,12 +31,61 @@ def test_generator_images_must_be_invertible():
                                           [DISC.zero(), DISC.constant(1)]]})
 
 
+def _elements(images):
+    return {g: [[Z5.from_int(x) for x in row] for row in M]
+            for g, M in images.items()}
+
+
+# the three representation classes, as build(group, dim, integer images)
+# and the constant of their ring
+CLASSES = {
+    "family": (lambda group, dim, images: RepFamily(group, dim, DISC, images),
+               DISC.constant),
+    "integral": (lambda group, dim, images: IntegralRep(
+        group, dim, Z5, _elements(images)), Z5.from_int),
+    "residue": (lambda group, dim, images: ResidueRep(
+        group, dim, Z5, 2, _elements(images)), Z5.from_int),
+}
+
+
 def test_finite_relations_are_checked():
-    c2 = cyclic_group(2)
-    good = RepFamily(c2, 1, DISC, {"g": [[DISC.constant(-1)]]})
-    assert good.trace_of_word(((0, 1),)) == DISC.constant(-1)
-    with pytest.raises(DomainError):
-        RepFamily(c2, 1, DISC, {"g": [[DISC.constant(2)]]})
+    for build, const in CLASSES.values():
+        good = build(cyclic_group(2), 1, {"g": [[-1]]})
+        assert good.trace_of_word(((0, 1),)) == const(-1)
+        for group in (cyclic_group(2), cyclic_group(3)):
+            with pytest.raises(DomainError, match="relations"):
+                build(group, 1, {"g": [[2]]})
+
+
+def test_residue_relations_hold_mod_pi_m():
+    """24^2 = 1 mod 25, but not mod 125 and not in Z_5."""
+    c2, g = cyclic_group(2), {"g": [[Z5.from_int(24)]]}
+    ResidueRep(c2, 1, Z5, 2, g)
+    for build in (lambda: ResidueRep(c2, 1, Z5, 3, g),
+                  lambda: IntegralRep(c2, 1, Z5, g)):
+        with pytest.raises(DomainError, match="relations"):
+            build()
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSES))
+@pytest.mark.parametrize("images,error", [
+    ({}, "missing matrix for generator 'g'"),
+    ({"g": [[-1, 0], [0, 1]]}, "not 1 x 1"),
+    ({"g": [[-1]], "h": [[1]]}, "'h', which is not a generator"),
+    ({"g": [[5]]}, "non-unit determinant"),
+])
+def test_one_unit_matrix_per_generator(kind, images, error):
+    build, _ = CLASSES[kind]
+    with pytest.raises(DomainError, match=error):
+        build(cyclic_group(2), 1, images)
+
+
+def test_element_entries_become_constant_series():
+    fam = RepFamily(FREE1, 2, DISC, {"g1": [[Z5.from_int(2), 0],
+                                            [0, DISC.constant(1) + DISC.var("T")]]})
+    rep = fam.specialize(ModelPoint(DISC, {"T": Z5.from_int(5)}))
+    assert rep.gen_images["g1"] == [[Z5.from_int(2), Z5.zero()],
+                                    [Z5.zero(), Z5.from_int(6)]]
 
 
 def test_matrix_of_word_respects_inverses():

@@ -234,6 +234,29 @@ def test_reductions_leave_the_lift_at_full_precision():
                 assert (x.coords, x.known_precision) == (y.coords, y.known_precision)
 
 
+def test_residue_word_products_reduce_the_lifts():
+    """A reduction, a reduction of a reduction and a lift-free ResidueRep
+    give the lift's word products and traces reduced mod pi^m, coordinate
+    for coordinate, inverse letters included.  The reductions run first:
+    the lift's memo must still hold only full-precision products."""
+    rep = sample_res_irred(Z5, random.Random(3))
+    words = rep.group.words_up_to(3)
+    got = [(m, w, r.matrix_of_word(w), r.trace_of_word(w))
+           for m in (1, 2, 3)
+           for r in (reduce_rep_mod(reduce_rep_mod(rep, 3), m),
+                     reduce_rep_mod(rep, m),
+                     ResidueRep(rep.group, 2, Z5, m, rep.gen_images))
+           for w in words]
+    assert all(x.known_precision == Z5.precision
+               for M in rep._words.values() for row in M for x in row)
+    for m, w, M, t in got:
+        assert [[(x.coords, x.known_precision) for x in row] for row in M] == \
+            [[(x.reduce_mod(m).coords, m) for x in row]
+             for row in rep.matrix_of_word(w)]
+        assert (t.coords, t.known_precision) == \
+            (rep.trace_of_word(w).reduce_mod(m).coords, m)
+
+
 def _int_letters(rep):
     """Letter matrices of a Z_p rep as integer matrices mod p."""
     p = rep.context.p

@@ -42,11 +42,34 @@ group = free 1
 dim = 2
 matrix g1 = 1 + 1*T , 0 ; 0 , 1
 
+[group C3]
+kind = finite
+generators = a
+gen_elements = 1
+identity = 0
+table = 0 1 2 ; 1 2 0 ; 2 0 1
+
+[group S3]
+kind = symmetric 3
+
 [rep R]
 context = base
 group = cyclic 2
 dim = 1
 matrix g = -1
+
+[rep Q]
+context = base
+group = C3
+dim = 1
+matrix a = 1
+
+[rep S]
+context = base
+group = S3
+dim = 2
+matrix s = 0 , 1 ; 1 , 0
+matrix c = 0 , -1 ; 1 , -1
 
 [pseudorep P]
 family = F
@@ -72,6 +95,8 @@ def test_parse_basic_blocks():
     assert spec.models["ann"].relation == ("annulus", 2)
     assert spec.models["cov"].relation[0] == "cover"
     assert spec.families["F"].group.kind == "free"
+    assert spec.groups["C3"].order == 3 and spec.groups["S3"].order == 6
+    assert spec.reps["S"].group is spec.groups["S3"]
     assert spec.domains["D"].kind == "U" and spec.domains["D"].n == 2
     assert spec.params["extensions"] == ("base", "ram2")
 
@@ -116,6 +141,9 @@ def test_unknown_variable_rejected_with_location():
         sf.parse_series_literal("1*X", model)
 
 
+REP_BLOCK = "[context c]\np = 5\n[rep R]\ncontext = c\n"
+
+
 @pytest.mark.parametrize("text,needle", [
     ("p = 5", "before the first"),
     ("[context c]\nq = 1", "missing key 'p'"),
@@ -124,6 +152,15 @@ def test_unknown_variable_rejected_with_location():
     ("[context c]\np = 5\np = 7", "duplicate key"),
     ("[widget w]\nx = 1", "unknown block type"),
     ("[context c]\nnonsense line", "key = value"),
+    (REP_BLOCK + "group = free 2\ndim = 2\nmatrix g1 = 1 , 0 ; 0 , 1",
+     "line 3: invalid [rep] block: missing matrix for generator 'g2'"),
+    (REP_BLOCK + "group = free 1\ndim = 2\n"
+     "matrix g1 = 1 , 0 , 0 ; 0 , 1 , 0 ; 0 , 0 , 1",
+     "line 3: invalid [rep] block: matrix for generator 'g1' is not 2 x 2"),
+    (REP_BLOCK + "group = free 1\ndim = 1\nmatrix g1 = 1\nmatrix h = 1",
+     "line 3: invalid [rep] block: matrix for 'h', which is not a generator"),
+    (REP_BLOCK + "group = free 1\ndim = 1\nmatrix g1 = 1\nmatrix g1 = 2",
+     "line 8: duplicate key 'matrix g1'"),
 ])
 def test_diagnostics_carry_locations(text, needle):
     with pytest.raises(sf.SpecError) as err:
