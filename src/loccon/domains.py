@@ -22,7 +22,13 @@ from loccon.padic import (
     gamma_exponent,
     relative_ramification,
 )
-from loccon.series import AlgebraModel, _check_point, _point_context, cover_rhs
+from loccon.series import (
+    AlgebraModel,
+    Cover,
+    _check_point,
+    _eval_terms,
+    _point_context,
+)
 
 # sampling gives up after this many draws per requested point
 _SAMPLE_BUDGET = 20
@@ -147,7 +153,7 @@ class ResidueDomain:
         tries = 0
         while len(out) < count and tries < _SAMPLE_BUDGET * count:
             tries += 1
-            pt = self._sample_one(ext, thr, e_rel, rng)
+            pt = self._sample_one(ext, thr, rng)
             if pt is None:
                 continue
             try:
@@ -157,10 +163,9 @@ class ResidueDomain:
                 continue
         return out
 
-    def _sample_one(self, ext, thr, e_rel, rng):
+    def _sample_one(self, ext, thr, rng):
         model = self.model
-        rel = model.relation
-        if rel is None:
+        if model.relation is None:
             coords = {}
             for name in model.vars:
                 c = embed(self.center.coords[name], ext)
@@ -170,35 +175,12 @@ class ResidueDomain:
                 delta = ext.random_with_pi_valuation(t, rng) \
                     if rng.random() > 0.05 else ext.zero()
                 coords[name] = c + delta
-            return ModelPoint(model, coords)
-        if rel[0] == "annulus":
-            z1, z2 = model.bounded_vars
-            m = rel[1]
-            x1 = embed(self.center.coords[z1], ext)
-            v1 = x1.pi_valuation()
-            t1 = thr if v1 is None else max(thr, thr - m * e_rel + 2 * v1)
-            if t1 >= ext.precision:
+        else:
+            coords = model.relation.sample(self.center, ext, thr, rng)
+            if coords is None:
                 return None
-            t = rng.randrange(t1, ext.precision) if rng.random() > 0.5 else t1
-            zeta1 = x1 + ext.random_with_pi_valuation(t, rng)
-            vz = zeta1.pi_valuation()
-            if vz is None or vz > m * e_rel:
-                return None
-            # zeta2 = pi^m / zeta1, exact
-            unit = zeta1.shift_down(vz)
-            zeta2 = unit.inverse() * ext.pi_power(m * e_rel - vz)
-            try:
-                return ModelPoint(model, {z1: zeta1, z2: zeta2})
-            except DomainError:
-                return None
-        # cover y^d = c*t: parameterize by the cover variable
-        d, yvar, tvar, c = model.linear_cover()
-        y0 = embed(self.center.coords[yvar], ext)
-        t = rng.randrange(thr, ext.precision) if rng.random() > 0.5 else thr
-        y = y0 + ext.random_with_pi_valuation(t, rng)
-        tval = y ** d * embed(c, ext).inverse()
         try:
-            return ModelPoint(model, {yvar: y, tvar: tval})
+            return ModelPoint(model, coords)
         except DomainError:
             return None
 
@@ -222,24 +204,11 @@ def describe(model, x, n, kind):
     gens = ideal_generators(model, x)
     e = model.base.e
     base_thr = Fraction(n - 1, e) if kind == "U" else Fraction(n, e)
-    closed = None
-    rel = model.relation
-    if rel is None and len(model.vars) == 1:
-        closed = ClosedForm(model.vars[0], base_thr, kind == "U")
-    elif rel is not None and rel[0] == "annulus":
-        z1 = model.bounded_vars[0]
-        m = rel[1]
-        v1 = x.coords[z1].pi_valuation()
-        if v1 is not None:
-            # disc at x1 of radius min{p^{-thr}, p^{-thr+m/e}|x1|^2}
-            alt = base_thr - Fraction(m, e) + 2 * Fraction(v1, e)
-            closed = ClosedForm(z1, max(base_thr, alt), kind == "U")
-    elif rel is not None and rel[0] == "cover":
-        d, yvar, _ = rel[1], rel[2], rel[3]
-        if x.coords[yvar].pi_valuation() is None:
-            # at the ramification point: v(t) = d v(y) collapses both
-            # generator conditions to the one on the cover variable
-            closed = ClosedForm(yvar, base_thr, kind == "U")
+    if model.relation is not None:
+        form = model.relation.closed_form(x, base_thr)
+    else:
+        form = (model.vars[0], base_thr) if len(model.vars) == 1 else None
+    closed = None if form is None else ClosedForm(*form, kind == "U")
     return ResidueDomain(model, x, n, kind, gens, closed)
 
 
@@ -270,13 +239,14 @@ def sqrt_in_context(a, ext):
 def cover_fiber(model, ext, tval):
     """Roots y of y^d = g(t) over ext for the cover preset, d = 2 only."""
     rel = model.relation
-    if rel is None or rel[0] != "cover":
+    if not isinstance(rel, Cover):
         raise DomainError("not a cover model")
-    d, yvar = rel[1], rel[2]
-    if d != 2:
+    if rel.d != 2:
         raise DomainError("fiber solving implemented for degree-2 covers only")
+    yvar = rel.yvar
     tvar = [v for v in model.vars if v != yvar][0]
-    root = sqrt_in_context(cover_rhs(model, {tvar: tval}, ext), ext)
+    _, rhs = model.rule
+    root = sqrt_in_context(_eval_terms(model, rhs, {tvar: tval}, ext), ext)
     if root is None:
         return []
     if root.pi_valuation() is None:

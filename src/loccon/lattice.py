@@ -368,10 +368,12 @@ def stable_lattice(group, dim, context, gen_images, rounds_budget=40,
         if denom > denom_budget:
             raise InconclusiveError("unbounded: orbit lattice keeps growing "
                                     "(no stable lattice at working precision)")
-        if _same_lattice(basis, new_basis, ctx, d):
-            basis = new_basis
-            break
+        # the candidates hold the old basis, so the lattice only grows and
+        # it is stable once the new basis lies in the old lattice
+        span, scaled, _ = _scaled_span(basis + new_basis, d, ctx, d)
         basis = new_basis
+        if all(span.contains(v) for v in scaled[d:]):
+            break
     else:
         raise InconclusiveError("unbounded: orbit did not stabilize within budget")
 
@@ -384,12 +386,14 @@ def stable_lattice(group, dim, context, gen_images, rounds_budget=40,
     return IntegralRep(group, d, ctx, images), C
 
 
-def _lattice_basis(vectors, ctx, d):
+def _scaled_span(vectors, count, ctx, d):
+    """Scale the vectors by pi^denom, denom their largest denominator, and
+    span the first ``count`` of them over O_E/pi^M, with M the digits known
+    after scaling.  Returns (span, scaled vectors, denom)."""
     denom = 0
     for v in vectors:
         for x in v:
-            x = x.normalized()
-            vv = x.pi_valuation()
+            vv = x.normalized().pi_valuation()
             if vv is not None and vv < 0:
                 denom = max(denom, -vv)
     scale = ctx.pi_power(denom)
@@ -399,8 +403,13 @@ def _lattice_basis(vectors, ctx, d):
     if M < 2:
         raise PrecisionError("not enough precision for lattice computation")
     span = ChainSpan(ctx, M, d)
-    for vec in scaled:
+    for vec in scaled[:count]:
         span.add(vec)
+    return span, scaled, denom
+
+
+def _lattice_basis(vectors, ctx, d):
+    span, _, denom = _scaled_span(vectors, len(vectors), ctx, d)
     rows = [span.rows[j] for j in sorted(span.rows)]
     if len(rows) != d:
         raise DomainError("orbit does not span; representation is degenerate")
@@ -408,33 +417,6 @@ def _lattice_basis(vectors, ctx, d):
     for a, row in rows:
         basis.append([PadicNumber(x, denom) for x in row])
     return basis, denom
-
-
-def _same_lattice(b1, b2, ctx, d):
-    return _sublattice(b1, b2, ctx, d) and _sublattice(b2, b1, ctx, d)
-
-
-def _sublattice(b1, b2, ctx, d):
-    denom = 0
-    for v in b1 + b2:
-        for x in v:
-            vv = x.normalized().pi_valuation()
-            if vv is not None and vv < 0:
-                denom = max(denom, -vv)
-    scale = ctx.pi_power(denom)
-    s2 = [[(x * scale).to_integral() for x in v] for v in b2]
-    s1 = [[(x * scale).to_integral() for x in v] for v in b1]
-    M = min([ctx.precision - denom - 1]
-            + [x.known_precision for v in s1 + s2 for x in v])
-    if M < 2:
-        raise PrecisionError("not enough precision for lattice comparison")
-    span = ChainSpan(ctx, M, d)
-    for v in s2:
-        span.add(v)
-    for v in s1:
-        if not span.contains(v):
-            return False
-    return True
 
 
 # -- trace-congruence harness ----------------------------------------------

@@ -205,14 +205,6 @@ class PadicContext:
         coords[self.f] = 1
         return PadicElement(self, tuple(coords))
 
-    def omega(self):
-        coords = [0] * self.degree
-        if self.f == 1:
-            coords[0] = 1
-        else:
-            coords[1] = 1
-        return PadicElement(self, tuple(coords))
-
     def from_coords(self, coords, precision=None):
         M = self.coeff_modulus
         coords = tuple([c % M for c in coords])
@@ -899,10 +891,6 @@ class PadicNumber:
     def __init__(self, num, denom_pow=0):
         self.num = num
         self.denom_pow = denom_pow
-
-    @classmethod
-    def integral(cls, x):
-        return cls(x, 0)
 
     @property
     def context(self):

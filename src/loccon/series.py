@@ -8,7 +8,8 @@ normal form under the relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 from loccon.padic import (
     DomainError,
@@ -21,43 +22,148 @@ from loccon.padic import (
 
 
 @dataclass(frozen=True)
+class Annulus:
+    """The relation zeta1*zeta2 = pi^m on the two bounded variables."""
+
+    m: int
+    kind = "annulus"
+
+    def rule(self, model):
+        """The rewrite rule (lhs monomial, rhs terms) on a valid model."""
+        if len(model.bounded_vars) != 2 or self.m < 1:
+            raise DomainError("annulus preset needs exactly two bounded vars and m >= 1")
+        n = len(model.vars)
+        return (1, 1) + (0,) * (n - 2), {(0,) * n: model.base.pi_power(self.m)}
+
+    def recenter(self, series, center, scales):
+        """zeta1 = x1 + pi^k U, zeta2 = pi^m/zeta1 as a series in U."""
+        model = series.model
+        z1, z2 = model.bounded_vars
+        x1, x2 = center[z1], center[z2]
+        if (x1 * x2 - model.base.pi_power(self.m)).pi_valuation() is not None:
+            raise DomainError("annulus center must satisfy zeta1*zeta2 = pi^m")
+        k = scales[z1]
+        v1 = x1.pi_valuation()
+        if v1 is None or k <= v1:
+            raise DomainError(
+                "annulus recentering needs scale exponent > v(zeta1-coordinate)")
+        out_model = AlgebraModel(model.base, (), (z1,), None, model.degree_cap)
+        U = out_model.var(z1)
+        # zeta1 = x1 + pi^k U ; zeta2 = pi^m/zeta1 = x2 * sum ((-pi^k/x1) U)^i
+        t = model.base.pi_power(k - v1) * x1.shift_down(v1).inverse()
+        sub1 = out_model.constant(x1) + U.scale(model.base.pi_power(k))
+        sub2 = out_model.zero()
+        pw = model.base.one()
+        for i in range(model.degree_cap + 1):
+            sub2 = sub2 + (U ** i).scale(x2 * pw)
+            pw = pw * (-t)
+        return _substitute(series, out_model, {z1: sub1, z2: sub2})
+
+    def sample(self, center, ext, thr, rng):
+        """Coordinates near the center point over ext, or None."""
+        z1, z2 = center.model.bounded_vars
+        m = self.m
+        e_rel = relative_ramification(center.model.base, ext)
+        x1 = embed(center.coords[z1], ext)
+        v1 = x1.pi_valuation()
+        t1 = thr if v1 is None else max(thr, thr - m * e_rel + 2 * v1)
+        if t1 >= ext.precision:
+            return None
+        t = rng.randrange(t1, ext.precision) if rng.random() > 0.5 else t1
+        zeta1 = x1 + ext.random_with_pi_valuation(t, rng)
+        vz = zeta1.pi_valuation()
+        if vz is None or vz > m * e_rel:
+            return None
+        # zeta2 = pi^m / zeta1, exact
+        unit = zeta1.shift_down(vz)
+        zeta2 = unit.inverse() * ext.pi_power(m * e_rel - vz)
+        return {z1: zeta1, z2: zeta2}
+
+    def closed_form(self, x, base_thr):
+        """(variable, threshold) of the disc around the point x, or None."""
+        z1 = x.model.bounded_vars[0]
+        v1 = x.coords[z1].pi_valuation()
+        if v1 is None:
+            return None
+        # disc at x1 of radius min{p^{-thr}, p^{-thr+m/e}|x1|^2}
+        e = x.model.base.e
+        alt = base_thr - Fraction(self.m, e) + 2 * Fraction(v1, e)
+        return z1, max(base_thr, alt)
+
+
+@dataclass(frozen=True)
+class Cover:
+    """The relation yvar^d = g, with g a coefficient map (monomial tuple ->
+    int) over the remaining variables."""
+
+    d: int
+    yvar: str
+    g: dict
+    kind = "cover"
+
+    def rule(self, model):
+        """The rewrite rule (lhs monomial, rhs terms) on a valid model."""
+        if self.d < 2 or self.yvar not in model.vars:
+            raise DomainError("cover preset needs degree >= 2 and a declared cover variable")
+        yi = model.vars.index(self.yvar)
+        if any(mono[yi] for mono in self.g):
+            raise DomainError("cover relation right side must not involve the cover variable")
+        lhs = tuple(self.d if i == yi else 0 for i in range(len(model.vars)))
+        return lhs, {mono: model._coerce(c) for mono, c in self.g.items()}
+
+    def recenter(self, series, center, scales):
+        """y = y0 + pi^k W, t = y^d/c as a series in W."""
+        model = series.model
+        d, yvar, tvar, c = model.linear_cover()
+        y0, t0 = center[yvar], center[tvar]
+        if (y0 ** d - c * t0).pi_valuation() is not None:
+            raise DomainError("cover center must satisfy the relation")
+        k = scales[yvar]
+        out_model = AlgebraModel(model.base, (), (yvar,), None, model.degree_cap)
+        W = out_model.var(yvar)
+        suby = out_model.constant(y0) + W.scale(model.base.pi_power(k))
+        subt = (suby ** d).scale(c.inverse())
+        return _substitute(series, out_model, {yvar: suby, tvar: subt})
+
+    def sample(self, center, ext, thr, rng):
+        """Coordinates near the center point over ext, parameterized by y."""
+        d, yvar, tvar, c = center.model.linear_cover()
+        y0 = embed(center.coords[yvar], ext)
+        t = rng.randrange(thr, ext.precision) if rng.random() > 0.5 else thr
+        y = y0 + ext.random_with_pi_valuation(t, rng)
+        return {yvar: y, tvar: y ** d * embed(c, ext).inverse()}
+
+    def closed_form(self, x, base_thr):
+        """(variable, threshold) of the disc around the point x, or None."""
+        if x.coords[self.yvar].pi_valuation() is not None:
+            return None
+        # at the ramification point: v(t) = d v(y) collapses both generator
+        # conditions to the one on the cover variable
+        return self.yvar, base_thr
+
+
+@dataclass(frozen=True)
 class AlgebraModel:
     """Shape of a truncated mixed algebra over a p-adic base.
 
-    relation presets:
-      ``None``                       — free (disc/polydisc) model
-      ``("annulus", m)``             — the first two bounded vars satisfy
-                                       zeta1*zeta2 = pi^m
-      ``("cover", d, yvar, g)``      — yvar^d = g, with g a coefficient map
-                                       (monomial tuple -> int) over the
-                                       remaining variables
+    ``relation`` is ``None`` for a disc or polydisc, or an ``Annulus`` or
+    ``Cover`` preset; ``rule`` caches the preset's rewrite rule.
     """
 
     base: object
     bounded_vars: tuple = ()
     open_vars: tuple = ()
-    relation: tuple | None = None
+    relation: Annulus | Cover | None = None
     degree_cap: int = 8
+    rule: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.bounded_vars) & set(self.open_vars):
             raise DomainError("a variable cannot be both bounded and open")
         if self.relation is not None:
-            kind = self.relation[0]
-            if kind == "annulus":
-                m = self.relation[1]
-                if len(self.bounded_vars) != 2 or m < 1:
-                    raise DomainError("annulus preset needs exactly two bounded vars and m >= 1")
-            elif kind == "cover":
-                d, yvar, g = self.relation[1], self.relation[2], self.relation[3]
-                if d < 2 or yvar not in self.vars:
-                    raise DomainError("cover preset needs degree >= 2 and a declared cover variable")
-                yi = self.vars.index(yvar)
-                for mono in g:
-                    if mono[yi] != 0:
-                        raise DomainError("cover relation right side must not involve the cover variable")
-            else:
-                raise DomainError(f"unknown relation preset {kind!r}")
+            if not isinstance(self.relation, (Annulus, Cover)):
+                raise DomainError(f"unknown relation preset {self.relation!r}")
+            object.__setattr__(self, "rule", self.relation.rule(self))
 
     @property
     def vars(self):
@@ -77,17 +183,16 @@ class AlgebraModel:
         of the base: the only shape the cover closed forms (recentering,
         sampling, pushforward comparison) are written for."""
         rel = self.relation
-        if rel is None or rel[0] != "cover":
+        if not isinstance(rel, Cover):
             raise DomainError("not a cover model")
-        d, yvar, g = rel[1], rel[2], rel[3]
-        others = [v for v in self.vars if v != yvar]
-        t_mono = tuple(int(v != yvar) for v in self.vars)
-        if len(others) != 1 or list(g) != [t_mono]:
+        others = [v for v in self.vars if v != rel.yvar]
+        t_mono = tuple(int(v != rel.yvar) for v in self.vars)
+        if len(others) != 1 or list(rel.g) != [t_mono]:
             raise DomainError("cover closed forms need y^d = c*t")
-        c = self._coerce(g[t_mono])
+        c = self._coerce(rel.g[t_mono])
         if not c.is_unit():
             raise DomainError("cover relation constant must be a unit")
-        return d, yvar, others[0], c
+        return rel.d, rel.yvar, others[0], c
 
     # -- series constructors ---------------------------------------------
 
@@ -253,13 +358,7 @@ class AdicSeries:
         model = self.model
         ext = _point_context(model, point)
         _check_point(model, point, ext)
-        acc = ext.zero()
-        for mono, c in self.terms.items():
-            term = embed(c, ext)
-            for name, a in zip(model.vars, mono):
-                if a:
-                    term = term * point[name] ** a
-            acc = acc + term
+        acc = _eval_terms(model, self.terms, point, ext)
         guar = self.coefficient_precision() * relative_ramification(model.base, ext)
         if model.open_vars:
             vmin = min(point[v].pi_valuation_lower() for v in model.open_vars)
@@ -341,9 +440,7 @@ class AdicSeries:
                 raise DomainError("scale exponents must be >= 0")
         if model.relation is None:
             return self._recenter_free(center, scales)
-        if model.relation[0] == "annulus":
-            return self._recenter_annulus(center, scales)
-        return self._recenter_cover(center, scales)
+        return model.relation.recenter(self, center, scales)
 
     def _recenter_free(self, center, scales):
         model = self.model
@@ -359,45 +456,6 @@ class AdicSeries:
         for v in model.vars:
             s = out_model.var(v).scale(model.base.pi_power(scales[v]))
             subs[v] = s + out_model.constant(center[v])
-        return _substitute(self, out_model, subs)
-
-    def _recenter_annulus(self, center, scales):
-        model = self.model
-        z1, z2 = model.bounded_vars
-        m = model.relation[1]
-        x1, x2 = center[z1], center[z2]
-        if (x1 * x2 - model.base.pi_power(m)).pi_valuation() is not None:
-            raise DomainError("annulus center must satisfy zeta1*zeta2 = pi^m")
-        k = scales[z1]
-        v1 = x1.pi_valuation()
-        if v1 is None or k <= v1:
-            raise DomainError(
-                "annulus recentering needs scale exponent > v(zeta1-coordinate)")
-        out_model = AlgebraModel(model.base, (), (z1,), None, model.degree_cap)
-        U = out_model.var(z1)
-        # zeta1 = x1 + pi^k U ; zeta2 = pi^m/zeta1 = x2 * sum ((-pi^k/x1) U)^i
-        t = model.base.pi_power(k - v1) * x1.shift_down(v1).inverse()
-        sub1 = out_model.constant(x1) + U.scale(model.base.pi_power(k))
-        sub2 = out_model.zero()
-        pw = model.base.one()
-        for i in range(model.degree_cap + 1):
-            sub2 = sub2 + (U ** i).scale(x2 * pw)
-            pw = pw * (-t)
-        subs = {z1: sub1, z2: sub2}
-        return _substitute(self, out_model, subs)
-
-    def _recenter_cover(self, center, scales):
-        model = self.model
-        d, yvar, tvar, c = model.linear_cover()
-        y0, t0 = center[yvar], center[tvar]
-        if (y0 ** d - c * t0).pi_valuation() is not None:
-            raise DomainError("cover center must satisfy the relation")
-        k = scales[yvar]
-        out_model = AlgebraModel(model.base, (), (yvar,), None, model.degree_cap)
-        W = out_model.var(yvar)
-        suby = out_model.constant(y0) + W.scale(model.base.pi_power(k))
-        subt = (suby ** d).scale(c.inverse())
-        subs = {yvar: suby, tvar: subt}
         return _substitute(self, out_model, subs)
 
 
@@ -416,39 +474,17 @@ def _normalize(model, terms):
     work = {}
     for mono, c in terms.items():
         work[tuple(mono)] = work[tuple(mono)] + c if tuple(mono) in work else c
-    rel = model.relation
-    if rel is not None and rel[0] == "annulus":
-        m = rel[1]
-        i1 = model.vars.index(model.bounded_vars[0])
-        i2 = model.vars.index(model.bounded_vars[1])
+    if model.rule is not None:
+        lhs, rhs = model.rule
         changed = True
         while changed:
             changed = False
             for mono in list(work):
-                a, b = mono[i1], mono[i2]
-                if a and b:
-                    k = min(a, b)
-                    new = list(mono)
-                    new[i1] -= k
-                    new[i2] -= k
-                    new = tuple(new)
-                    c = work.pop(mono) * model.base.pi_power(m * k)
-                    work[new] = work[new] + c if new in work else c
-                    changed = True
-    elif rel is not None and rel[0] == "cover":
-        d, yvar, g = rel[1], rel[2], rel[3]
-        yi = model.vars.index(yvar)
-        changed = True
-        while changed:
-            changed = False
-            for mono in list(work):
-                if mono[yi] >= d:
+                if all(a >= b for a, b in zip(mono, lhs)):
                     c = work.pop(mono)
-                    rest = list(mono)
-                    rest[yi] -= d
-                    for gm, gc in g.items():
-                        new = tuple(r + q for r, q in zip(rest, gm))
-                        add = c * model._coerce(gc)
+                    for gm, gc in rhs.items():
+                        new = tuple(a - b + q for a, b, q in zip(mono, lhs, gm))
+                        add = c * gc
                         work[new] = work[new] + add if new in work else add
                     changed = True
     # degree cap on open variables, then drop exact zeros
@@ -497,30 +533,23 @@ def _check_point(model, point, ext):
         else:
             if v is not None and v < 0:
                 raise DomainError(f"bounded variable {name!r} needs v >= 0")
-    rel = model.relation
-    if rel is None:
-        return
-    if rel[0] == "annulus":
-        z1, z2 = model.bounded_vars
-        m = rel[1]
-        resid = point[z1] * point[z2] - embed(model.base.pi_power(m), ext)
+    if model.rule is not None:
+        lhs, rhs = model.rule
+        resid = (_eval_terms(model, {lhs: model.base.one()}, point, ext)
+                 - _eval_terms(model, rhs, point, ext))
         if resid.pi_valuation() is not None:
-            raise DomainError("point violates the annulus relation")
-    else:
-        d, yvar = rel[1], rel[2]
-        resid = point[yvar] ** d - cover_rhs(model, point, ext)
-        if resid.pi_valuation() is not None:
-            raise DomainError("point violates the cover relation")
+            raise DomainError(
+                f"point violates the {model.relation.kind} relation")
 
 
-def cover_rhs(model, coords, ext):
-    """The right side g of a cover relation y^d = g, evaluated over ext at
-    ``coords`` (values of the variables g involves)."""
-    gval = ext.zero()
-    for gm, gc in model.relation[3].items():
-        term = embed(model._coerce(gc), ext)
-        for name, a in zip(model.vars, gm):
+def _eval_terms(model, terms, point, ext):
+    """The coefficient map ``terms`` evaluated over ext at ``point`` (values
+    of the variables the terms involve)."""
+    acc = ext.zero()
+    for mono, c in terms.items():
+        term = embed(c, ext)
+        for name, a in zip(model.vars, mono):
             if a:
-                term = term * coords[name] ** a
-        gval = gval + term
-    return gval
+                term = term * point[name] ** a
+        acc = acc + term
+    return acc

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 from loccon.padic import DomainError, PadicContext
-from loccon.series import AdicSeries, AlgebraModel
+from loccon.series import AdicSeries, AlgebraModel, Annulus, Cover
 from loccon.groups import (
     GroupPresentation,
     cyclic_group,
@@ -147,6 +147,7 @@ class SpecFile:
     domains: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
     pseudo_defs: dict = field(default_factory=dict)  # raw entries, for printing
+    group_kinds: dict = field(default_factory=dict)  # built-in kind lines
 
     def sole(self, kind):
         """The unique block of a kind, for commands that take one object."""
@@ -167,11 +168,8 @@ def _ctx_sig(ctx):
 
 
 def _model_sig(model):
-    rel = model.relation
-    if rel is not None and rel[0] == "cover":
-        rel = (rel[0], rel[1], rel[2], tuple(sorted(rel[3].items())))
     return (_ctx_sig(model.base), model.bounded_vars, model.open_vars,
-            rel, model.degree_cap)
+            model.relation, model.degree_cap)
 
 
 def _series_sig(s):
@@ -303,7 +301,7 @@ def _load_block(spec, block, precision_override):
         elif t == "model":
             spec.models[block["name"]] = _load_model(spec, block)
         elif t == "group":
-            spec.groups[block["name"]] = _load_group(block)
+            spec.groups[block["name"]] = _load_group(spec, block)
         elif t == "family":
             spec.families[block["name"]] = _load_rep(spec, block)
         elif t == "rep":
@@ -358,7 +356,7 @@ def _load_model(spec, block):
         if parts[0] == "annulus":
             if len(parts) != 2:
                 raise SpecError("relation annulus needs 'annulus m'", lineno)
-            relation = ("annulus", int(parts[1]))
+            relation = Annulus(int(parts[1]))
         elif parts[0] == "cover":
             if len(parts) != 3 or ":" not in parts[2]:
                 raise SpecError("relation cover needs 'cover d yvar : literal'",
@@ -374,14 +372,14 @@ def _load_model(spec, block):
                     raise SpecError("cover relation coefficients must be "
                                     "rational integers", lineno)
                 g[mono] = c.coords[0]
-            relation = ("cover", d, yvar.strip(), g)
+            relation = Cover(d, yvar.strip(), g)
         else:
             raise SpecError(f"unknown relation preset {parts[0]!r}", lineno)
     return AlgebraModel(ctx, bounded_vars=bounded, open_vars=open_vars,
                         relation=relation, degree_cap=cap)
 
 
-def _load_group(block):
+def _load_group(spec, block):
     e = _entries_dict(block)
     val, lineno = _get(e, "kind", block)
     parts = val.split()
@@ -389,6 +387,7 @@ def _load_group(block):
         if len(parts) != 2:
             raise SpecError(f"group kind {parts[0]!r} needs one integer "
                             "argument", lineno)
+        spec.group_kinds[block["name"]] = " ".join(parts)
         return _GROUP_BUILTIN[parts[0]](int(parts[1]))
     if parts[0] != "finite":
         raise SpecError(f"unknown group kind {parts[0]!r}", lineno)
@@ -537,18 +536,20 @@ def print_spec(spec):
             out.append("open = " + " ".join(model.open_vars))
         out.append(f"degree_cap = {model.degree_cap}")
         rel = model.relation
-        if rel is not None:
-            if rel[0] == "annulus":
-                out.append(f"relation = annulus {rel[1]}")
-            else:
-                lit = series_literal(AlgebraModel(
-                    model.base, bounded_vars=model.bounded_vars,
-                    open_vars=model.open_vars,
-                    degree_cap=model.degree_cap).series(rel[3]))
-                out.append(f"relation = cover {rel[1]} {rel[2]} : {lit}")
+        if isinstance(rel, Annulus):
+            out.append(f"relation = annulus {rel.m}")
+        elif isinstance(rel, Cover):
+            lit = series_literal(AlgebraModel(
+                model.base, bounded_vars=model.bounded_vars,
+                open_vars=model.open_vars,
+                degree_cap=model.degree_cap).series(rel.g))
+            out.append(f"relation = cover {rel.d} {rel.yvar} : {lit}")
         out.append("")
     for name, group in spec.groups.items():
         out.append(f"[group {name}]")
+        if name in spec.group_kinds:
+            out += [f"kind = {spec.group_kinds[name]}", ""]
+            continue
         out.append("kind = finite")
         out.append("generators = " + " ".join(group.generators))
         out.append("gen_elements = " + " ".join(str(g) for g in group.gen_elements))

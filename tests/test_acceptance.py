@@ -26,7 +26,7 @@ from loccon.padic import (
     gamma_injectivity_exhaustive,
 )
 from loccon.pseudo import PseudoRep2, from_rep_trace
-from loccon.series import AlgebraModel
+from loccon.series import AlgebraModel, Annulus, Cover
 
 from tests.test_lattice import perturbed_conjugate, sample_res_irred
 
@@ -84,9 +84,9 @@ Z3 = PadicContext(3, precision=12)
 def constancy_presets():
     disc = AlgebraModel(Z5, open_vars=("T",), degree_cap=4)
     ann = AlgebraModel(Z5, bounded_vars=("zeta1", "zeta2"),
-                       relation=("annulus", 2), degree_cap=4)
+                       relation=Annulus(2), degree_cap=4)
     cov = AlgebraModel(Z3, open_vars=("Y", "T"),
-                       relation=("cover", 2, "Y", {(0, 1): -1}), degree_cap=4)
+                       relation=Cover(2, "Y", {(0, 1): -1}), degree_cap=4)
     return [
         ("disc", disc, {"T": Z5.zero()}),
         ("annulus", ann, {"zeta1": Z5.one(), "zeta2": Z5.from_int(25)}),
@@ -245,7 +245,7 @@ def test_criterion_4_closed_form_agreement(criterion):
     base = Z5
     for m in (1, 2, 3):
         model = AlgebraModel(base, bounded_vars=("zeta1", "zeta2"),
-                             relation=("annulus", m), degree_cap=4)
+                             relation=Annulus(m), degree_cap=4)
         for v1 in (0, 1, 2):
             if v1 > m:
                 continue
@@ -422,7 +422,7 @@ def test_criterion_8_phi_modules(criterion):
 def test_criterion_9_finite_cover(criterion):
     base = Z3
     model = AlgebraModel(base, open_vars=("Y", "T"),
-                         relation=("cover", 2, "Y", {(0, 1): -1}),
+                         relation=Cover(2, "Y", {(0, 1): -1}),
                          degree_cap=4)
     center = ModelPoint(model, {"Y": base.zero(), "T": base.zero()})
     ok = True

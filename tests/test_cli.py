@@ -1,5 +1,8 @@
 """Command-line front end: dispatch, exit codes, determinism of reports."""
 
+import contextlib
+import hashlib
+import io
 import json
 import pathlib
 
@@ -11,6 +14,7 @@ SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 FAMILY_SPEC = str(SPECS / "unramified_family.spec")
 COVER_SPEC = str(SPECS / "cover.spec")
 ISO_SPEC = str(SPECS / "iso_pair.spec")
+ANNULUS_SPEC = str(SPECS / "annulus.spec")
 
 
 def run(capsys, *argv):
@@ -295,3 +299,86 @@ def test_report_bytes_are_stable(capsys):
     out2 = capsys.readouterr().out
     assert a == b == 0
     assert out1 == out2
+
+
+# The README examples, the annulus spec and cover sampling, each run with
+# its exit code and the sha256 of stdout + stderr at two seeds.  A change
+# to any report byte fails here; mend the digest only for a change meant
+# to alter that report.
+GOLDEN_COMMANDS = (
+    ["bounds", "gamma", "--e", "2", "--n", "3"],
+    ["bounds", "alpha", "--p", "3", "--km1", "9"],
+    ["--spec", FAMILY_SPEC, "domain", "describe"],
+    ["--spec", FAMILY_SPEC, "domain", "member", "--point", "T : 25"],
+    ["--spec", FAMILY_SPEC, "family", "audit"],
+    ["--spec", FAMILY_SPEC, "family", "check-strict", "--n", "2"],
+    ["--spec", ISO_SPEC, "lattice", "iso", "--m", "2"],
+    ["--spec", COVER_SPEC, "domain", "cover-compare", "--samples", "100"],
+    ["phimod", "wadm", "--k", "2", "--p", "5", "--ap", "5"],
+    ["phimod", "params", "--type", "sst", "--k", "4", "--p", "3"],
+    ["--spec", ANNULUS_SPEC, "domain", "describe"],
+    ["--spec", ANNULUS_SPEC, "domain", "member",
+     "--point", "zeta1 : 26 , zeta2 : 5868765025"],
+    ["--spec", ANNULUS_SPEC, "domain", "sample", "--samples", "8"],
+    ["--spec", ANNULUS_SPEC, "domain", "sample", "--samples", "8",
+     "--ext", "ram2"],
+    ["--spec", ANNULUS_SPEC, "family", "audit"],
+    ["--spec", ANNULUS_SPEC, "family", "check-strict"],
+    ["--spec", COVER_SPEC, "domain", "describe"],
+    ["--spec", COVER_SPEC, "domain", "sample", "--samples", "8"],
+)
+
+GOLDEN = {
+    ("1", 0): (0, "b487ae5455b48d867efc748c331ff3c695b705f25c909dd5e08931db1456243d"),
+    ("1", 1): (0, "b8b430162440e4de9ebcd0edc639e52674bfd64b6bfae944982c106869d6b075"),
+    ("1", 2): (0, "e4a976f00bdf0b7df4a7b082dc951390b89f08aabddcedafc3de8f66bd3676b3"),
+    ("1", 3): (0, "ebf6743c49f8de0b79d1e262be51faf171a12f9b32930caf63cb095aede8b72f"),
+    ("1", 4): (0, "fd703370fdae5426d23af7b639691cdacf800729a4eb8d0613cd8f6155b2c609"),
+    ("1", 5): (1, "518dc1d0409339d4a9718bd484663b194e0284cff6fcf61a26a226524ec5d607"),
+    ("1", 6): (1, "711a06a85237ff1b687c2d2e03d59842022d2be5e7afdbc5a56434ecf7f06a75"),
+    ("1", 7): (0, "ad1f34646a4ce4abc758e19287318c2be7417a68de01adb4b1c1ab639a92089f"),
+    ("1", 8): (0, "c6ac5f6b5d6f1a2ccdb013b49fbc8d7ccf3a965bf52418e80de0b637b7decdcd"),
+    ("1", 9): (0, "34adb49030fea8a020cfa20c510a7e611eb5cff9681f9b53f8748450fcfa32a1"),
+    ("1", 10): (0, "491e71fd0b4a3aea3b9d431376bfcf4cdbcf4ba200b3c8dcaae433b84b632f36"),
+    ("1", 11): (0, "ebf6743c49f8de0b79d1e262be51faf171a12f9b32930caf63cb095aede8b72f"),
+    ("1", 12): (0, "1c9505498f0d5ceb38d9c31c282ecfe7835a5ed65e9bbdb697b5c64f422bf7fa"),
+    ("1", 13): (0, "8406428953404cb4a2c0aee59cd1679e84f7f5c40c7c2f5adb3808bd1714ed2b"),
+    ("1", 14): (0, "e0aaaebe5a2415e7534df2aa22a160c72ca14a3f94fc6aa6651ac6a91720442c"),
+    ("1", 15): (0, "80ec9da0304bf6adae6d0ff216e573d6d2dccdb141f33602744f9fff2924ce7d"),
+    ("1", 16): (0, "7d4b873053b9379c4a5c6a83530cab41adaac3ea04668a809911cee926b5fb8e"),
+    ("1", 17): (0, "bd718f2097e40ddcbdeeec0af54f3d257d6209fa988b6b91c8533be438290c69"),
+    ("1001", 0): (0, "b487ae5455b48d867efc748c331ff3c695b705f25c909dd5e08931db1456243d"),
+    ("1001", 1): (0, "b8b430162440e4de9ebcd0edc639e52674bfd64b6bfae944982c106869d6b075"),
+    ("1001", 2): (0, "e4a976f00bdf0b7df4a7b082dc951390b89f08aabddcedafc3de8f66bd3676b3"),
+    ("1001", 3): (0, "ebf6743c49f8de0b79d1e262be51faf171a12f9b32930caf63cb095aede8b72f"),
+    ("1001", 4): (0, "fd703370fdae5426d23af7b639691cdacf800729a4eb8d0613cd8f6155b2c609"),
+    ("1001", 5): (1, "518dc1d0409339d4a9718bd484663b194e0284cff6fcf61a26a226524ec5d607"),
+    ("1001", 6): (1, "711a06a85237ff1b687c2d2e03d59842022d2be5e7afdbc5a56434ecf7f06a75"),
+    ("1001", 7): (0, "ad1f34646a4ce4abc758e19287318c2be7417a68de01adb4b1c1ab639a92089f"),
+    ("1001", 8): (0, "c6ac5f6b5d6f1a2ccdb013b49fbc8d7ccf3a965bf52418e80de0b637b7decdcd"),
+    ("1001", 9): (0, "34adb49030fea8a020cfa20c510a7e611eb5cff9681f9b53f8748450fcfa32a1"),
+    ("1001", 10): (0, "491e71fd0b4a3aea3b9d431376bfcf4cdbcf4ba200b3c8dcaae433b84b632f36"),
+    ("1001", 11): (0, "ebf6743c49f8de0b79d1e262be51faf171a12f9b32930caf63cb095aede8b72f"),
+    ("1001", 12): (0, "99f45aeb4dea82928134bc48f6eaf3b01c35ca4ff73686ddb912019664ca2f2a"),
+    ("1001", 13): (0, "0acf184a1aeaa7a74cf79588a83b047784d5ee5aef0fea2e981903787c5224ab"),
+    ("1001", 14): (0, "e0aaaebe5a2415e7534df2aa22a160c72ca14a3f94fc6aa6651ac6a91720442c"),
+    ("1001", 15): (0, "80ec9da0304bf6adae6d0ff216e573d6d2dccdb141f33602744f9fff2924ce7d"),
+    ("1001", 16): (0, "7d4b873053b9379c4a5c6a83530cab41adaac3ea04668a809911cee926b5fb8e"),
+    ("1001", 17): (0, "25faacb0e4205eeceb0f9b2d3263c23bc898f6aa6ee476268c763b385a29e5fe"),
+}
+
+
+def _golden_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    digest = hashlib.sha256(
+        (out.getvalue() + err.getvalue()).encode("utf-8")).hexdigest()
+    return code, digest
+
+
+@pytest.mark.parametrize("seed", ["1", "1001"])
+@pytest.mark.parametrize("index", range(len(GOLDEN_COMMANDS)))
+def test_report_bytes_match_golden(seed, index):
+    argv = ["--seed", seed] + GOLDEN_COMMANDS[index]
+    assert _golden_run(argv) == GOLDEN[seed, index]

@@ -14,7 +14,7 @@ from loccon.domains import (
     sqrt_in_context,
 )
 from loccon.padic import DomainError, PadicContext, PrecisionError
-from loccon.series import AlgebraModel
+from loccon.series import AlgebraModel, Annulus, Cover
 
 Z5 = PadicContext(5, precision=14)
 Z3 = PadicContext(3, precision=14)
@@ -22,9 +22,9 @@ RAM2 = PadicContext(5, e=2, precision=14)
 
 DISC = AlgebraModel(Z5, open_vars=("T",), degree_cap=6)
 ANN = AlgebraModel(Z5, bounded_vars=("zeta1", "zeta2"),
-                   relation=("annulus", 2), degree_cap=6)
+                   relation=Annulus(2), degree_cap=6)
 COVER = AlgebraModel(Z3, open_vars=("Y", "T"),
-                     relation=("cover", 2, "Y", {(0, 1): -1}), degree_cap=6)
+                     relation=Cover(2, "Y", {(0, 1): -1}), degree_cap=6)
 
 ORIGIN = ModelPoint(DISC, {"T": Z5.zero()})
 

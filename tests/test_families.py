@@ -7,7 +7,7 @@ from loccon.families import RepFamily
 from loccon.groups import cyclic_group, free_group
 from loccon.lattice import IntegralRep, ResidueRep
 from loccon.padic import DomainError, PadicContext
-from loccon.series import AlgebraModel
+from loccon.series import AlgebraModel, Annulus
 
 Z5 = PadicContext(5, precision=14)
 DISC = AlgebraModel(Z5, open_vars=("T",), degree_cap=6)
@@ -181,7 +181,7 @@ def test_trace_algebra_proper_for_constant_family():
 
 def test_trace_algebra_needs_disc_model():
     ann = AlgebraModel(Z5, bounded_vars=("zeta1", "zeta2"),
-                       relation=("annulus", 1), degree_cap=4)
+                       relation=Annulus(1), degree_cap=4)
     fam = RepFamily(FREE1, 1, ann, {"g1": [[ann.constant(1)]]})
     with pytest.raises(DomainError):
         fam.trace_algebra_full(1)

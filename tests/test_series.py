@@ -6,7 +6,7 @@ import pytest
 
 from loccon.domains import describe, ModelPoint
 from loccon.padic import DomainError, PadicContext, PadicNumber, PrecisionError
-from loccon.series import AdicSeries, AlgebraModel
+from loccon.series import AdicSeries, AlgebraModel, Annulus, Cover
 
 Z5 = PadicContext(5, precision=12)
 Z3 = PadicContext(3, precision=12)
@@ -14,9 +14,9 @@ Z3 = PadicContext(3, precision=12)
 DISC = AlgebraModel(Z5, open_vars=("T",), degree_cap=8)
 POLYDISC = AlgebraModel(Z5, bounded_vars=("z",), open_vars=("T",), degree_cap=6)
 ANN = AlgebraModel(Z5, bounded_vars=("zeta1", "zeta2"),
-                   relation=("annulus", 2), degree_cap=8)
+                   relation=Annulus(2), degree_cap=8)
 COVER = AlgebraModel(Z3, open_vars=("Y", "T"),
-                     relation=("cover", 2, "Y", {(0, 1): -1}), degree_cap=8)
+                     relation=Cover(2, "Y", {(0, 1): -1}), degree_cap=8)
 
 
 def same(a, b):
@@ -33,13 +33,13 @@ def test_variable_kinds_disjoint():
 
 def test_annulus_needs_two_bounded_vars():
     with pytest.raises(DomainError):
-        AlgebraModel(Z5, bounded_vars=("z",), relation=("annulus", 1))
+        AlgebraModel(Z5, bounded_vars=("z",), relation=Annulus(1))
 
 
 def test_cover_relation_must_avoid_cover_variable():
     with pytest.raises(DomainError):
         AlgebraModel(Z3, open_vars=("Y", "T"),
-                     relation=("cover", 2, "Y", {(1, 0): 1}))
+                     relation=Cover(2, "Y", {(1, 0): 1}))
 
 
 # -- normal forms ------------------------------------------------------------
@@ -224,3 +224,106 @@ def test_recenter_cover_matches_exact_substitution():
         lhs = rc.evaluate({"Y": w})
         rhs = s.evaluate({"Y": y, "T": t})
         assert lhs.reduce_mod(7).coords == rhs.reduce_mod(7).coords
+
+
+# -- normal form against a reference with one rewrite loop per preset --------
+
+
+def _reference_normal_form(model, terms, annulus_m=None, cover=None):
+    """Reference normal form with one rewrite loop per preset: zeta1*zeta2
+    -> pi^m on all common powers at once, and y^d -> g one power per pass."""
+    work = dict(terms)
+    if annulus_m is not None:
+        i1 = model.vars.index(model.bounded_vars[0])
+        i2 = model.vars.index(model.bounded_vars[1])
+        changed = True
+        while changed:
+            changed = False
+            for mono in list(work):
+                a, b = mono[i1], mono[i2]
+                if a and b:
+                    k = min(a, b)
+                    new = list(mono)
+                    new[i1] -= k
+                    new[i2] -= k
+                    new = tuple(new)
+                    c = work.pop(mono) * model.base.pi_power(annulus_m * k)
+                    work[new] = work[new] + c if new in work else c
+                    changed = True
+    elif cover is not None:
+        d, yvar, g = cover
+        yi = model.vars.index(yvar)
+        changed = True
+        while changed:
+            changed = False
+            for mono in list(work):
+                if mono[yi] >= d:
+                    c = work.pop(mono)
+                    rest = list(mono)
+                    rest[yi] -= d
+                    for gm, gc in g.items():
+                        new = tuple(r + q for r, q in zip(rest, gm))
+                        add = c * model._coerce(gc)
+                        work[new] = work[new] + add if new in work else add
+                    changed = True
+    open_idx = [model.vars.index(v) for v in model.open_vars]
+    out = {}
+    for mono, c in work.items():
+        if sum(mono[i] for i in open_idx) > model.degree_cap:
+            continue
+        if all(x == 0 for x in c.coords):
+            continue
+        out[mono] = c
+    return out
+
+
+NF_BASES = (PadicContext(5, precision=12), PadicContext(5, e=2, precision=10),
+            PadicContext(3, f=2, precision=10))
+# (bounded vars, open vars, preset, reference arguments)
+NF_RELATIONS = (
+    (("zeta1", "zeta2"), (), Annulus(1), {"annulus_m": 1}),
+    (("zeta1", "zeta2"), (), Annulus(2), {"annulus_m": 2}),
+    (("zeta1", "zeta2"), ("T",), Annulus(3), {"annulus_m": 3}),
+    ((), ("Y", "T"), Cover(2, "Y", {(0, 1): -1}),
+     {"cover": (2, "Y", {(0, 1): -1})}),
+    ((), ("Y", "T"), Cover(3, "Y", {(0, 1): 1, (0, 2): 5}),
+     {"cover": (3, "Y", {(0, 1): 1, (0, 2): 5})}),
+    (("Y", "T"), (), Cover(2, "Y", {(0, 0): 3, (0, 1): 1}),
+     {"cover": (2, "Y", {(0, 0): 3, (0, 1): 1})}),
+)
+
+
+@pytest.mark.parametrize("base", NF_BASES, ids=["Z5", "e2", "f2"])
+@pytest.mark.parametrize("bounded,open_vars,preset,ref", NF_RELATIONS,
+                         ids=["ann1", "ann2", "ann3_T", "Y2=-T", "Y3=T+5T2",
+                              "Y2=3+T"])
+def test_normal_form_matches_reference_loops(base, bounded, open_vars,
+                                             preset, ref):
+    """Products reduce by the model's one rewrite rule to the same terms,
+    coordinates and known precision as the preset-specific loops."""
+    model = AlgebraModel(base, bounded_vars=bounded, open_vars=open_vars,
+                         relation=preset, degree_cap=4)
+    rng = random.Random(f"{base.p}{base.e}{base.f}{preset}")
+
+    def coeff():
+        x = base.random_element(rng)
+        return x.reduce_mod(rng.randrange(2, base.precision)) \
+            if rng.random() < 0.3 else x
+
+    def rand_series():
+        return model.series({tuple(rng.randrange(0, 4) for _ in model.vars):
+                             coeff() for _ in range(4)})
+
+    for _ in range(15):
+        a, b = rand_series(), rand_series()
+        raw = {}
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                m = tuple(x + y for x, y in zip(m1, m2))
+                raw[m] = raw[m] + c1 * c2 if m in raw else c1 * c2
+        expect = _reference_normal_form(model, raw, **ref)
+        got = (a * b).terms
+        assert sorted(got) == sorted(expect)
+        for mono, c in got.items():
+            assert c.coords == expect[mono].coords
+            assert c.known_precision == expect[mono].known_precision

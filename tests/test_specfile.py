@@ -4,7 +4,7 @@ import pytest
 
 from loccon import specfile as sf
 from loccon.padic import PadicContext
-from loccon.series import AlgebraModel
+from loccon.series import AlgebraModel, Annulus, Cover
 
 Z5 = PadicContext(5, precision=12)
 RAM2 = PadicContext(5, e=2, precision=12)
@@ -92,8 +92,8 @@ extensions = base ram2
 def test_parse_basic_blocks():
     spec = sf.parse_spec(BASIC)
     assert set(spec.contexts) == {"base", "ram2"}
-    assert spec.models["ann"].relation == ("annulus", 2)
-    assert spec.models["cov"].relation[0] == "cover"
+    assert spec.models["ann"].relation == Annulus(2)
+    assert isinstance(spec.models["cov"].relation, Cover)
     assert spec.families["F"].group.kind == "free"
     assert spec.groups["C3"].order == 3 and spec.groups["S3"].order == 6
     assert spec.reps["S"].group is spec.groups["S3"]
@@ -221,3 +221,12 @@ def test_shipped_specs_round_trip():
     for name in names:
         spec = sf.load_spec(here / name)
         assert sf.parse_spec(sf.print_spec(spec)) == spec
+
+
+def test_builtin_group_prints_its_kind_line():
+    """A built-in group prints back as its one kind line, not as a table."""
+    spec = sf.parse_spec("[group S4]\nkind = symmetric 4\n")
+    printed = sf.print_spec(spec).splitlines()
+    assert printed[:2] == ["[group S4]", "kind = symmetric 4"]
+    assert not any(line.startswith("table") for line in printed)
+    assert sf.parse_spec(sf.print_spec(spec)) == spec
