@@ -256,17 +256,19 @@ def _check_intertwines(a, b, X):
 
 # -- semisimplification mod pi ----------------------------------------------
 
+_LINE_BUDGET = 300000  # spin every line of F_q^d while this many fit
+_RAND_BUDGET = 200  # else this many random spins; a miss proves nothing
 
-def _find_proper_submodule(mats, d, F, line_budget=300000, rand_budget=200,
-                           seed=0):
+
+def _find_proper_submodule(mats, d, F, seed):
     q = F.q
-    exhaustive = (q ** d - 1) // (q - 1) <= line_budget
+    exhaustive = (q ** d - 1) // (q - 1) <= _LINE_BUDGET
     if exhaustive:  # projective representatives: a complete decision
         vecs = ([0] * lead + [F.one, *tail] for lead in range(d)
                 for tail in itertools.product(range(q), repeat=d - lead - 1))
     else:
         rng = random.Random(seed)
-        vecs = ([rng.randrange(q) for _ in range(d)] for _ in range(rand_budget))
+        vecs = ([rng.randrange(q) for _ in range(d)] for _ in range(_RAND_BUDGET))
     for vec in vecs:
         if any(vec):
             basis = F.spin([vec], mats)
@@ -275,31 +277,23 @@ def _find_proper_submodule(mats, d, F, line_budget=300000, rand_budget=200,
     return None, exhaustive
 
 
-def semisimplify_mod_p(r, word_cap=4, seed=0):
-    """Composition factors of a residue representation (modulus 1).
+def composition_factors(F, letters, d, words, seed):
+    """Composition factors of F_q^d under the letter matrices over F_q,
+    keyed (generator index, +-1).
 
-    Returns {"factors": [{dim, traces}], "complete": bool}; traces are the
-    residue coordinates of the factor's trace on a fixed word list, which
-    distinguishes non-isomorphic factors.  Computed over F_q from the
-    residues of the generators.
+    Returns {"factors": [{dim, traces}], "complete": bool}, traces the F_q
+    traces on ``words``, which distinguish non-isomorphic factors; when
+    incomplete, also "unproven": the dimensions of the factors the random
+    search did not prove irreducible.
     """
-    if r.modulus != 1:
-        raise DomainError("semisimplification is defined at modulus 1")
-    F = r.context.residue_field
-    words = r.group.element_words(word_cap).values()
-    letters = {}
-    for gi, name in enumerate(r.group.generators):
-        G = _residues(F, r.gen_images[name])
-        letters[(gi, 1)], letters[(gi, -1)] = G, F.inverse(G)
-
-    factors = []
-    complete = True
-    todo = [(letters, r.dim)]
+    factors, unproven = [], []
+    todo = [(letters, d)]
     while todo:
         mats, d = todo.pop()
-        sub, certain = _find_proper_submodule(mats.values(), d, F, seed=seed)
+        sub, certain = _find_proper_submodule(mats.values(), d, F, seed)
         if sub is None:
-            complete = complete and certain
+            if not certain:
+                unproven.append(d)
             factors.append({"dim": d, "traces": _word_traces(F, mats, d, words)})
             continue
         k = len(sub)
@@ -313,17 +307,42 @@ def semisimplify_mod_p(r, word_cap=4, seed=0):
         todo.append((sub_mats, k))
         todo.append((quo_mats, d - k))
     factors.sort(key=lambda f: (f["dim"], f["traces"]))
-    return {"factors": factors, "complete": complete}
+    out = {"factors": factors, "complete": not unproven}
+    if unproven:
+        out["unproven"] = sorted(unproven)
+    return out
+
+
+def with_trace_coords(F, factors):
+    """The factors as reports give them: each trace as the coordinates of
+    its lift, whose order is the order of the F_q ints."""
+    return [{"dim": f["dim"],
+             "traces": tuple(F.lift(t).coords for t in f["traces"])}
+            for f in factors]
+
+
+def semisimplify_mod_p(r, word_cap=4, seed=0):
+    """Composition factors of a residue representation (modulus 1), from
+    the residues of the generators and their inverses."""
+    if r.modulus != 1:
+        raise DomainError("semisimplification is defined at modulus 1")
+    F = r.context.residue_field
+    letters = {}
+    for gi, name in enumerate(r.group.generators):
+        G = _residues(F, r.gen_images[name])
+        letters[(gi, 1)], letters[(gi, -1)] = G, F.inverse(G)
+    ss = composition_factors(F, letters, r.dim,
+                             r.group.element_words(word_cap).values(), seed)
+    ss["factors"] = with_trace_coords(F, ss["factors"])
+    return ss
 
 
 def _word_traces(F, letters, d, words):
-    """The residue coordinates of the trace of each word's product of the
-    F_q letter matrices."""
+    """The F_q trace of each word's product of the letter matrices."""
     traces = []
     for w in words:
         M = reduce(F.mat_mul, [letters[let] for let in w], F.identity(d))
-        t = reduce(F.add, [M[i][i] for i in range(d)])
-        traces.append(tuple(F.lift(t).coords))
+        traces.append(reduce(F.add, [M[i][i] for i in range(d)]))
     return tuple(traces)
 
 

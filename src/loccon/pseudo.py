@@ -117,48 +117,52 @@ class PseudoRep2:
 
     def residually_multiplicity_free(self, seed=0):
         """Decompose T mod pi as a sum of irreducible traces of the group,
-        found on the regular representation; multiplicity-free when no
-        factor repeats."""
-        from loccon.lattice import IntegralRep, reduce_rep_mod, semisimplify_mod_p
-        if self.group.kind != "finite":
+        found on the regular representation over F_q; multiplicity-free
+        when no factor repeats, inconclusive when the irreducibility of a
+        factor is unproven."""
+        from loccon.lattice import composition_factors, with_trace_coords
+        group = self.group
+        if group.kind != "finite":
             raise DomainError("the exhaustive route needs a finite group")
-        if self.group.order > 24:
+        if group.order > 24:
             raise InconclusiveError("exhaustive route limited to |G| <= 24")
-        ctx = self.base
-        n = self.group.order
-        # regular representation: permutation matrices of left multiplication
-        imgs = {}
-        for gi, gel in enumerate(self.group.gen_elements):
-            M = [[ctx.zero()] * n for _ in range(n)]
-            for x in self.group.elements():
-                M[self.group.multiply(gel, x)][x] = ctx.one()
-            imgs[self.group.generators[gi]] = M
-        reg = IntegralRep(self.group, n, ctx, imgs)
-        ss = semisimplify_mod_p(reduce_rep_mod(reg, 1), seed=seed)
-        # distinct factors with their trace functions on all elements
-        words = self.group.element_words()
+        F = self.base.residue_field
+        n = group.order
+        # regular representation: the letter of h sends e_x to e_{hx}, read
+        # off the multiplication table (an inverse letter is the letter of
+        # the inverse element)
+        letters = {}
+        for gi, g in enumerate(group.gen_elements):
+            for sign, h in ((1, g), (-1, group.inverse_element(g))):
+                M = [[0] * n for _ in range(n)]
+                for x in group.elements():
+                    M[group.multiply(h, x)][x] = F.one
+                letters[(gi, sign)] = M
+        words = group.element_words()
+        ss = composition_factors(F, letters, n, words.values(), seed)
         uniq = []
         for f in ss["factors"]:
             if f not in uniq:
                 uniq.append(f)
+        out = {"complete": ss["complete"],
+               "factors": with_trace_coords(F, uniq)}
+        if not ss["complete"]:
+            dims = ", ".join(map(str, ss["unproven"]))
+            out.update(verdict="inconclusive", unproven=ss["unproven"],
+                       reason=f"the random submodule search did not prove "
+                              f"the factors of dimension {dims} irreducible")
+            return out
         # factor traces are aligned with element_words() iteration order
-        F = ctx.residue_field
         tbar = [F.of(self.value(el)) for el in words]
-        traces = [[F.of(ctx.from_coords(list(t), precision=1)) for t in f["traces"]]
-                  for f in uniq]
-        verdict = _decompose_trace(tbar, [f["dim"] for f in uniq], traces, F)
-        out = {"complete": ss["complete"], "factors": uniq}
-        if verdict is None:
+        mult = _decompose_trace(tbar, [f["dim"] for f in uniq],
+                                [f["traces"] for f in uniq], F)
+        if mult is None:
             out["verdict"] = "no_decomposition"
+        elif max(mult) <= 1:
+            out.update(multiplicities=mult, verdict="multiplicity_free")
         else:
-            multiplicities = verdict
-            out["multiplicities"] = multiplicities
-            if all(c <= 1 for c in multiplicities):
-                out["verdict"] = "multiplicity_free"
-            else:
-                out["verdict"] = "not_multiplicity_free"
-                out["repeated_factor"] = multiplicities.index(
-                    max(multiplicities))
+            out.update(multiplicities=mult, verdict="not_multiplicity_free",
+                       repeated_factor=mult.index(max(mult)))
         return out
 
     # -- constancy over algebras ------------------------------------------

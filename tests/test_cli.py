@@ -15,6 +15,7 @@ FAMILY_SPEC = str(SPECS / "unramified_family.spec")
 COVER_SPEC = str(SPECS / "cover.spec")
 ISO_SPEC = str(SPECS / "iso_pair.spec")
 ANNULUS_SPEC = str(SPECS / "annulus.spec")
+S3_SPEC = str(SPECS / "s3_standard.spec")
 
 
 def run(capsys, *argv):
@@ -276,6 +277,18 @@ def test_budget_and_precondition_limits_exit_2(capsys, tmp_path, monkeypatch,
     assert rep["verdict"] == "inconclusive" and limit in rep["reason"]
 
 
+def test_unproven_factor_exits_2(capsys, tmp_path):
+    """C_19 over F_5 splits as 1 + 9 + 9 (5 has order 9 mod 19).  The random
+    submodule search leaves the 18-dimensional complement unsplit, so the
+    verdict is inconclusive and names that dimension."""
+    spec = tmp_path / "order19.spec"
+    spec.write_text(ORDER_25_SPEC.replace("cyclic 25", "cyclic 19"))
+    code, rep = run(capsys, "--spec", str(spec), "pseudorep", "mf")
+    assert code == 2
+    assert rep["verdict"] == "inconclusive" and not rep["complete"]
+    assert rep["unproven"] == [18] and "18" in rep["reason"]
+
+
 def test_missing_spec_is_usage_error(capsys):
     code = main(["domain", "describe"])
     capsys.readouterr()
@@ -326,6 +339,8 @@ GOLDEN_COMMANDS = (
     ["--spec", ANNULUS_SPEC, "family", "check-strict"],
     ["--spec", COVER_SPEC, "domain", "describe"],
     ["--spec", COVER_SPEC, "domain", "sample", "--samples", "8"],
+    ["--spec", S3_SPEC, "pseudorep", "mf"],
+    ["--spec", S3_SPEC, "lattice", "semisimplify"],
 )
 
 GOLDEN = {
@@ -347,6 +362,8 @@ GOLDEN = {
     ("1", 15): (0, "80ec9da0304bf6adae6d0ff216e573d6d2dccdb141f33602744f9fff2924ce7d"),
     ("1", 16): (0, "7d4b873053b9379c4a5c6a83530cab41adaac3ea04668a809911cee926b5fb8e"),
     ("1", 17): (0, "bd718f2097e40ddcbdeeec0af54f3d257d6209fa988b6b91c8533be438290c69"),
+    ("1", 18): (0, "f1bbef60155a2c40fd1b141048513a300f4240f926a9946190169d3fad76d8e8"),
+    ("1", 19): (0, "2adf020b1a450327dac12ef1a9386d506584559e05d38c622cf0685e1a679c90"),
     ("1001", 0): (0, "b487ae5455b48d867efc748c331ff3c695b705f25c909dd5e08931db1456243d"),
     ("1001", 1): (0, "b8b430162440e4de9ebcd0edc639e52674bfd64b6bfae944982c106869d6b075"),
     ("1001", 2): (0, "e4a976f00bdf0b7df4a7b082dc951390b89f08aabddcedafc3de8f66bd3676b3"),
@@ -365,6 +382,8 @@ GOLDEN = {
     ("1001", 15): (0, "80ec9da0304bf6adae6d0ff216e573d6d2dccdb141f33602744f9fff2924ce7d"),
     ("1001", 16): (0, "7d4b873053b9379c4a5c6a83530cab41adaac3ea04668a809911cee926b5fb8e"),
     ("1001", 17): (0, "25faacb0e4205eeceb0f9b2d3263c23bc898f6aa6ee476268c763b385a29e5fe"),
+    ("1001", 18): (0, "f1bbef60155a2c40fd1b141048513a300f4240f926a9946190169d3fad76d8e8"),
+    ("1001", 19): (0, "2adf020b1a450327dac12ef1a9386d506584559e05d38c622cf0685e1a679c90"),
 }
 
 

@@ -364,6 +364,19 @@ def test_semisimplify_permutation_rep_matches_fixed_points(n):
                              {"dim": n - 1, "traces": tuple(standard)}]
 
 
+def test_incomplete_semisimplification_names_unproven_dims():
+    """A 19-cycle over F_5 splits as 1 + 9 + 9, since 5 has order 9 mod 19.
+    Past the exhaustive line budget the random search does not find the
+    9-dimensional submodules, so the report is incomplete and names the
+    18-dimensional factor it could not prove irreducible."""
+    n = 19
+    cycle = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    rep = ResidueRep(FREE1, n, Z5, 1, {"g1": mat(Z5, cycle)})
+    ss = semisimplify_mod_p(rep)
+    assert not ss["complete"] and ss["unproven"] == [18]
+    assert [f["dim"] for f in ss["factors"]] == [1, 18]
+
+
 def test_reductions_leave_no_reference_cycle():
     """With the cyclic collector off, reference counting alone must free a
     rep, its reductions and the word products they share."""

@@ -599,6 +599,9 @@ def test_residue_field_indexes_residues_in_enumeration_order(shape):
     residues = list(ctx.enumerate_residues(1))
     assert [F.of(r) for r in residues] == list(range(F.q))
     assert all(F.lift(a) == r for a, r in enumerate(residues))
+    # reports sort residues by coordinates: that is the order of the ints
+    coords = [F.lift(a).coords for a in range(F.q)]
+    assert coords == sorted(coords)
     assert F.of(ctx.one()) == F.one
     squares = {F.mul(a, a) for a in range(F.q)}
     assert [a for a in range(F.q) if F.sqrt(a) is not None] == sorted(squares)

@@ -4,11 +4,13 @@ import pytest
 
 from loccon.groups import cyclic_group, dihedral_group, free_group, symmetric_group
 from loccon.padic import DomainError, PadicContext
-from loccon.pseudo import PseudoRep2, from_rep_trace
+from loccon.pseudo import PseudoRep2, _decompose_trace, from_rep_trace
 from tests.test_lattice import s3_standard_rep
 
 Z5 = PadicContext(5, precision=12)
 Z3 = PadicContext(3, precision=12)
+W25 = PadicContext(5, f=2, precision=6)
+RAM7 = PadicContext(7, e=2, precision=8)
 
 
 def doubled_trivial(group, ctx):
@@ -134,21 +136,94 @@ def test_doubled_trivial_not_multiplicity_free():
     assert ps.residually_multiplicity_free()["verdict"] == "not_multiplicity_free"
 
 
-def test_dihedral_order_12_regular_representation():
-    """The check works in the 12-dimensional regular representation of D_6
-    (12! terms for a Leibniz determinant).  T is the trace of the faithful
-    2-dimensional irreducible, which stays irreducible mod 5."""
+def d6_standard_trace():
+    """The trace of the faithful 2-dimensional irreducible of D_6 over Z_5,
+    which stays irreducible mod 5."""
     from loccon.lattice import IntegralRep
-    d6 = dihedral_group(6)
-    rep = IntegralRep(d6, 2, Z5, {
+    rep = IntegralRep(dihedral_group(6), 2, Z5, {
         "r": [[Z5.zero(), Z5.from_int(-1)], [Z5.one(), Z5.one()]],
         "f": [[Z5.zero(), Z5.one()], [Z5.one(), Z5.zero()]],
     })
-    out = from_rep_trace(rep).residually_multiplicity_free()
+    return from_rep_trace(rep)
+
+
+def test_dihedral_order_12_regular_representation():
+    """The check decomposes the 12-dimensional regular representation of
+    D_6 over F_5, and finds T = the D_6 standard trace once in it."""
+    out = d6_standard_trace().residually_multiplicity_free()
     assert out["complete"]
     assert sorted(f["dim"] for f in out["factors"]) == [1, 1, 1, 1, 2, 2]
     assert out["verdict"] == "multiplicity_free"
     assert sorted(out["multiplicities"]) == [0, 0, 0, 0, 0, 1]
+
+
+def reference_multiplicity_free(ps, seed=0):
+    """The O_E route that the F_q route replaced: the regular representation
+    as permutation matrices over O_E in an IntegralRep, reduced mod pi, with
+    factor traces read back through ``from_coords``."""
+    from loccon.lattice import IntegralRep, reduce_rep_mod, semisimplify_mod_p
+    ctx, group = ps.base, ps.group
+    n = group.order
+    imgs = {}
+    for gi, gel in enumerate(group.gen_elements):
+        M = [[ctx.zero()] * n for _ in range(n)]
+        for x in group.elements():
+            M[group.multiply(gel, x)][x] = ctx.one()
+        imgs[group.generators[gi]] = M
+    reg = IntegralRep(group, n, ctx, imgs)
+    ss = semisimplify_mod_p(reduce_rep_mod(reg, 1), seed=seed)
+    words = group.element_words()
+    uniq = []
+    for f in ss["factors"]:
+        if f not in uniq:
+            uniq.append(f)
+    F = ctx.residue_field
+    tbar = [F.of(ps.value(el)) for el in words]
+    traces = [[F.of(ctx.from_coords(list(t), precision=1)) for t in f["traces"]]
+              for f in uniq]
+    verdict = _decompose_trace(tbar, [f["dim"] for f in uniq], traces, F)
+    out = {"complete": ss["complete"], "factors": uniq}
+    if verdict is None:
+        out["verdict"] = "no_decomposition"
+    else:
+        out["multiplicities"] = verdict
+        if all(c <= 1 for c in verdict):
+            out["verdict"] = "multiplicity_free"
+        else:
+            out["verdict"] = "not_multiplicity_free"
+            out["repeated_factor"] = verdict.index(max(verdict))
+    return out
+
+
+@pytest.mark.parametrize("ps", [
+    *(doubled_trivial(group, ctx)
+      for group in (cyclic_group(3), symmetric_group(3), dihedral_group(6))
+      for ctx in (Z5, Z3, W25, RAM7)),
+    d6_standard_trace(),
+], ids=[f"{g}-{c}" for g in ("C3", "S3", "D6")
+        for c in ("Z5", "Z3", "W25", "ram7")] + ["D6-standard"])
+def test_multiplicity_free_matches_regular_representation_over_O_E(ps):
+    out = ps.residually_multiplicity_free(seed=1)
+    assert out["complete"]
+    assert out == reference_multiplicity_free(ps, seed=1)
+
+
+def test_s4_regular_representation_over_F5():
+    out = doubled_trivial(symmetric_group(4), Z5).residually_multiplicity_free()
+    assert out["complete"]
+    assert [f["dim"] for f in out["factors"]] == [1, 1, 2, 3, 3]
+    assert out["verdict"] == "not_multiplicity_free"
+
+
+def test_unproven_factor_is_inconclusive():
+    """Over F_25 every simple F_25[S_4]-module has dimension <= 3, so a
+    larger factor is one the random submodule search failed to split: the
+    verdict is inconclusive and names it, with no decomposition."""
+    out = doubled_trivial(symmetric_group(4), W25).residually_multiplicity_free()
+    assert not out["complete"] and out["verdict"] == "inconclusive"
+    assert out["unproven"] and all(d > 3 for d in out["unproven"])
+    assert all(str(d) in out["reason"] for d in out["unproven"])
+    assert "multiplicities" not in out
 
 
 # -- constancy over algebras -------------------------------------------------
