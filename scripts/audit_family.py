@@ -23,8 +23,7 @@ def main():
     fam = spec.sole("families")
     dom = spec.sole("domains")
     n = args.n if args.n is not None else spec.params.get("n", 2)
-    ext_names = spec.params.get("extensions", ())
-    exts = [spec.contexts[name] for name in ext_names] or [fam.model.base]
+    exts = spec.extensions(fam.model.base)
 
     audit = fam.pointwise_constancy_audit(dom, n, exts, args.samples,
                                           seed=args.seed)

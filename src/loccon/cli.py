@@ -67,21 +67,6 @@ def _load(args, need=True):
     return specfile.load_spec(args.spec, precision_override=args.precision)
 
 
-def _extensions(spec):
-    names = spec.params.get("extensions")
-    if names is None:
-        return [spec.sole("models").base if spec.models else
-                spec.sole("contexts")]
-    if isinstance(names, str):
-        names = (names,)
-    out = []
-    for n in names:
-        if n not in spec.contexts:
-            raise SpecError(f"extension {n!r} is not a declared context")
-        out.append(spec.contexts[n])
-    return out
-
-
 def _param(spec, args, key, default):
     val = getattr(args, key, None)
     if val is not None:
@@ -173,7 +158,7 @@ def cmd_family(args):
     if args.op == "audit":
         dom = spec.sole("domains")
         rep = fam.pointwise_constancy_audit(
-            dom, n, _extensions(spec),
+            dom, n, spec.extensions(),
             _param(spec, args, "samples", 25), seed=args.seed,
             word_cap=_param(spec, args, "word_cap", 3))
         return _emit(rep, args)
@@ -269,7 +254,7 @@ def cmd_pseudorep(args):
     if args.op == "audit":
         dom = spec.sole("domains")
         rep = ps.constancy_audit(dom, _param(spec, args, "n", 1),
-                                 _extensions(spec),
+                                 spec.extensions(),
                                  _param(spec, args, "samples", 25),
                                  seed=args.seed)
         return _emit(rep, args)

@@ -32,6 +32,8 @@ from loccon.series import (
 
 # sampling gives up after this many draws per requested point
 _SAMPLE_BUDGET = 20
+# cover_compare tests preimage equality at the depths 1.._PREIMAGE_DEPTHS
+_PREIMAGE_DEPTHS = 4
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,7 @@ def cover_fiber(model, ext, tval):
             ModelPoint(model, {yvar: -root, tvar: tval})]
 
 
-def cover_compare(model, center, n, ext, samples=100, seed=0, n_budget=4):
+def cover_compare(model, center, n, ext, samples=100, seed=0):
     """Pushforward containment and preimage-equality search for a cover.
 
     Checks that points of the upstairs U^(n)/V^(n) map into the downstairs
@@ -287,7 +289,7 @@ def cover_compare(model, center, n, ext, samples=100, seed=0, n_budget=4):
     n0 = None
     e_rel = relative_ramification(base, ext)
     y0_is_zero = center.coords[yvar].pi_valuation() is None
-    for nn in range(1, n_budget + 1):
+    for nn in range(1, _PREIMAGE_DEPTHS + 1):
         entry = {}
         for kind in ("U", "V"):
             thr = _pi_threshold(kind, nn, e_rel)
@@ -305,6 +307,6 @@ def cover_compare(model, center, n, ext, samples=100, seed=0, n_budget=4):
         "n0": n0,
         "certificate": (f"v({tvar} - t0) = {d} * v({yvar} - y0) at the "
                         "ramification center" if y0_is_zero else None),
-        "budget": n_budget,
+        "budget": _PREIMAGE_DEPTHS,
     }
     return report

@@ -11,6 +11,9 @@ from loccon.lattice import IntegralRep
 from loccon.padic import DomainError, gamma_exponent, relative_ramification
 from loccon.series import AdicSeries
 
+# trace_algebra_full gives up (inconclusive) after this many product rounds
+_MAX_ROUNDS = 40
+
 
 class RepFamily(IntegralRep):
     """d x d matrices of AdicSeries over a model, one per group generator.
@@ -111,19 +114,18 @@ class RepFamily(IntegralRep):
 
     # -- trace algebra -----------------------------------------------------
 
-    def trace_algebra_full(self, n, degree_budget=None, word_cap=3,
-                           max_rounds=40):
+    def trace_algebra_full(self, n, word_cap=3):
         """Is the closure of the O_L-algebra generated by the matrix entries
         the whole truncated algebra?
 
-        Works on disc models only (monomial basis).  Returns "full",
-        "proper", or "inconclusive" together with the stabilized span size.
+        Works on disc models only (monomial basis up to the degree cap).
+        Returns "full", "proper", or "inconclusive" (after _MAX_ROUNDS)
+        together with the number of product rounds.
         """
         model = self.model
         if model.relation is not None:
             raise DomainError("trace-algebra test needs a disc model")
-        if degree_budget is None:
-            degree_budget = model.degree_cap
+        degree_budget = model.degree_cap
         monos = _monomials_up_to(model, degree_budget)
         mono_index = {m: i for i, m in enumerate(monos)}
         k = len(monos)
@@ -149,7 +151,7 @@ class RepFamily(IntegralRep):
         span.add(vec(basis[0]))
         frontier = list(basis)
         rounds = 0
-        while frontier and rounds < max_rounds:
+        while frontier and rounds < _MAX_ROUNDS:
             rounds += 1
             new = []
             for b in frontier:

@@ -102,8 +102,8 @@ class Character:
             if vpi % ctx.e:
                 raise DomainError("characters are evaluated on Q_p-rational values")
             yv = vpi // ctx.e
-            unit = y * _num_pow(PadicNumber(ctx.from_int(ctx.p)), -yv)
-        return _num_pow(unit, self.weight) * _num_pow(self.value_at_p, yv)
+            unit = y * PadicNumber(ctx.from_int(ctx.p)) ** -yv
+        return unit ** self.weight * self.value_at_p ** yv
 
     def is_regular(self):
         """Non-regular exactly when (weight, value) is (i, p^i) or
@@ -112,20 +112,9 @@ class Character:
         ctx = self.context
         p_num = PadicNumber(ctx.from_int(ctx.p))
         w = self.weight
-        if w >= 0 and self.value_at_p == _num_pow(p_num, w):
+        if w >= 0 and self.value_at_p == p_num ** w:
             return False
-        return not (w <= 1 and self.value_at_p == _num_pow(p_num, w - 1))
-
-
-def _num_pow(x, n):
-    if not isinstance(x, PadicNumber):
-        x = PadicNumber(x)
-    if n < 0:
-        return _num_pow(x.inverse(), -n)
-    out = PadicNumber(x.context.one())
-    for _ in range(n):
-        out = out * x
-    return out
+        return not (w <= 1 and self.value_at_p == p_num ** (w - 1))
 
 
 # -- filtered (phi, N)-modules ----------------------------------------------
@@ -381,7 +370,7 @@ def triangulation_parameters(k, a_p):
         raise DomainError("root product check failed")
     p_inv = PadicNumber(root_ctx.from_int(root_ctx.p)).inverse()
     delta1 = Character(0, PadicNumber(phi1))
-    delta2 = Character(-(k - 1), PadicNumber(phi2) * _num_pow(p_inv, k - 1))
+    delta2 = Character(-(k - 1), PadicNumber(phi2) * p_inv ** (k - 1))
     return delta1, delta2, {"slopes": [str(vals[order[0]]), str(vals[order[1]])]}
 
 
@@ -395,5 +384,5 @@ def semistable_parameters(k, ctx):
     varpi = PadicNumber(w)
     p_inv = PadicNumber(ctx.from_int(ctx.p)).inverse()
     delta1 = Character(0, varpi)
-    delta2 = Character(-k, varpi * _num_pow(p_inv, k - 1))
+    delta2 = Character(-k, varpi * p_inv ** (k - 1))
     return delta1, delta2

@@ -286,7 +286,8 @@ class PadicContext:
 def _default_unram_poly(p, f):
     if f == 1:
         return [0, 1]  # placeholder: x, never used since W = Z_p
-    for tail in itertools.product(range(p), repeat=f):
+    # a zero constant term makes x a factor, so the search starts at 1
+    for tail in itertools.product(range(1, p), *[range(p)] * (f - 1)):
         poly = list(tail) + [1]
         if _is_irreducible_mod_p(poly, p):
             return poly
@@ -294,29 +295,48 @@ def _default_unram_poly(p, f):
 
 
 def _is_irreducible_mod_p(poly, p):
-    """Irreducibility of a monic polynomial over F_p (degree <= 4: root/factor scan)."""
-    d = len(poly) - 1
+    """Rabin's test for a monic polynomial g of degree d over F_p: g divides
+    x^(p^d) - x, and g is coprime to x^(p^(d/r)) - x for every prime r | d."""
+    g = [c % p for c in poly]
+    d = len(g) - 1
     if d == 1:
         return True
-    # no roots
-    for a in range(p):
-        if _poly_eval_mod(poly, a, p) == 0:
-            return False
-    if d <= 3:
-        return True
-    # degree 4: rule out quadratic factors by trial division
-    for b in range(p):
-        for c in range(p):
-            if not any(_poly_divmod_field(poly, [c, b, 1], p)[1]):
+    # y -> y^p is F_p-linear: sum a_i x^i -> sum a_i frob[i], frob[i] = x^(ip)
+    frob, xj = [], [1] + [0] * (d - 1)
+    for j in range(p * (d - 1) + 1):
+        if j % p == 0:
+            frob.append(xj)
+        xj = [c % p for c in _poly_rem([0] + xj, g)]
+    x = y = [0, 1] + [0] * (d - 2)
+    for k in range(1, d + 1):
+        y = [sum(a * row[i] for a, row in zip(y, frob)) % p for i in range(d)]
+        r = d // k
+        if k < d and d % k == 0 and all(r % q for q in range(2, r)):
+            u, v = g, [(a - b) % p for a, b in zip(y, x)]  # gcd(g, y - x)
+            while any(v):
+                while not v[-1]:
+                    v.pop()
+                inv = pow(v[-1], -1, p)  # divide by v made monic
+                u, v = v, [c % p for c in _poly_rem(u, [c * inv % p for c in v])]
+            if any(u[1:]):
                 return False
-    return True
+    return y == x
 
 
-def _poly_eval_mod(poly, a, p):
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * a + c) % p
-    return acc
+def power(x, n, one):
+    """x ** n by square-and-multiply from ``one``; a negative n inverts x
+    first.  The one power routine of PadicElement, PadicNumber and
+    AdicSeries."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
 
 
 _UNSCANNED = object()  # PadicElement valuation not computed yet
@@ -439,16 +459,7 @@ class PadicElement:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.context.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, self.context.one())
 
     # -- valuation and reduction ------------------------------------------
 
@@ -572,28 +583,6 @@ class PadicElement:
                     terms.append(f"{c}{'*' + mon if mon else ''}")
         body = " + ".join(terms) if terms else "0"
         return f"<{body} + O(pi^{self.known_precision})>"
-
-
-def _poly_divmod_field(num, den, p):
-    num = [c % p for c in num]
-    den = [c % p for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], -1, p)
-    q = [0] * max(1, len(num) - dd)
-    r = list(num)
-    while len(r) - 1 >= dd and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dd:
-            break
-        coef = (r[-1] * inv_lead) % p
-        shift = len(r) - 1 - dd
-        q[shift] = coef
-        for k in range(dd + 1):
-            r[shift + k] = (r[shift + k] - coef * den[k]) % p
-    return q, r
 
 
 class ResidueField:
@@ -923,6 +912,9 @@ class PadicNumber:
         if isinstance(other, int):
             other = PadicNumber(self.context.from_int(other))
         return PadicNumber(self.num * other.num, self.denom_pow + other.denom_pow)
+
+    def __pow__(self, n):
+        return power(self, n, PadicNumber(self.context.one()))
 
     def inverse(self):
         v = self.num.pi_valuation()

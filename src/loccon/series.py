@@ -17,6 +17,7 @@ from loccon.padic import (
     PrecisionError,
     embed,
     gamma_exponent,
+    power,
     relative_ramification,
 )
 
@@ -52,12 +53,12 @@ class Annulus:
         # zeta1 = x1 + pi^k U ; zeta2 = pi^m/zeta1 = x2 * sum ((-pi^k/x1) U)^i
         t = model.base.pi_power(k - v1) * x1.shift_down(v1).inverse()
         sub1 = out_model.constant(x1) + U.scale(model.base.pi_power(k))
-        sub2 = out_model.zero()
-        pw = model.base.one()
+        geometric, c = {}, x2
         for i in range(model.degree_cap + 1):
-            sub2 = sub2 + (U ** i).scale(x2 * pw)
-            pw = pw * (-t)
-        return _substitute(series, out_model, {z1: sub1, z2: sub2})
+            geometric[(i,)] = c
+            c = c * (-t)
+        sub2 = out_model.series(geometric)
+        return _eval_terms(model, series.terms, {z1: sub1, z2: sub2}, out_model)
 
     def sample(self, center, ext, thr, rng):
         """Coordinates near the center point over ext, or None."""
@@ -123,7 +124,7 @@ class Cover:
         W = out_model.var(yvar)
         suby = out_model.constant(y0) + W.scale(model.base.pi_power(k))
         subt = (suby ** d).scale(c.inverse())
-        return _substitute(series, out_model, {yvar: suby, tvar: subt})
+        return _eval_terms(model, series.terms, {yvar: suby, tvar: subt}, out_model)
 
     def sample(self, center, ext, thr, rng):
         """Coordinates near the center point over ext, parameterized by y."""
@@ -283,10 +284,7 @@ class AdicSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        out = self.model.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, self.model.constant(1))
 
     def scale(self, c):
         c = self.model._coerce(c)
@@ -456,7 +454,7 @@ class AdicSeries:
         for v in model.vars:
             s = out_model.var(v).scale(model.base.pi_power(scales[v]))
             subs[v] = s + out_model.constant(center[v])
-        return _substitute(self, out_model, subs)
+        return _eval_terms(model, self.terms, subs, out_model)
 
 
 @dataclass(frozen=True)
@@ -499,17 +497,6 @@ def _normalize(model, terms):
     return out
 
 
-def _substitute(series, out_model, subs):
-    acc = out_model.zero()
-    for mono, c in series.terms.items():
-        term = out_model.constant(c)
-        for name, a in zip(series.model.vars, mono):
-            for _ in range(a):
-                term = term * subs[name]
-        acc = acc + term
-    return acc
-
-
 def _point_context(model, point):
     ctxs = {id(v.context): v.context for v in point.values()}
     if len(ctxs) > 1:
@@ -542,14 +529,22 @@ def _check_point(model, point, ext):
                 f"point violates the {model.relation.kind} relation")
 
 
-def _eval_terms(model, terms, point, ext):
-    """The coefficient map ``terms`` evaluated over ext at ``point`` (values
-    of the variables the terms involve)."""
-    acc = ext.zero()
+def _eval_terms(model, terms, point, target):
+    """The coefficient map ``terms`` at ``point`` (values of the variables
+    the terms involve): elements over the context ``target``, or series over
+    the model ``target`` for a substitution.  Each power of a value is
+    computed once, as one product with the power below."""
+    lift = (target.constant if isinstance(target, AlgebraModel)
+            else lambda c: embed(c, target))
+    powers = {}
+    acc = target.zero()
     for mono, c in terms.items():
-        term = embed(c, ext)
+        term = lift(c)
         for name, a in zip(model.vars, mono):
             if a:
-                term = term * point[name] ** a
+                pw = powers.setdefault(name, [point[name]])  # x, x^2, ...
+                while len(pw) < a:
+                    pw.append(pw[-1] * pw[0])
+                term = term * pw[a - 1]
         acc = acc + term
     return acc

@@ -157,6 +157,23 @@ class SpecFile:
                             f"(found {len(table)})")
         return next(iter(table.values()))
 
+    def extensions(self, default=None):
+        """The contexts that ``[params] extensions`` names (one name or
+        several).  Without that key: [default], or the base of the only
+        model, else the only context."""
+        names = self.params.get("extensions")
+        if names is None:
+            if default is None:
+                default = (self.sole("models").base if self.models
+                           else self.sole("contexts"))
+            return [default]
+        if isinstance(names, str):
+            names = (names,)
+        for name in names:
+            if name not in self.contexts:
+                raise SpecError(f"extension {name!r} is not a declared context")
+        return [self.contexts[name] for name in names]
+
     def __eq__(self, other):
         if not isinstance(other, SpecFile):
             return NotImplemented

@@ -341,6 +341,9 @@ GOLDEN_COMMANDS = (
     ["--spec", COVER_SPEC, "domain", "sample", "--samples", "8"],
     ["--spec", S3_SPEC, "pseudorep", "mf"],
     ["--spec", S3_SPEC, "lattice", "semisimplify"],
+    ["--spec", FAMILY_SPEC, "pseudorep", "audit"],
+    ["--spec", FAMILY_SPEC, "family", "trace-algebra", "--n", "2"],
+    ["--spec", ANNULUS_SPEC, "family", "check-strict", "--n", "3"],
 )
 
 GOLDEN = {
@@ -364,6 +367,9 @@ GOLDEN = {
     ("1", 17): (0, "bd718f2097e40ddcbdeeec0af54f3d257d6209fa988b6b91c8533be438290c69"),
     ("1", 18): (0, "f1bbef60155a2c40fd1b141048513a300f4240f926a9946190169d3fad76d8e8"),
     ("1", 19): (0, "2adf020b1a450327dac12ef1a9386d506584559e05d38c622cf0685e1a679c90"),
+    ("1", 20): (0, "333a3835310555e09fe2a299f3e703a6c814a0e7a58931cd7581bb17a7b77965"),
+    ("1", 21): (0, "ed9cf6afeca268ad67fd407c688b73f3685acf698d23237dd98b2521b854979f"),
+    ("1", 22): (0, "5a215c8a3fa25539592459dff9f171cfbde89df90b7019d8231907935904b73f"),
     ("1001", 0): (0, "b487ae5455b48d867efc748c331ff3c695b705f25c909dd5e08931db1456243d"),
     ("1001", 1): (0, "b8b430162440e4de9ebcd0edc639e52674bfd64b6bfae944982c106869d6b075"),
     ("1001", 2): (0, "e4a976f00bdf0b7df4a7b082dc951390b89f08aabddcedafc3de8f66bd3676b3"),
@@ -384,6 +390,9 @@ GOLDEN = {
     ("1001", 17): (0, "25faacb0e4205eeceb0f9b2d3263c23bc898f6aa6ee476268c763b385a29e5fe"),
     ("1001", 18): (0, "f1bbef60155a2c40fd1b141048513a300f4240f926a9946190169d3fad76d8e8"),
     ("1001", 19): (0, "2adf020b1a450327dac12ef1a9386d506584559e05d38c622cf0685e1a679c90"),
+    ("1001", 20): (0, "333a3835310555e09fe2a299f3e703a6c814a0e7a58931cd7581bb17a7b77965"),
+    ("1001", 21): (0, "ed9cf6afeca268ad67fd407c688b73f3685acf698d23237dd98b2521b854979f"),
+    ("1001", 22): (0, "5a215c8a3fa25539592459dff9f171cfbde89df90b7019d8231907935904b73f"),
 }
 
 

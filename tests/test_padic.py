@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from loccon import padic
 from loccon.padic import (
     DomainError,
     PadicContext,
@@ -55,6 +56,44 @@ def test_rejects_reducible_unram_poly():
     # x^2 - 1 = (x-1)(x+1) mod 5
     with pytest.raises(DomainError):
         PadicContext(5, f=2, unram_poly=[-1, 0, 1])
+
+
+def _trial_division_irreducible(poly, p):
+    """No monic factor of degree 1..d/2, by dividing by each one mod p."""
+    d = len(poly) - 1
+    for k in range(1, d // 2 + 1):
+        for tail in itertools.product(range(p), repeat=k):
+            r = [c % p for c in poly]
+            den = list(tail) + [1]
+            for top in range(d, k - 1, -1):
+                lead = r[top]
+                for i in range(k + 1):
+                    r[top - k + i] = (r[top - k + i] - lead * den[i]) % p
+            if not any(r[:k]):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 8), (3, 6)])
+def test_irreducibility_matches_trial_division(p, max_degree):
+    for d in range(1, max_degree + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            poly = list(tail) + [1]
+            assert padic._is_irreducible_mod_p(poly, p) \
+                == _trial_division_irreducible(poly, p), poly
+
+
+def test_rejects_product_of_two_cubics():
+    # x^6+x^5+...+1 = (x^3+x+1)(x^3+x^2+1) mod 2: no roots, no quadratic factor
+    with pytest.raises(DomainError):
+        PadicContext(2, f=6, unram_poly=[1] * 7)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_default_unram_polys_are_irreducible(p):
+    for f in range(2, 7):
+        ctx = PadicContext(p, f=f, precision=2)
+        assert _trial_division_irreducible(list(ctx.unram_poly), p)
 
 
 def test_rejects_non_eisenstein():
@@ -320,6 +359,56 @@ def test_padic_number_vp():
 def test_padic_number_to_integral():
     x = PadicNumber(RAM2.from_int(5), denom_pow=1)
     assert same(x.to_integral(), RAM2.pi())
+
+
+def _naive_pow(x, n, one):
+    """x ** n as n products from ``one`` (of the inverse when n < 0)."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = one
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def _power_cases(ctx, rng):
+    """Units, non-units, zero and elements with fewer known digits."""
+    xs = [ctx.zero(), ctx.one(), ctx.pi(), -ctx.pi_power(2)]
+    for _ in range(6):
+        x = ctx.random_element(rng)
+        xs.append(x.reduce_mod(rng.randrange(1, ctx.precision))
+                  if rng.random() < 0.5 else x)
+    return xs
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=["Z5", "ram2", "unram2", "mixed", "Z2e3"])
+def test_power_matches_naive_products(ctx):
+    """PadicElement and PadicNumber powers by the one square-and-multiply
+    routine against n products, n from -5 to 9 where defined: the same
+    coordinates, known precision and denominator."""
+    rng = random.Random(f"pow{ctx!r}")
+    for x in _power_cases(ctx, rng):
+        num = PadicNumber(x, rng.randrange(0, 3))
+        for n in range(-5, 10):
+            try:
+                expect = _naive_pow(x, n, ctx.one())
+            except DomainError:
+                with pytest.raises(DomainError):
+                    x ** n
+            else:
+                got = x ** n
+                assert (got.coords, got.known_precision) \
+                    == (expect.coords, expect.known_precision)
+            try:
+                expect = _naive_pow(num, n, PadicNumber(ctx.one()))
+            except DomainError:
+                with pytest.raises(DomainError):
+                    num ** n
+            else:
+                got = num ** n
+                assert (got.num.coords, got.num.known_precision, got.denom_pow) \
+                    == (expect.num.coords, expect.num.known_precision,
+                        expect.denom_pow)
 
 
 def test_transfer_check_refuses_a_congruence_it_cannot_see():

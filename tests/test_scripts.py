@@ -32,6 +32,8 @@ def test_gamma_table_finds_every_map_injective():
 @pytest.mark.parametrize("args", [
     ("scripts/phimod_report.py",),
     ("scripts/audit_family.py", "specs/unramified_family.spec"),
+    # [params] extensions names one context
+    ("scripts/audit_family.py", "perfbench/specs/unramified_points.spec"),
 ])
 def test_report_scripts_exit_cleanly(args):
     proc = run_script(*args)

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from loccon import series as series_module
 from loccon.domains import describe, ModelPoint
-from loccon.padic import DomainError, PadicContext, PadicNumber, PrecisionError
+from loccon.padic import DomainError, PadicContext, PadicNumber, PrecisionError, embed
 from loccon.series import AdicSeries, AlgebraModel, Annulus, Cover
 
 Z5 = PadicContext(5, precision=12)
@@ -327,3 +328,233 @@ def test_normal_form_matches_reference_loops(base, bounded, open_vars,
         for mono, c in got.items():
             assert c.coords == expect[mono].coords
             assert c.known_precision == expect[mono].known_precision
+
+
+# -- the one evaluator and the one power routine against the earlier loops ---
+
+
+def _naive_pow(x, n, one):
+    """x ** n as n products from ``one`` (of the inverse when n < 0)."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = one
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def _reference_substitute(series, out_model, subs):
+    """Substitution with one series product per unit of each exponent."""
+    acc = out_model.zero()
+    for mono, c in series.terms.items():
+        term = out_model.constant(c)
+        for name, a in zip(series.model.vars, mono):
+            for _ in range(a):
+                term = term * subs[name]
+        acc = acc + term
+    return acc
+
+
+def _reference_recenter(series, center, scales):
+    """recenter_rescale on a valid center, with every power as naive
+    products and the annulus geometric series built from each U ** i."""
+    model, base = series.model, series.model.base
+    for v in model.vars:
+        center.setdefault(v, base.zero())
+        scales.setdefault(v, 0)
+    rel = model.relation
+    if rel is None:
+        opens = tuple(v for v in model.vars if scales[v] >= 1 or model.is_open(v))
+        out = AlgebraModel(base, tuple(v for v in model.vars if v not in opens),
+                           opens, None, model.degree_cap)
+        subs = {v: out.var(v).scale(base.pi_power(scales[v])) + out.constant(center[v])
+                for v in model.vars}
+    elif isinstance(rel, Annulus):
+        z1, z2 = model.bounded_vars
+        x1, x2, k = center[z1], center[z2], scales[z1]
+        v1 = x1.pi_valuation()
+        out = AlgebraModel(base, (), (z1,), None, model.degree_cap)
+        U = out.var(z1)
+        t = base.pi_power(k - v1) * x1.shift_down(v1).inverse()
+        sub2, pw = out.zero(), base.one()
+        for i in range(model.degree_cap + 1):
+            sub2 = sub2 + _naive_pow(U, i, out.constant(1)).scale(x2 * pw)
+            pw = pw * (-t)
+        subs = {z1: out.constant(x1) + U.scale(base.pi_power(k)), z2: sub2}
+    else:
+        d, yvar, tvar, c = model.linear_cover()
+        out = AlgebraModel(base, (), (yvar,), None, model.degree_cap)
+        suby = out.constant(center[yvar]) + out.var(yvar).scale(base.pi_power(scales[yvar]))
+        subs = {yvar: suby,
+                tvar: _naive_pow(suby, d, out.constant(1)).scale(c.inverse())}
+    return _reference_substitute(series, out, subs)
+
+
+def _reference_eval_terms(model, terms, point, ext):
+    """Point evaluation with every power as naive products."""
+    acc = ext.zero()
+    for mono, c in terms.items():
+        term = embed(c, ext)
+        for name, a in zip(model.vars, mono):
+            if a:
+                term = term * _naive_pow(point[name], a, ext.one())
+        acc = acc + term
+    return acc
+
+
+def _assert_same_terms(got, expect, digits):
+    """Same terms and coordinates.  With every input digit known
+    (``digits == "full"``), the same known precision too.  With fewer known
+    digits a grouping of the products may keep more of them: c * (3 x) knows
+    one digit more than c * x + c * x + c * x over Z_3 when c knows fewer
+    digits than x, so there the bound may only grow."""
+    assert sorted(got) == sorted(expect)
+    for mono, c in got.items():
+        assert c.coords == expect[mono].coords
+        if digits == "full":
+            assert c.known_precision == expect[mono].known_precision
+        else:
+            assert c.known_precision >= expect[mono].known_precision
+
+
+def _assert_sound(got, other):
+    """The terms of two computations from different lifts of the same inputs
+    agree to the known precision of ``got``."""
+    for mono in set(got.terms) | set(other.terms):
+        x = got.coefficient(mono)
+        assert (x - other.coefficient(mono)).reduce_mod(x.known_precision).coords \
+            == (0,) * len(x.coords)
+
+
+def _assert_same_element(got, expect):
+    assert got.coords == expect.coords
+    assert got.known_precision == expect.known_precision
+
+
+EVAL_BASES = (PadicContext(5, precision=12), PadicContext(5, e=2, precision=10),
+              PadicContext(3, f=2, precision=10))
+# (bounded vars, open vars, preset); the cover has d = 2, because with
+# d >= 3 and an open cover variable the truncated product is not associative
+EVAL_MODELS = (
+    ((), ("T",), None),
+    (("z",), ("T",), None),
+    (("zeta1", "zeta2"), (), Annulus(1)),
+    (("zeta1", "zeta2"), (), Annulus(2)),
+    ((), ("Y", "T"), Cover(2, "Y", {(0, 1): -1})),
+)
+EVAL_IDS = ["disc", "polydisc", "ann1", "ann2", "cover"]
+
+
+def _eval_case(base, bounded, open_vars, preset, label, digits="reduced"):
+    """The model and seeded draws of series and of centers on it.  With
+    ``digits == "reduced"`` about a third of the coefficients know fewer
+    digits than the context."""
+    model = AlgebraModel(base, bounded_vars=bounded, open_vars=open_vars,
+                         relation=preset, degree_cap=5)
+    rng = random.Random(f"{label}{digits}{base.p}{base.e}{base.f}{preset}")
+
+    def coeff():
+        x = base.random_element(rng)
+        return x.reduce_mod(rng.randrange(2, base.precision)) \
+            if digits == "reduced" and rng.random() < 0.3 else x
+
+    def rand_series(size=5):
+        return model.series({tuple(rng.randrange(0, 4) for _ in model.vars):
+                             coeff() for _ in range(size)})
+
+    def center():
+        """A point of the model, as recenter_rescale's closed forms need."""
+        if isinstance(preset, Annulus):
+            x1 = base.random_unit(rng) * base.pi_power(rng.randrange(0, preset.m + 1))
+            x2 = (x1.shift_down(x1.pi_valuation()).inverse()
+                  * base.pi_power(preset.m - x1.pi_valuation()))
+            return {"zeta1": x1, "zeta2": x2}
+        if isinstance(preset, Cover):
+            y0 = base.random_with_pi_valuation(rng.randrange(1, 3), rng)
+            return {"Y": y0, "T": -(y0 * y0)}
+        return {v: base.random_with_pi_valuation(int(model.is_open(v)), rng)
+                if rng.random() < 0.8 else base.zero() for v in model.vars}
+
+    def other_lift(s):
+        """s with each coefficient replaced by another lift of its digits."""
+        return model.series({mono: c + base.random_element(rng) * base.pi_power(
+            c.known_precision) if c.known_precision < base.precision else c
+            for mono, c in s.terms.items()})
+
+    return model, rng, rand_series, center, other_lift
+
+
+@pytest.mark.parametrize("digits", ["full", "reduced"])
+@pytest.mark.parametrize("base", EVAL_BASES, ids=["Z5", "e2", "W9"])
+@pytest.mark.parametrize("bounded,open_vars,preset", EVAL_MODELS, ids=EVAL_IDS)
+def test_recenter_matches_naive_substitution(base, bounded, open_vars, preset,
+                                             digits):
+    """Recentering through the one evaluator gives the same terms and
+    coordinates as one product per unit exponent, and a sound known
+    precision (see _assert_same_terms)."""
+    model, rng, rand_series, center, other_lift = _eval_case(
+        base, bounded, open_vars, preset, "recenter", digits)
+    for _ in range(6):
+        s, x = rand_series(), center()
+        scales = {v: rng.randrange(1, 3) for v in model.vars}
+        if isinstance(preset, Annulus):
+            scales = {"zeta1": x["zeta1"].pi_valuation() + rng.randrange(1, 3)}
+        elif isinstance(preset, Cover):
+            scales = {"Y": rng.randrange(1, 3)}
+        got = s.recenter_rescale(dict(x), dict(scales))
+        expect = _reference_recenter(s, dict(x), dict(scales))
+        assert got.model == expect.model
+        _assert_same_terms(got.terms, expect.terms, digits)
+        _assert_sound(got, other_lift(s).recenter_rescale(dict(x), dict(scales)))
+
+
+@pytest.mark.parametrize("base", EVAL_BASES, ids=["Z5", "e2", "W9"])
+@pytest.mark.parametrize("bounded,open_vars,preset", EVAL_MODELS, ids=EVAL_IDS)
+def test_point_evaluation_matches_naive_powers(base, bounded, open_vars, preset):
+    """Values at points, over the base and over a ramified extension, match
+    the evaluation that takes each power by naive products, known precision
+    included."""
+    model, rng, rand_series, center, _ = _eval_case(base, bounded, open_vars,
+                                                    preset, "evaluate")
+    ctxs = [base]
+    if base.e == 1:  # the ramified extensions embed only from e = 1
+        ctxs.append(PadicContext(base.p, f=base.f, e=2, unram_poly=base.unram_poly,
+                                 precision=2 * base.precision))
+    for _ in range(6):
+        s = rand_series()
+        for ctx in ctxs:
+            pt = {v: embed(c, ctx) for v, c in center().items()}
+            got = series_module._eval_terms(model, s.terms, pt, ctx)
+            _assert_same_element(got, _reference_eval_terms(model, s.terms, pt, ctx))
+            if model.relation is None or model.open_vars:
+                continue
+            # an annulus point is a point of the domain: evaluate accepts it
+            assert s.evaluate(pt).coords == got.coords
+
+
+@pytest.mark.parametrize("digits", ["full", "reduced"])
+@pytest.mark.parametrize("base", EVAL_BASES, ids=["Z5", "e2", "W9"])
+@pytest.mark.parametrize("bounded,open_vars,preset", EVAL_MODELS, ids=EVAL_IDS)
+def test_series_power_matches_naive_products(base, bounded, open_vars, preset,
+                                             digits):
+    model, rng, rand_series, _, other_lift = _eval_case(
+        base, bounded, open_vars, preset, "pow", digits)
+    for _ in range(3):
+        s = rand_series(3)
+        if rng.random() < 0.5:  # a unit constant term, so that s ** -n exists
+            s = s + model.constant(base.random_unit(rng) - s.constant_term())
+        s2 = other_lift(s)
+        try:
+            inv = s.inverse()
+        except DomainError:
+            inv = None
+        for n in range(-5, 10):
+            if n < 0 and inv is None:
+                with pytest.raises(DomainError):
+                    s ** n
+                continue
+            expect = _naive_pow(inv, -n, model.constant(1)) if n < 0 \
+                else _naive_pow(s, n, model.constant(1))
+            got = s ** n
+            _assert_same_terms(got.terms, expect.terms, digits)
+            _assert_sound(got, s2 ** n)
