@@ -59,12 +59,17 @@ def _emit(report, args, code=None):
     return code
 
 
-def _load(args, need=True):
-    if args.spec is None:
-        if need:
-            raise SpecError("this command needs --spec FILE")
+def _load(args):
+    """The spec named by ``--spec``, or None without one."""
+    if args.spec_path is None:
         return None
-    return specfile.load_spec(args.spec, precision_override=args.precision)
+    return specfile.load_spec(args.spec_path, precision_override=args.precision)
+
+
+def _spec(args):
+    if args.spec is None:
+        raise SpecError("this command needs --spec FILE")
+    return args.spec
 
 
 def _param(spec, args, key, default):
@@ -108,7 +113,7 @@ def _domain_point(spec, dom, args):
 
 
 def cmd_domain(args):
-    spec = _load(args)
+    spec = _spec(args)
     dom = spec.domains[args.name] if args.name else spec.sole("domains")
     if args.op == "describe":
         return _emit(dom.to_json(), args)
@@ -136,7 +141,7 @@ def cmd_domain(args):
 
 
 def cmd_family(args):
-    spec = _load(args)
+    spec = _spec(args)
     fam = spec.families[args.name] if args.name else spec.sole("families")
     n = _param(spec, args, "n", 1)
     if args.op == "check-strict":
@@ -194,7 +199,7 @@ def _one_rep(spec, args):
 
 
 def cmd_lattice(args):
-    spec = _load(args)
+    spec = _spec(args)
     if args.op == "stabilize":
         rep = _one_rep(spec, args)
         images = {g: [[PadicNumber(x) for x in row] for row in M]
@@ -237,7 +242,7 @@ def cmd_lattice(args):
 
 
 def cmd_pseudorep(args):
-    spec = _load(args)
+    spec = _spec(args)
     ps = spec.pseudoreps[args.name] if args.name else spec.sole("pseudoreps")
     if args.op == "check":
         rep = ps.axiom_check(pair_budget=_param(spec, args, "samples", 200),
@@ -326,8 +331,9 @@ def build_parser():
     ap = argparse.ArgumentParser(
         prog="loccon",
         description="exact p-adic congruence toolkit")
-    ap.add_argument("--spec", help="spec file path")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--spec", dest="spec_path", help="spec file path")
+    ap.add_argument("--seed", type=int,
+                    help="random seed (default: [params] seed, else 0)")
     ap.add_argument("--json", help="also write the report to this file")
     ap.add_argument("--single-thread", action="store_true",
                     help="force deterministic sequential execution (the "
@@ -401,6 +407,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     try:
+        args.spec = _load(args)
+        args.seed = _param(args.spec, args, "seed", 0)
         return args.func(args)
     except (SpecError, FileNotFoundError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

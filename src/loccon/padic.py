@@ -810,15 +810,29 @@ def gamma_injectivity_exhaustive(ctx_L, ctx_E, n):
     """Check injectivity of O_L/pi_L^n -> O_E/pi_E^gamma by enumeration.
 
     Returns (ok, witness) where witness is a colliding pair on failure.
+    The loop runs on coordinate tuples: the image of a residue mod pi_E^gamma
+    is its coordinates, each reduced by the modulus of its place in O_E
+    (L's coordinates are the omega-row of pi^0 in E, and the image's other
+    coordinates are 0).  Elements are built only for a witness.
     """
-    e_rel = relative_ramification(ctx_L, ctx_E)
+    e_rel, same = ctx_E._extension_of(ctx_L)
     g = gamma_exponent(e_rel, n)
+    if n > ctx_L.precision:
+        raise PrecisionError(
+            f"residues mod pi^{n} requested at precision {ctx_L.precision}")
+    # an embedded residue knows min(E.precision, n e_rel) >= min(E.precision, g)
+    # digits; between equal contexts embed is the identity
+    if not same and g > ctx_E.precision:
+        raise PrecisionError(
+            f"residue mod pi^{g} requested but only {ctx_E.precision} digits known")
+    # equal contexts have equal moduli, so E's serve both cases
+    mods = ctx_E._residue_moduli(g)
     seen = {}
-    for r in ctx_L.enumerate_residues(n):
-        key = embed(r, ctx_E).reduce_mod(g).coords
+    for combo in itertools.product(*map(range, ctx_L._residue_moduli(n))):
+        key = tuple(map(operator.mod, combo, mods))
         if key in seen:
-            return False, (r, seen[key])
-        seen[key] = r
+            return False, (_element(ctx_L, combo, n), _element(ctx_L, seen[key], n))
+        seen[key] = combo
     return True, None
 
 

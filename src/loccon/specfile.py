@@ -526,6 +526,9 @@ def _load_params(spec, block):
         try:
             spec.params[key] = int(val)
         except ValueError:
+            if key == "seed":
+                raise SpecError(f"seed must be an integer, got {val!r}",
+                                lineno) from None
             spec.params[key] = tuple(val.split()) if " " in val else val
 
 

@@ -216,6 +216,35 @@ def test_json_output_file(capsys, tmp_path):
     assert json.loads(out.read_text()) == {"gamma": 4}
 
 
+def _stdout(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_spec_seed_is_read_and_the_flag_overrides_it(capsys, tmp_path):
+    text = pathlib.Path(FAMILY_SPEC).read_text()
+    assert "\nseed = 0\n" in text
+    spec = tmp_path / "seed5.spec"
+    spec.write_text(text.replace("\nseed = 0\n", "\nseed = 5\n"))
+    sample = ["domain", "sample", "--samples", "4", "--ext", "ram2"]
+    from_spec = _stdout(capsys, "--spec", str(spec), *sample)
+    assert from_spec == _stdout(capsys, "--spec", str(spec), "--seed", "5", *sample)
+    assert from_spec != _stdout(capsys, "--spec", FAMILY_SPEC, *sample)
+    flag = _stdout(capsys, "--spec", str(spec), "--seed", "7", *sample)
+    assert flag == _stdout(capsys, "--spec", FAMILY_SPEC, "--seed", "7", *sample)
+    assert flag != from_spec
+    assert from_spec[0] == flag[0] == 0
+
+
+def test_non_integer_spec_seed_is_usage_error(capsys, tmp_path):
+    spec = tmp_path / "bad_seed.spec"
+    spec.write_text(pathlib.Path(FAMILY_SPEC).read_text()
+                    .replace("\nseed = 0\n", "\nseed = five\n"))
+    code = main(["--spec", str(spec), "domain", "describe"])
+    err = capsys.readouterr().err
+    assert code == 3 and "seed must be an integer" in err
+
+
 def test_precision_error_is_an_inconclusive_report(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["--spec", FAMILY_SPEC, "--precision", "2", "--json", str(out),

@@ -4,6 +4,7 @@ gamma-exponent calculus for marked extensions."""
 import gc
 import itertools
 import random
+import re
 import weakref
 from fractions import Fraction
 from math import ceil
@@ -816,6 +817,18 @@ def ref_enumerate_residues(ctx, m):
     return [(combo, m) for combo in itertools.product(*ranges)]
 
 
+def ref_gamma_injectivity(ctx_L, ctx_E, n):
+    """The element-based enumeration: embed each residue, then reduce it."""
+    g = padic.gamma_exponent(relative_ramification(ctx_L, ctx_E), n)
+    seen = {}
+    for r in ctx_L.enumerate_residues(n):
+        key = embed(r, ctx_E).reduce_mod(g).coords
+        if key in seen:
+            return False, (r, seen[key])
+        seen[key] = r
+    return True, None
+
+
 def ref_embed(x, ctx_E):
     ctx_L = x.context
     if ctx_L == ctx_E:
@@ -895,3 +908,95 @@ def test_embed_matches_the_reference_on_every_supported_pair(shape, precisions, 
             assert_matches(got, ref_embed(x, E))
             if L == E:
                 assert got is x
+
+
+# -- gamma injectivity on coordinate tuples ----------------------------------
+
+
+def _eisenstein(p, f, e):
+    """x^e + p x^(e-1) + ... + p x + p: Eisenstein, but not the default x^e - p."""
+    unit = [p] + [0] * (f - 1)
+    return [unit] * e + [[1] + [0] * (f - 1)]
+
+
+def _gamma_pairs():
+    for p, f, e_rel in itertools.product((2, 3, 5), (1, 2), (1, 2, 3)):
+        L = PadicContext(p, f=f, precision=12)
+        sources = [L] + ([PadicContext(p, precision=12)] if f == 2 else [])
+        if e_rel == 1:
+            targets = [L]
+        else:
+            targets = [PadicContext(p, f=f, e=e_rel, precision=12),
+                       PadicContext(p, f=f, e=e_rel, precision=12,
+                                    eis_poly=_eisenstein(p, f, e_rel))]
+        for src in sources:
+            for E in targets:
+                yield src, E
+
+
+def assert_same_injectivity(got, want):
+    assert got[0] == want[0]
+    if want[1] is None:
+        assert got[1] is None
+        return
+    for a, b in zip(got[1], want[1], strict=True):
+        assert a.context is b.context
+        assert (a.coords, a.known_precision) == (b.coords, b.known_precision)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gamma_injectivity_matches_the_element_reference(n):
+    pairs = list(_gamma_pairs())
+    # Z_p -> W(F_{p^2}) and a non-default Eisenstein polynomial are among them
+    assert any(L.f == 1 and E.f == 2 and E.e == 1 for L, E in pairs)
+    assert any(E.eis_poly != PadicContext(E.p, f=E.f, e=E.e).eis_poly
+               for _, E in pairs)
+    for L, E in pairs:
+        got = gamma_injectivity_exhaustive(L, E, n)
+        assert got == (True, None)
+        assert_same_injectivity(got, ref_gamma_injectivity(L, E, n))
+
+
+@pytest.mark.parametrize("L,E,n", [
+    (Z5, Z5, 2), (Z5, RAM2, 2), (Z5, UNRAM2, 2),
+    (UNRAM2, PadicContext(5, f=2, e=3, precision=12), 2),
+    (PadicContext(3, f=2, e=2, precision=12), PadicContext(3, f=2, e=2, precision=12), 2),
+    (PadicContext(2), PadicContext(2, e=3, eis_poly=_eisenstein(2, 1, 3)), 3),
+])
+def test_gamma_injectivity_reports_the_reference_witness(monkeypatch, L, E, n):
+    """At exponent gamma - 1 the map is not injective: both enumerations
+    stop at the same colliding pair."""
+    gamma = padic.gamma_exponent
+    monkeypatch.setattr(padic, "gamma_exponent", lambda e_rel, n: gamma(e_rel, n) - 1)
+    ok, witness = gamma_injectivity_exhaustive(L, E, n)
+    assert not ok
+    assert_same_injectivity((ok, witness), ref_gamma_injectivity(L, E, n))
+    a, b = witness
+    assert a.context is b.context is L
+    assert (a - b).reduce_mod(n).pi_valuation() is not None
+    g = gamma(relative_ramification(L, E), n) - 1
+    assert embed(a, E).reduce_mod(g).coords == embed(b, E).reduce_mod(g).coords
+
+
+@pytest.mark.parametrize("L,E,n,exc,message", [
+    (PadicContext(5, precision=3), RAM2, 4, PrecisionError,
+     "residues mod pi^4 requested at precision 3"),
+    (Z5, PadicContext(5, e=3, precision=4), 3, PrecisionError,
+     "residue mod pi^7 requested but only 4 digits known"),
+    (Z5, PadicContext(5, f=2, precision=2), 3, PrecisionError,
+     "residue mod pi^3 requested but only 2 digits known"),
+    (RAM2, Z5, 1, DomainError, "unsupported extension pair"),
+    (Z5, RAM2, 0, DomainError, "gamma_exponent needs"),
+])
+def test_gamma_injectivity_raises_what_the_reference_raises(L, E, n, exc, message):
+    for check in (gamma_injectivity_exhaustive, ref_gamma_injectivity):
+        with pytest.raises(exc, match=re.escape(message)):
+            check(L, E, n)
+
+
+def test_gamma_injectivity_on_equal_contexts_ignores_the_target_precision():
+    """embed is the identity between equal contexts, so E's lower precision
+    is never consulted."""
+    E = PadicContext(5, precision=4)
+    assert ref_gamma_injectivity(Z5, E, 6) == (True, None)
+    assert gamma_injectivity_exhaustive(Z5, E, 6) == (True, None)
