@@ -103,10 +103,17 @@ def cmd_bounds(args):
 # -- domain -----------------------------------------------------------------
 
 
+def _ext(spec, dom, args):
+    """The context named by ``--ext``, else the base of the domain's model."""
+    return spec.sole("contexts", args.ext) if args.ext else dom.model.base
+
+
 def _domain_point(spec, dom, args):
-    ext = spec.contexts[args.ext] if args.ext else dom.model.base
+    ext = _ext(spec, dom, args)
     coords = {}
-    for part in args.point.split(","):
+    for part in (args.point or "").split(","):
+        if ":" not in part:
+            raise SpecError("--point entries look like 'var : token'")
         var, tok = part.split(":", 1)
         coords[var.strip()] = parse_element_token(tok, ext)
     return ModelPoint(dom.model, coords)
@@ -114,7 +121,7 @@ def _domain_point(spec, dom, args):
 
 def cmd_domain(args):
     spec = _spec(args)
-    dom = spec.domains[args.name] if args.name else spec.sole("domains")
+    dom = spec.sole("domains", args.name)
     if args.op == "describe":
         return _emit(dom.to_json(), args)
     if args.op == "member":
@@ -125,14 +132,13 @@ def cmd_domain(args):
             return _emit({"verdict": "inconclusive", "reason": str(exc)}, args)
         return _emit({"member": inside, "kind": dom.kind, "n": dom.n}, args)
     if args.op == "sample":
-        ext = spec.contexts[args.ext] if args.ext else dom.model.base
-        pts = dom.sample(ext, args.samples, seed=args.seed)
+        pts = dom.sample(_ext(spec, dom, args), args.samples, seed=args.seed)
         return _emit({"count": len(pts), "points": [p.to_json() for p in pts]},
                      args)
     if args.op == "cover-compare":
-        ext = spec.contexts[args.ext] if args.ext else dom.model.base
-        rep = cover_compare(dom.model, dom.center, dom.n, ext,
-                            samples=args.samples, seed=args.seed)
+        rep = cover_compare(dom.model, dom.center, dom.n,
+                            _ext(spec, dom, args), samples=args.samples,
+                            seed=args.seed)
         return _emit(rep, args)
     raise SpecError(f"unknown domain operation {args.op!r}")
 
@@ -142,7 +148,7 @@ def cmd_domain(args):
 
 def cmd_family(args):
     spec = _spec(args)
-    fam = spec.families[args.name] if args.name else spec.sole("families")
+    fam = spec.sole("families", args.name)
     n = _param(spec, args, "n", 1)
     if args.op == "check-strict":
         dom = spec.sole("domains")
@@ -174,8 +180,7 @@ def cmd_family(args):
                      args)
     if args.op == "trace-algebra":
         rep = fam.trace_algebra_full(n, word_cap=_param(spec, args, "word_cap", 3))
-        code = 2 if rep["verdict"] == "inconclusive" else 0
-        return _emit(rep, args, code)
+        return _emit(rep, args)
     raise SpecError(f"unknown family operation {args.op!r}")
 
 
@@ -183,25 +188,20 @@ def cmd_family(args):
 
 
 def _two_reps(spec, args):
-    if args.left and args.right:
-        return spec.reps[args.left], spec.reps[args.right]
+    named = [spec.sole("reps", name) for name in (args.left, args.right)
+             if name]
+    if len(named) == 2:
+        return named
     if len(spec.reps) != 2:
         raise SpecError("this command needs exactly two rep blocks "
                         "(or --left/--right names)")
-    vals = list(spec.reps.values())
-    return vals[0], vals[1]
-
-
-def _one_rep(spec, args):
-    if args.left:
-        return spec.reps[args.left]
-    return spec.sole("reps")
+    return list(spec.reps.values())
 
 
 def cmd_lattice(args):
     spec = _spec(args)
     if args.op == "stabilize":
-        rep = _one_rep(spec, args)
+        rep = spec.sole("reps", args.left)
         images = {g: [[PadicNumber(x) for x in row] for row in M]
                   for g, M in rep.gen_images.items()}
         lat, cert = stable_lattice(rep.group, rep.dim, rep.context, images)
@@ -209,7 +209,7 @@ def cmd_lattice(args):
                       "matrices": {g: M for g, M in lat.gen_images.items()}},
                      args)
     if args.op == "reduce":
-        rep = _one_rep(spec, args)
+        rep = spec.sole("reps", args.left)
         rr = reduce_rep_mod(rep, args.m)
         return _emit({"modulus": args.m,
                       "matrices": {g: M for g, M in rr.gen_images.items()}},
@@ -225,7 +225,7 @@ def cmd_lattice(args):
         code = {"isomorphic": 0, "not_isomorphic": 1}.get(res.status, 2)
         return _emit(rep, args, code)
     if args.op == "semisimplify":
-        rep = _one_rep(spec, args)
+        rep = spec.sole("reps", args.left)
         ss = semisimplify_mod_p(reduce_rep_mod(rep, 1), seed=args.seed)
         code = 0 if ss["complete"] else 2
         return _emit(ss, args, code)
@@ -243,7 +243,7 @@ def cmd_lattice(args):
 
 def cmd_pseudorep(args):
     spec = _spec(args)
-    ps = spec.pseudoreps[args.name] if args.name else spec.sole("pseudoreps")
+    ps = spec.sole("pseudoreps", args.name)
     if args.op == "check":
         rep = ps.axiom_check(pair_budget=_param(spec, args, "samples", 200),
                              seed=args.seed)

@@ -205,7 +205,7 @@ def semistable_module(k, L_inv, ctx=None):
         fil = (ctx.one(), ctx.one())
     else:
         N = [[ctx.zero(), ctx.zero()], [ctx.one(), ctx.zero()]]
-        fil = (ctx.one(), embed(L_inv, ctx) if L_inv.context != ctx else L_inv)
+        fil = (ctx.one(), embed(L_inv, ctx))
     return PhiModule2(ctx, phi, N, k, fil, ("semistable", k))
 
 
@@ -292,10 +292,8 @@ def weak_admissibility(M):
     ok = True
     for entry in lines:
         line = entry["line"]
-        fil = M.fil_line
-        if line[0].context != M.context:
-            fil = (embed(M.fil_line[0], line[0].context),
-                   embed(M.fil_line[1], line[0].context))
+        fil = (embed(M.fil_line[0], line[0].context),
+               embed(M.fil_line[1], line[0].context))
         is_fil = _lines_equal(line, fil)
         needed = M.k - 1 if is_fil else 0
         slope = entry["slope"]

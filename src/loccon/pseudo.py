@@ -16,20 +16,19 @@ from loccon.series import AdicSeries
 
 
 class PseudoRep2:
-    """d = 2 pseudorepresentation on a finite group or a word-capped free
-    group; values live in O_E (or a series algebra) with p odd."""
+    """d = 2 pseudorepresentation on a finite group or a free group (values
+    on finitely many words); values live in O_E or in a series algebra over
+    it, and ``base`` is the coefficient context O_E, with p odd."""
 
-    def __init__(self, group, values, base, word_cap=None):
-        if _base_p(base) == 2:
+    def __init__(self, group, values, base):
+        if base.p == 2:
             raise DomainError("pseudorepresentation calculus needs p != 2")
         self.group = group
         self.base = base
-        self.word_cap = word_cap
+        self.half = base.from_int(2).inverse()
         if group.kind == "finite":
             self.values = {el: values[el] for el in group.elements()}
         else:
-            if word_cap is None:
-                raise DomainError("free-group pseudorepresentations need a word cap")
             self.values = {group.reduce_word(w): v for w, v in values.items()}
 
     # -- evaluation --------------------------------------------------------
@@ -46,8 +45,7 @@ class PseudoRep2:
         """D(g) = (T(g)^2 - T(g^2))/2."""
         t = self.value(g)
         t2 = self.value(self.group.multiply(g, g))
-        half = _half(self.base)
-        return (t * t - t2) * half
+        return (t * t - t2) * self.half
 
     # -- axioms ------------------------------------------------------------
 
@@ -189,25 +187,7 @@ def from_rep_trace(rep, word_cap=4):
         raise DomainError("pseudorepresentations are implemented for d = 2")
     values = {el: rep.trace_of_word(w)
               for el, w in rep.group.element_words(word_cap).items()}
-    return PseudoRep2(rep.group, values, _rep_base(rep), word_cap=word_cap)
-
-
-def _rep_base(rep):
-    if hasattr(rep, "model"):
-        return rep.model
-    return rep.context
-
-
-def _base_p(base):
-    if hasattr(base, "constant"):  # AlgebraModel
-        return base.base.p
-    return base.p
-
-
-def _half(base):
-    if hasattr(base, "constant"):
-        return base.constant(pow(2, -1, base.base.coeff_modulus))
-    return base.from_int(2).inverse()
+    return PseudoRep2(rep.group, values, rep.context)
 
 
 def _eq_mod(a, b, m):

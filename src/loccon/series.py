@@ -103,12 +103,31 @@ class Cover:
     kind = "cover"
 
     def rule(self, model):
-        """The rewrite rule (lhs monomial, rhs terms) on a valid model."""
+        """The rewrite rule (lhs monomial, rhs terms) on a valid model.
+
+        The truncated product is associative only if a product that the
+        degree cap drops never comes back under the cap by rewriting.  A
+        rewrite of an open y^d into a term of g of open degree k lowers the
+        open degree by d - k.  So a model with y open is refused when
+        d - k >= 2 for the lowest open degree k among g's terms, unless y
+        is the only open variable and degree_cap >= d - 1 (then the cap
+        never drops a product).
+        """
         if self.d < 2 or self.yvar not in model.vars:
             raise DomainError("cover preset needs degree >= 2 and a declared cover variable")
         yi = model.vars.index(self.yvar)
         if any(mono[yi] for mono in self.g):
             raise DomainError("cover relation right side must not involve the cover variable")
+        if model.is_open(self.yvar):
+            open_idx = [model.vars.index(v) for v in model.open_vars]
+            k = min((sum(mono[i] for i in open_idx) for mono in self.g),
+                    default=self.d)
+            if self.d - k >= 2 and (len(open_idx) > 1
+                                    or model.degree_cap < self.d - 1):
+                raise DomainError(
+                    f"cover relation {self.yvar}^{self.d} = g with an open "
+                    f"{self.yvar} lowers the open degree by {self.d - k}, "
+                    "so its truncated product is not associative")
         lhs = tuple(self.d if i == yi else 0 for i in range(len(model.vars)))
         return lhs, {mono: model._coerce(c) for mono, c in self.g.items()}
 

@@ -4,7 +4,8 @@ key-value syntax with location-carrying diagnostics.
 
 Series literals are sums of terms ``coeff*var^a*var^b`` where ``coeff`` is a
 decimal integer, a ``pi^k`` / ``pi^k*u`` token, or a ``coords(c0,c1,...)``
-coordinate vector.  ``parse_spec(print_spec(s))`` reproduces ``s``.
+coordinate vector.  A ``SpecFile`` keeps the blocks it was parsed from, and
+``print_spec`` writes them back, so ``parse_spec(print_spec(s)) == s``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 
 from loccon.padic import DomainError, PadicContext
-from loccon.series import AdicSeries, AlgebraModel, Annulus, Cover
+from loccon.series import AlgebraModel, Annulus, Cover
 from loccon.groups import (
     GroupPresentation,
     cyclic_group,
@@ -146,12 +147,18 @@ class SpecFile:
     pseudoreps: dict = field(default_factory=dict)
     domains: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
-    pseudo_defs: dict = field(default_factory=dict)  # raw entries, for printing
-    group_kinds: dict = field(default_factory=dict)  # built-in kind lines
+    # (kind, name, [(key, value), ...]) per block, in load order
+    blocks: list = field(default_factory=list)
 
-    def sole(self, kind):
-        """The unique block of a kind, for commands that take one object."""
+    def sole(self, kind, name=None):
+        """The block of a kind with the given name, or without a name the
+        only block of that kind."""
         table = getattr(self, kind)
+        if name is not None:
+            if name not in table:
+                raise SpecError(f"no {kind[:-1]} block named {name!r} "
+                                f"(declared: {', '.join(table) or 'none'})")
+            return table[name]
         if len(table) != 1:
             raise SpecError(f"spec must contain exactly one {kind[:-1]} block "
                             f"(found {len(table)})")
@@ -177,49 +184,7 @@ class SpecFile:
     def __eq__(self, other):
         if not isinstance(other, SpecFile):
             return NotImplemented
-        return _spec_signature(self) == _spec_signature(other)
-
-
-def _ctx_sig(ctx):
-    return (ctx.p, ctx.f, ctx.e, ctx.unram_poly, ctx.eis_poly, ctx.precision)
-
-
-def _model_sig(model):
-    return (_ctx_sig(model.base), model.bounded_vars, model.open_vars,
-            model.relation, model.degree_cap)
-
-
-def _series_sig(s):
-    return tuple(sorted((m, c.coords) for m, c in s.terms.items()))
-
-
-def _rep_sig(rep, ring_sig, entry_sig):
-    return (rep.group.kind, rep.group.generators, rep.dim, ring_sig,
-            tuple((g, tuple(tuple(entry_sig(x) for x in row) for row in M))
-                  for g, M in sorted(rep.gen_images.items())))
-
-
-def _spec_signature(spec):
-    fams = {name: _rep_sig(fam, _model_sig(fam.model), _series_sig)
-            for name, fam in spec.families.items()}
-    reps = {name: _rep_sig(rep, _ctx_sig(rep.context), lambda x: x.coords)
-            for name, rep in spec.reps.items()}
-    doms = {}
-    for name, dom in spec.domains.items():
-        doms[name] = (dom.kind, dom.n, _model_sig(dom.model),
-                      tuple(sorted((v, c.coords)
-                                   for v, c in dom.center.coords.items())))
-    pseudos = {}
-    for name, ps in spec.pseudoreps.items():
-        pseudos[name] = (ps.group.kind, ps.group.generators, ps.word_cap,
-                         tuple(sorted((str(k), _series_sig(v)
-                                       if isinstance(v, AdicSeries)
-                                       else v.coords)
-                                      for k, v in ps.values.items())))
-    return ({k: _ctx_sig(v) for k, v in spec.contexts.items()},
-            {k: _model_sig(v) for k, v in spec.models.items()},
-            {k: (v.kind, v.generators, v.table) for k, v in spec.groups.items()},
-            fams, reps, doms, pseudos, dict(spec.params))
+        return self.blocks == other.blocks
 
 
 _HEADER_RE = re.compile(r"\[(\w+)(?:\s+([\w.-]+))?\]$")
@@ -248,10 +213,10 @@ def parse_spec(text, precision_override=None):
         if current is None:
             raise SpecError("content before the first [block] header", lineno,
                             col=len(raw) - len(raw.lstrip()) + 1)
-        if "=" not in line:
+        key, eq, val = line.partition("=")
+        if not eq or not key.strip():
             raise SpecError("expected 'key = value'", lineno,
                             col=len(line) + 1)
-        key, val = line.split("=", 1)
         current["entries"].append((key.strip(), val.strip(), lineno))
     spec = SpecFile()
     order = {"context": 0, "model": 1, "group": 2, "family": 3, "rep": 4,
@@ -262,8 +227,23 @@ def parse_spec(text, precision_override=None):
         if b["type"] != "params" and not b["name"]:
             raise SpecError(f"{b['type']} block needs a name", b["line"])
     for b in sorted(blocks, key=lambda b: (order[b["type"]], b["line"])):
-        _load_block(spec, b, precision_override)
+        if b["type"] == "context" and precision_override is not None:
+            _override_precision(b, precision_override)
+        _load_block(spec, b)
+        spec.blocks.append((b["type"], b["name"],
+                            [(key, val) for key, val, _ in b["entries"]]))
     return spec
+
+
+def _override_precision(block, precision):
+    """Write ``precision`` into a context block's entries, in place of its
+    own ``precision`` line or after its last line."""
+    entries = block["entries"]
+    for i, (key, _, lineno) in enumerate(entries):
+        if key.split()[0] == "precision":
+            entries[i] = (key, str(precision), lineno)
+            return
+    entries.append(("precision", str(precision), block["line"]))
 
 
 def load_spec(path, precision_override=None):
@@ -310,23 +290,21 @@ def _resolve(table, name, what, lineno):
     return table[name]
 
 
-def _load_block(spec, block, precision_override):
+def _load_block(spec, block):
     t = block["type"]
     try:
         if t == "context":
-            spec.contexts[block["name"]] = _load_context(block, precision_override)
+            spec.contexts[block["name"]] = _load_context(block)
         elif t == "model":
             spec.models[block["name"]] = _load_model(spec, block)
         elif t == "group":
-            spec.groups[block["name"]] = _load_group(spec, block)
+            spec.groups[block["name"]] = _load_group(block)
         elif t == "family":
             spec.families[block["name"]] = _load_rep(spec, block)
         elif t == "rep":
             spec.reps[block["name"]] = _load_rep(spec, block)
         elif t == "pseudorep":
             spec.pseudoreps[block["name"]] = _load_pseudorep(spec, block)
-            spec.pseudo_defs[block["name"]] = [
-                (k, v) for k, v, _ in block["entries"]]
         elif t == "domain":
             spec.domains[block["name"]] = _load_domain(spec, block)
         elif t == "params":
@@ -337,14 +315,12 @@ def _load_block(spec, block, precision_override):
         raise SpecError(f"invalid [{t}] block: {exc}", block["line"]) from exc
 
 
-def _load_context(block, precision_override):
+def _load_context(block):
     e = _entries_dict(block)
     p = _get_int(e, "p", block)
     f = _get_int(e, "f", block, required=False, default=1)
     ram = _get_int(e, "e", block, required=False, default=1)
     prec = _get_int(e, "precision", block, required=False, default=20)
-    if precision_override is not None:
-        prec = precision_override
     unram = None
     if "unram_poly" in e:
         _, val, lineno = e["unram_poly"]
@@ -396,7 +372,7 @@ def _load_model(spec, block):
                         relation=relation, degree_cap=cap)
 
 
-def _load_group(spec, block):
+def _load_group(block):
     e = _entries_dict(block)
     val, lineno = _get(e, "kind", block)
     parts = val.split()
@@ -404,7 +380,6 @@ def _load_group(spec, block):
         if len(parts) != 2:
             raise SpecError(f"group kind {parts[0]!r} needs one integer "
                             "argument", lineno)
-        spec.group_kinds[block["name"]] = " ".join(parts)
         return _GROUP_BUILTIN[parts[0]](int(parts[1]))
     if parts[0] != "finite":
         raise SpecError(f"unknown group kind {parts[0]!r}", lineno)
@@ -453,9 +428,7 @@ def _load_rep(spec, block):
             raise SpecError(f"duplicate key {key!r}", lineno)
         images[parts[1]] = [[parse(cell, ring, lineno) for cell in row.split(",")]
                             for row in val.split(";")]
-    rep = (RepFamily if family else IntegralRep)(group, dim, ring, images)
-    rep._spec_group_ref = gval
-    return rep
+    return (RepFamily if family else IntegralRep)(group, dim, ring, images)
 
 
 def _load_pseudorep(spec, block):
@@ -482,7 +455,7 @@ def _load_pseudorep(spec, block):
     for key, val, lineno in e.get("value", []):
         word = _parse_word(key.split()[1:], group, lineno)
         values[word] = parse_element_token(val, ctx, lineno)
-    return PseudoRep2(group, values, ctx, word_cap=cap)
+    return PseudoRep2(group, values, ctx)
 
 
 def _parse_word(tokens, group, lineno):
@@ -536,97 +509,11 @@ def _load_params(spec, block):
 
 
 def print_spec(spec):
+    """The spec's blocks as text, in load order; comments are dropped and a
+    precision override stands in each context block."""
     out = []
-    for name, ctx in spec.contexts.items():
-        out.append(f"[context {name}]")
-        out.append(f"p = {ctx.p}")
-        out.append(f"f = {ctx.f}")
-        out.append(f"e = {ctx.e}")
-        out.append(f"precision = {ctx.precision}")
-        out.append("unram_poly = " + " ".join(str(c) for c in ctx.unram_poly))
-        out.append("eis_poly = " + " ; ".join(
-            " ".join(str(c) for c in row) for row in ctx.eis_poly))
-        out.append("")
-    for name, model in spec.models.items():
-        out.append(f"[model {name}]")
-        out.append(f"context = {_name_of(spec.contexts, model.base)}")
-        if model.bounded_vars:
-            out.append("bounded = " + " ".join(model.bounded_vars))
-        if model.open_vars:
-            out.append("open = " + " ".join(model.open_vars))
-        out.append(f"degree_cap = {model.degree_cap}")
-        rel = model.relation
-        if isinstance(rel, Annulus):
-            out.append(f"relation = annulus {rel.m}")
-        elif isinstance(rel, Cover):
-            lit = series_literal(AlgebraModel(
-                model.base, bounded_vars=model.bounded_vars,
-                open_vars=model.open_vars,
-                degree_cap=model.degree_cap).series(rel.g))
-            out.append(f"relation = cover {rel.d} {rel.yvar} : {lit}")
-        out.append("")
-    for name, group in spec.groups.items():
-        out.append(f"[group {name}]")
-        if name in spec.group_kinds:
-            out += [f"kind = {spec.group_kinds[name]}", ""]
-            continue
-        out.append("kind = finite")
-        out.append("generators = " + " ".join(group.generators))
-        out.append("gen_elements = " + " ".join(str(g) for g in group.gen_elements))
-        out.append(f"identity = {group.identity}")
-        out.append("table = " + " ; ".join(
-            " ".join(str(c) for c in row) for row in group.table))
-        out.append("")
-    for name, fam in spec.families.items():
-        out += _rep_lines(f"[family {name}]",
-                          f"model = {_name_of(spec.models, fam.model)}",
-                          fam, series_literal)
-    for name, rep in spec.reps.items():
-        out += _rep_lines(f"[rep {name}]",
-                          f"context = {_name_of(spec.contexts, rep.context)}",
-                          rep, element_literal)
-    for name, dom in spec.domains.items():
-        out.append(f"[domain {name}]")
-        out.append(f"model = {_name_of(spec.models, dom.model)}")
-        out.append(f"kind = {dom.kind}")
-        out.append(f"n = {dom.n}")
-        out.append("center = " + " , ".join(
-            f"{v} : {element_literal(c)}" for v, c in dom.center.coords.items()))
-        out.append("")
-    for name, entries in spec.pseudo_defs.items():
-        out.append(f"[pseudorep {name}]")
-        for key, val in entries:
-            out.append(f"{key} = {val}")
-        out.append("")
-    if spec.params:
-        out.append("[params]")
-        for key, val in spec.params.items():
-            if isinstance(val, tuple):
-                val = " ".join(val)
-            out.append(f"{key} = {val}")
+    for kind, name, entries in spec.blocks:
+        out.append(f"[{kind} {name}]" if name else f"[{kind}]")
+        out += [f"{key} = {val}" for key, val in entries]
         out.append("")
     return "\n".join(out)
-
-
-def _rep_lines(header, ring_line, rep, literal):
-    out = [header, ring_line, f"group = {_group_str(rep)}", f"dim = {rep.dim}"]
-    for gname in rep.group.generators:
-        out.append(f"matrix {gname} = " + " ; ".join(
-            " , ".join(literal(x) for x in row) for row in rep.gen_images[gname]))
-    return out + [""]
-
-
-def _group_str(obj):
-    ref = getattr(obj, "_spec_group_ref", None)
-    if ref is not None:
-        return ref
-    if obj.group.kind == "free":
-        return f"free {len(obj.group.generators)}"
-    raise SpecError("finite groups print through a named [group] block")
-
-
-def _name_of(table, obj):
-    for name, val in table.items():
-        if val is obj or val == obj:
-            return name
-    raise SpecError("object not registered in the spec")

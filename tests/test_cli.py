@@ -9,6 +9,7 @@ import pathlib
 import pytest
 
 from loccon.cli import main
+from loccon.specfile import load_spec, print_spec
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 FAMILY_SPEC = str(SPECS / "unramified_family.spec")
@@ -318,6 +319,43 @@ def test_unproven_factor_exits_2(capsys, tmp_path):
     assert rep["unproven"] == [18] and "18" in rep["reason"]
 
 
+@pytest.mark.parametrize("spec,argv,needle", [
+    ("unramified_family", ["domain", "describe", "--name", "x"], "'x'"),
+    ("unramified_family", ["domain", "member", "--point", "T : 25",
+                           "--ext", "x"], "'x'"),
+    ("unramified_family", ["domain", "sample", "--ext", "x"], "'x'"),
+    ("cover", ["domain", "cover-compare", "--ext", "x"], "'x'"),
+    ("unramified_family", ["domain", "member", "--point", "garbage"],
+     "--point"),
+    ("unramified_family", ["domain", "member"], "--point"),
+    ("unramified_family", ["family", "audit", "--name", "x"], "'x'"),
+    ("unramified_family", ["pseudorep", "check", "--name", "x"], "'x'"),
+    ("iso_pair", ["lattice", "iso", "--left", "x"], "'x'"),
+    ("iso_pair", ["lattice", "iso", "--left", "A", "--right", "x"], "'x'"),
+    ("iso_pair", ["lattice", "carayol", "--right", "x"], "'x'"),
+    ("iso_pair", ["lattice", "reduce", "--left", "x"], "'x'"),
+    ("iso_pair", ["lattice", "stabilize", "--left", "x"], "'x'"),
+    ("s3_standard", ["lattice", "semisimplify", "--left", "x"], "'x'"),
+])
+def test_unknown_block_name_or_bad_point_is_usage_error(capsys, spec, argv,
+                                                        needle):
+    """A name that no block of the spec declares, or a --point part without
+    ':', exits 3 with a one-line JSON error naming it, not a traceback."""
+    code = main(["--spec", str(SPECS / f"{spec}.spec")] + argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert needle in json.loads(lines[0])["error"]
+
+
+def test_unknown_name_error_lists_the_declared_blocks(capsys):
+    code = main(["--spec", ISO_SPEC, "lattice", "reduce", "--left", "C"])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 3
+    assert err == "no rep block named 'C' (declared: A, B)"
+
+
 def test_missing_spec_is_usage_error(capsys):
     code = main(["domain", "describe"])
     capsys.readouterr()
@@ -439,3 +477,17 @@ def _golden_run(argv):
 def test_report_bytes_match_golden(seed, index):
     argv = ["--seed", seed] + GOLDEN_COMMANDS[index]
     assert _golden_run(argv) == GOLDEN[seed, index]
+
+
+@pytest.mark.parametrize("seed", ["1", "1001"])
+@pytest.mark.parametrize("index", [i for i, argv in enumerate(GOLDEN_COMMANDS)
+                                   if "--spec" in argv])
+def test_printed_spec_gives_the_golden_report(tmp_path, seed, index):
+    """Each golden command run on the printed form of its spec gives the
+    golden exit code and report bytes."""
+    argv = list(GOLDEN_COMMANDS[index])
+    at = argv.index("--spec") + 1
+    printed = tmp_path / "printed.spec"
+    printed.write_text(print_spec(load_spec(argv[at])), encoding="utf-8")
+    argv[at] = str(printed)
+    assert _golden_run(["--seed", seed] + argv) == GOLDEN[seed, index]

@@ -43,6 +43,92 @@ def test_cover_relation_must_avoid_cover_variable():
                      relation=Cover(2, "Y", {(1, 0): 1}))
 
 
+def test_cover_refuses_a_relation_that_lowers_the_open_degree_by_two():
+    """Y^3 = T with Y and T open: at degree_cap 4, (Y^2*T * T^2) * Y is 0
+    but Y^2*T * (T^2 * Y) is T^4, so the model is refused."""
+    with pytest.raises(DomainError, match="not associative"):
+        AlgebraModel(Z5, open_vars=("Y", "T"),
+                     relation=Cover(3, "Y", {(0, 1): 1}), degree_cap=4)
+    # several terms: the lowest open degree decides
+    with pytest.raises(DomainError, match="not associative"):
+        AlgebraModel(Z5, open_vars=("Y", "T"),
+                     relation=Cover(3, "Y", {(0, 1): 1, (0, 2): 1}),
+                     degree_cap=4)
+    AlgebraModel(Z5, open_vars=("Y", "T"),
+                 relation=Cover(3, "Y", {(0, 2): 1, (0, 3): 1}), degree_cap=4)
+
+
+def _reference_monomial_product(d, k, open_y, open_t, cap):
+    """Y^a T^b times Y^c T^e on Y^d = T^k, truncated at open degree cap:
+    the exponent pair, or None for a dropped product (and None times
+    anything is None)."""
+    def mul(m1, m2):
+        if m1 is None or m2 is None:
+            return None
+        y, t = m1[0] + m2[0], m1[1] + m2[1]
+        while y >= d:
+            y, t = y - d, t + k
+        return (y, t) if open_y * y + open_t * t <= cap else None
+    return mul
+
+
+def _model_monomial_product(model):
+    """The model's own product on monomials (exponent pairs for Y, T)."""
+    yi, ti = model.vars.index("Y"), model.vars.index("T")
+    memo = {}
+
+    def series(m):
+        mono = [0, 0]
+        mono[yi], mono[ti] = m
+        return model.series({tuple(mono): 1})
+
+    def mul(m1, m2):
+        if m1 is None or m2 is None:
+            return None
+        if (m1, m2) not in memo:
+            terms = (series(m1) * series(m2)).terms
+            assert len(terms) <= 1 and all(c == 1 for c in terms.values())
+            memo[m1, m2] = next(((m[yi], m[ti]) for m in terms), None)
+        return memo[m1, m2]
+    return mul
+
+
+def _associative(mul, basis):
+    return all(mul(mul(a, b), c) == mul(a, mul(b, c))
+               for a in basis for b in basis for c in basis)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cover_accepts_exactly_the_associative_monomial_shapes(d):
+    """Over Y^d = T^k, k <= d, with Y and T each bounded or open and
+    degree_cap 2..6, every monomial triple: a shape that Cover.rule accepts
+    has an associative product (the model's own, checked triple by
+    triple), and a shape it refuses has a non-associative one."""
+    for k in range(d + 1):
+        for open_y in (False, True):
+            for open_t in (False, True):
+                for cap in range(2, 7):
+                    basis = [(y, t) for y in range(d)
+                             for t in range(cap + 1 if open_t else 3)
+                             if open_y * y + open_t * t <= cap]
+                    names = {"Y": open_y, "T": open_t}
+                    bounded = tuple(v for v in names if not names[v])
+                    open_vars = tuple(v for v in names if names[v])
+                    t_mono = tuple(k * (v == "T") for v in bounded + open_vars)
+                    try:
+                        model = AlgebraModel(
+                            Z5, bounded_vars=bounded, open_vars=open_vars,
+                            relation=Cover(d, "Y", {t_mono: 1}),
+                            degree_cap=cap)
+                    except DomainError:
+                        ref = _reference_monomial_product(d, k, open_y,
+                                                          open_t, cap)
+                        assert not _associative(ref, basis), (k, names, cap)
+                        continue
+                    assert _associative(_model_monomial_product(model),
+                                        basis), (k, names, cap)
+
+
 # -- normal forms ------------------------------------------------------------
 
 
@@ -287,8 +373,8 @@ NF_RELATIONS = (
     (("zeta1", "zeta2"), ("T",), Annulus(3), {"annulus_m": 3}),
     ((), ("Y", "T"), Cover(2, "Y", {(0, 1): -1}),
      {"cover": (2, "Y", {(0, 1): -1})}),
-    ((), ("Y", "T"), Cover(3, "Y", {(0, 1): 1, (0, 2): 5}),
-     {"cover": (3, "Y", {(0, 1): 1, (0, 2): 5})}),
+    ((), ("Y", "T"), Cover(3, "Y", {(0, 2): 1, (0, 3): 5}),
+     {"cover": (3, "Y", {(0, 2): 1, (0, 3): 5})}),
     (("Y", "T"), (), Cover(2, "Y", {(0, 0): 3, (0, 1): 1}),
      {"cover": (2, "Y", {(0, 0): 3, (0, 1): 1})}),
 )
@@ -296,7 +382,7 @@ NF_RELATIONS = (
 
 @pytest.mark.parametrize("base", NF_BASES, ids=["Z5", "e2", "f2"])
 @pytest.mark.parametrize("bounded,open_vars,preset,ref", NF_RELATIONS,
-                         ids=["ann1", "ann2", "ann3_T", "Y2=-T", "Y3=T+5T2",
+                         ids=["ann1", "ann2", "ann3_T", "Y2=-T", "Y3=T2+5T3",
                               "Y2=3+T"])
 def test_normal_form_matches_reference_loops(base, bounded, open_vars,
                                              preset, ref):
@@ -433,8 +519,9 @@ def _assert_same_element(got, expect):
 
 EVAL_BASES = (PadicContext(5, precision=12), PadicContext(5, e=2, precision=10),
               PadicContext(3, f=2, precision=10))
-# (bounded vars, open vars, preset); the cover has d = 2, because with
-# d >= 3 and an open cover variable the truncated product is not associative
+# (bounded vars, open vars, preset); the cover has d = 2, because Y^d = T
+# with Y and T open and d >= 3 is refused (its truncated product is not
+# associative)
 EVAL_MODELS = (
     ((), ("T",), None),
     (("z",), ("T",), None),

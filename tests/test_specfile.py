@@ -152,6 +152,7 @@ REP_BLOCK = "[context c]\np = 5\n[rep R]\ncontext = c\n"
     ("[context c]\np = 5\np = 7", "duplicate key"),
     ("[widget w]\nx = 1", "unknown block type"),
     ("[context c]\nnonsense line", "key = value"),
+    ("[context c]\np = 5\n = 7", "line 3, col 5: expected 'key = value'"),
     (REP_BLOCK + "group = free 2\ndim = 2\nmatrix g1 = 1 , 0 ; 0 , 1",
      "line 3: invalid [rep] block: missing matrix for generator 'g2'"),
     (REP_BLOCK + "group = free 1\ndim = 2\n"
@@ -230,3 +231,47 @@ def test_builtin_group_prints_its_kind_line():
     assert printed[:2] == ["[group S4]", "kind = symmetric 4"]
     assert not any(line.startswith("table") for line in printed)
     assert sf.parse_spec(sf.print_spec(spec)) == spec
+
+
+def test_precision_override_is_printed_into_every_context():
+    """The override replaces a context's precision line, or is added to a
+    context without one, and the printed spec parses back at it."""
+    text = "[context a]\np = 5\nprecision = 12\n\n[context b]\np = 3\ne = 2\n"
+    spec = sf.parse_spec(text, precision_override=8)
+    printed = sf.print_spec(spec)
+    assert printed == ("[context a]\np = 5\nprecision = 8\n\n"
+                       "[context b]\np = 3\ne = 2\nprecision = 8\n")
+    again = sf.parse_spec(printed)
+    assert [c.precision for c in again.contexts.values()] == [8, 8]
+    assert again == spec
+    assert sf.parse_spec(text) != spec
+
+
+def test_print_drops_comments():
+    text = "# a base ring\n[context c]   # Z_5\np = 5  # the prime\n# end\n"
+    assert sf.print_spec(sf.parse_spec(text)) == "[context c]\np = 5\n"
+
+
+def test_multi_key_entries_and_unnamed_params_print_verbatim():
+    text = """[context base]
+p = 5
+
+[rep R]
+context = base
+group = free 1
+dim = 2
+matrix g1 = 1 ,1; 0, 1
+
+[pseudorep Q]
+group = free 1
+context = base
+value e = 2
+value g1 = 2
+value g1 g1 = 2
+value g1^-1 g1^-1 = 2
+
+[params]
+n = 2
+extensions = base
+"""
+    assert sf.print_spec(sf.parse_spec(text)) == text
