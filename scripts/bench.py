@@ -15,6 +15,9 @@ Print the ratio new/base of every median of two files:
 
     python3 scripts/bench.py --compare BENCH_baseline.json BENCH_new.json
 
+It warns when both files name one git revision but different digests of
+src/loccon: at least one of them records a working tree with edits.
+
 The file holds the runs' metadata (git revision, digest of src/loccon,
 Python, nproc, machine), the seeds and run length, and per workload the
 verdict counts and the median, quartiles and IQR of each end-to-end metric
@@ -135,6 +138,13 @@ def compare(base_path, new_path):
         meta = doc["meta"]
         print(f"{side}: {doc['label']} rev {meta['git_revision']} "
               f"src {meta['source_sha256']}")
+    if (base["meta"]["git_revision"] == new["meta"]["git_revision"]
+            and base["meta"]["source_sha256"] != new["meta"]["source_sha256"]):
+        # perfbench records HEAD, so a run of a working tree with edits to
+        # src/loccon names the revision it was edited from
+        print(f"warning: both files name rev {new['meta']['git_revision']} "
+              "but their src digests differ: at least one records a working "
+              "tree, not that revision")
     print(f"{'workload':<13} {'metric':<16} {'unit':<5} {'base median':>12} "
           f"{'base iqr':>10} {'new median':>12} {'new iqr':>10} "
           f"{'new/base':>9}")

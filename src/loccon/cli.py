@@ -188,14 +188,22 @@ def cmd_family(args):
 
 
 def _two_reps(spec, args):
-    named = [spec.sole("reps", name) for name in (args.left, args.right)
-             if name]
-    if len(named) == 2:
-        return named
+    """The (left, right) reps: the blocks that --left and --right name.  A
+    lone name pairs with the other of the spec's two rep blocks, on the
+    other side; without names the two blocks compare in file order."""
+    left = spec.sole("reps", args.left) if args.left else None
+    right = spec.sole("reps", args.right) if args.right else None
+    if left is not None and right is not None:
+        return left, right
     if len(spec.reps) != 2:
         raise SpecError("this command needs exactly two rep blocks "
-                        "(or --left/--right names)")
-    return list(spec.reps.values())
+                        "(or both --left and --right names)")
+    first, second = spec.reps.values()
+    if left is not None:
+        return left, second if left is first else first
+    if right is not None:
+        return second if right is first else first, right
+    return first, second
 
 
 def cmd_lattice(args):

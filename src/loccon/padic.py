@@ -53,6 +53,44 @@ def _poly_rem(poly, monic):
     return r[:d]
 
 
+# -- coordinate product kernels: PadicContext.__init__ picks one per shape ----
+
+
+def _mul_coords_zp(ctx, a, b):
+    """Coordinates of a product in Z_p (e = f = 1): one integer product."""
+    return ((a[0] * b[0]) % ctx.coeff_modulus,)
+
+
+def _mul_coords_general(ctx, a, b):
+    """Coordinates of a product in O_E for any (e, f): convolve over Z in
+    (pi, omega), fold pi^r for r >= e by the Eisenstein relation, reduce
+    each pi-row by the unramified polynomial and mod the modulus once."""
+    e, f, g = ctx.e, ctx.f, ctx.unram_poly
+    w = 2 * f - 1  # omega-degrees of a product of two W-coordinates
+    # 1. convolve over Z in (pi, omega): pi^r omega^j lands in slot r*w + j
+    acc = [0] * ((2 * e - 1) * w)
+    for i, x in enumerate(a):
+        if x:
+            i += i // f * (f - 1)
+            for k, y in enumerate(b):
+                if y:
+                    acc[i + k + k // f * (f - 1)] += x * y
+    # 2. reduce the pi-rows by g from the top down, folding each pi^r with
+    #    r >= e into the rows below by pi^e = -sum_{i<e} b_i pi^i
+    low = []
+    for r in range(2 * e - 2, -1, -1):
+        row = _poly_rem(acc[r * w:(r + 1) * w], g)
+        if r < e:
+            low[:0] = row
+            continue
+        row = [-c for c in row]
+        for i in range(e):
+            _poly_addmul(acc, (r - e + i) * w, row, ctx.eis_poly[i])
+    # 3. take the coordinates mod M once
+    M = ctx.coeff_modulus
+    return tuple(c % M for c in low)
+
+
 def _int_val(n, p, modulus):
     """p-adic valuation of an integer known mod a power of p; None if 0."""
     n %= modulus
@@ -99,6 +137,8 @@ class PadicContext:
         self.eis_poly = tuple(tuple(int(c) for c in row) for row in eis_poly)
         self._check_unram()
         self._check_eisenstein()
+        # a module function, not a bound method: the context holds no cycle
+        self._mul_coords = _mul_coords_zp if e == f == 1 else _mul_coords_general
         self._p_over_pi_el = None
         self._residue_field = None
         # v_p of gcd(M, row) for a pi-row of coordinates; M itself: a zero row
@@ -420,41 +460,19 @@ class PadicElement:
         return _element(self.context, tuple(coords), self.known_precision)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.context.from_int(other)
-        self._check_same(other)
         ctx = self.context
-        e, f, g = ctx.e, ctx.f, ctx.unram_poly
-        w = 2 * f - 1  # omega-degrees of a product of two W-coordinates
-        # 1. convolve over Z in (pi, omega): pi^r omega^j lands in slot r*w + j
-        acc = [0] * ((2 * e - 1) * w)
-        for i, x in enumerate(self.coords):
-            if x:
-                i += i // f * (f - 1)
-                for k, y in enumerate(other.coords):
-                    if y:
-                        acc[i + k + k // f * (f - 1)] += x * y
-        # 2. reduce the pi-rows by g from the top down, folding each pi^r with
-        #    r >= e into the rows below by pi^e = -sum_{i<e} b_i pi^i
-        low = []
-        for r in range(2 * e - 2, -1, -1):
-            row = _poly_rem(acc[r * w:(r + 1) * w], g)
-            if r < e:
-                low[:0] = row
-                continue
-            row = [-c for c in row]
-            for i in range(e):
-                _poly_addmul(acc, (r - e + i) * w, row, ctx.eis_poly[i])
-        # 3. take the coordinates mod M once
-        M = ctx.coeff_modulus
-        coords = tuple(c % M for c in low)
+        if isinstance(other, int):
+            other = ctx.from_int(other)
+        if other.context is not ctx:
+            self._check_same(other)
+        coords = ctx._mul_coords(ctx, self.coords, other.coords)
         va, vb = self.pi_valuation(), other.pi_valuation()
         ka, kb = self.known_precision, other.known_precision
         prec = min(ctx.precision, ka + (kb if vb is None else vb),
                    kb + (ka if va is None else va))
         # O_E is a discrete valuation ring: valuations add below the precision
         v = None if va is None or vb is None or va + vb >= prec else va + vb
-        return PadicElement(ctx, coords, prec, v)
+        return _element(ctx, coords, prec, v)
 
     __rmul__ = __mul__
 

@@ -336,6 +336,8 @@ def test_unproven_factor_exits_2(capsys, tmp_path):
     ("iso_pair", ["lattice", "reduce", "--left", "x"], "'x'"),
     ("iso_pair", ["lattice", "stabilize", "--left", "x"], "'x'"),
     ("s3_standard", ["lattice", "semisimplify", "--left", "x"], "'x'"),
+    ("s3_standard", ["lattice", "iso", "--left", "S"], "exactly two rep"),
+    ("s3_standard", ["lattice", "carayol", "--right", "S"], "exactly two rep"),
 ])
 def test_unknown_block_name_or_bad_point_is_usage_error(capsys, spec, argv,
                                                         needle):
@@ -347,6 +349,54 @@ def test_unknown_block_name_or_bad_point_is_usage_error(capsys, spec, argv,
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert needle in json.loads(lines[0])["error"]
+
+
+# B is A conjugated by [[1, 1], [0, 1]]: residually absolutely irreducible
+# and isomorphic, so both reports carry an intertwiner, which depends on the
+# order of the pair
+CONJUGATE_PAIR_SPEC = """
+[context base]
+p = 5
+precision = 8
+
+[rep A]
+context = base
+group = free 2
+dim = 2
+matrix g1 = 1 , 1 ; 0 , 1
+matrix g2 = 1 , 0 ; 1 , 1
+
+[rep B]
+context = base
+group = free 2
+dim = 2
+matrix g1 = 1 , 1 ; 0 , 1
+matrix g2 = 2 , -1 ; 1 , 0
+"""
+
+
+@pytest.mark.parametrize("argv", [["lattice", "iso", "--m", "2"],
+                                  ["lattice", "carayol", "--n", "2"]])
+@pytest.mark.parametrize("lone,order", [
+    (["--left", "A"], "AB"),
+    (["--left", "B"], "BA"),
+    (["--right", "A"], "BA"),
+    (["--right", "B"], "AB"),
+])
+def test_a_lone_name_pairs_with_the_other_rep_block(capsys, tmp_path, argv,
+                                                    lone, order):
+    """A lone --left or --right keeps its side; the other side is the
+    spec's other rep block."""
+    spec = tmp_path / "pair.spec"
+    spec.write_text(CONJUGATE_PAIR_SPEC)
+    out = {}
+    for key, names in (("lone", lone), ("AB", ["--left", "A", "--right", "B"]),
+                       ("BA", ["--left", "B", "--right", "A"])):
+        code = main(["--spec", str(spec)] + argv + names)
+        out[key] = code, capsys.readouterr().out
+    assert out["AB"][0] == out["BA"][0] == 0
+    assert out["AB"] != out["BA"]
+    assert out["lone"] == out[order]
 
 
 def test_unknown_name_error_lists_the_declared_blocks(capsys):

@@ -484,10 +484,12 @@ def test_embedding_into_an_equal_context_returns_the_element():
 
 # -- the product and the shift against the pi-power-table reference ----------
 
-# Z_p; f = 2, 3; e = 2, 3 with non-default Eisenstein polynomials; the
-# default e = 2; f = 2 and f = 3 under e = 2 with omega in the Eisenstein
-# coefficients
+# Z_p at p = 2, 3, 5; f = 2, 3; e = 2, 3 with non-default Eisenstein
+# polynomials; the default e = 2; f = 2 and f = 3 under e = 2 with omega in
+# the Eisenstein coefficients
 SHAPES = [
+    dict(p=2),
+    dict(p=3),
     dict(p=5),
     dict(p=5, f=2),
     dict(p=3, f=3),
@@ -736,6 +738,32 @@ def test_cached_valuations_match_a_fresh_scan(shape, precision, data):
     if x.is_unit():
         results.append(x.inverse())
     for r in results:
+        assert r.pi_valuation() == _scanned_valuation(r)
+
+
+def _zp_operand(data, ctx):
+    """A Z_p element that may be zero or a multiple of a p-power, at a known
+    precision that may be below the cap."""
+    M = ctx.coeff_modulus
+    c = data.draw(st.integers(0, M - 1))
+    k = data.draw(st.integers(0, ctx.coeff_digits))
+    c = data.draw(st.sampled_from([0, c, c * ctx.p ** k % M]))
+    return PadicElement(ctx, (c,), data.draw(st.integers(0, ctx.precision)))
+
+
+@given(p=st.sampled_from([2, 3, 5, 7]), precision=st.integers(1, 14), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_zp_kernel_matches_the_general_kernel(p, precision, data):
+    ctx = PadicContext(p, precision=precision)
+    assert ctx._mul_coords is padic._mul_coords_zp
+    x, y = _zp_operand(data, ctx), _zp_operand(data, ctx)
+    if data.draw(st.booleans()):
+        x.pi_valuation()  # a product reads cached and fresh valuations alike
+    xy = padic._mul_coords_general(ctx, x.coords, y.coords)
+    assert padic._mul_coords_zp(ctx, x.coords, y.coords) == xy
+    xyx = padic._mul_coords_general(ctx, xy, x.coords)
+    for r, want in ((x * y, xy), (y * x, xy), (x * y * x, xyx)):
+        assert r.coords == want
         assert r.pi_valuation() == _scanned_valuation(r)
 
 

@@ -99,6 +99,35 @@ def test_bench_compare_prints_new_over_base(tmp_path, capsys):
     assert ["carayol", "verdicts_per_s", "1/s", "100", "0", "150", "0", "1.5000"] in rows
 
 
+def _bench_doc(label, revision, digest):
+    return {"label": label, "seconds": 30.0, "trace": 0,
+            "meta": dict(META, git_revision=revision, source_sha256=digest),
+            "workloads": {"carayol": {"seeds": [1], "attempted": 12, "failed": 0,
+                                      "metrics": {"verdicts_per_s": {
+                                          "unit": "1/s", "median": 100.0,
+                                          "q1": 100.0, "q3": 100.0, "iqr": 0.0,
+                                          "values": [100.0]}}}}}
+
+
+@pytest.mark.parametrize("new_meta,warned", [
+    (("abc123", "0123456789abcdef"), False),  # the same source twice
+    (("def456", "fedcba9876543210"), False),  # another revision
+    (("abc123", "fedcba9876543210"), True),   # a working tree of abc123
+])
+def test_bench_compare_flags_one_revision_with_two_sources(tmp_path, capsys,
+                                                           new_meta, warned):
+    bench = _bench_module()
+    paths = [tmp_path / "BENCH_base.json", tmp_path / "BENCH_new.json"]
+    paths[0].write_text(json.dumps(_bench_doc("base", "abc123", "0123456789abcdef")))
+    paths[1].write_text(json.dumps(_bench_doc("new", *new_meta)))
+    assert bench.main(["--compare", *map(str, paths)]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == warned
+    if warned:
+        assert "abc123" in warnings[0]
+
+
 def test_bench_refuses_cut_or_mixed_runs():
     bench = _bench_module()
     run = _canned_run("carayol", 1, 99.0, 20.0)
