@@ -117,70 +117,27 @@ def nullspace_mod(rows, ctx, m):
     Returns a list of (generator vector, s) where the generator is pi^s
     times a unimodular column, so it has additive order pi^{m-s}; the
     solution module is the set of R-combinations of the generators.
+
+    The rows of [M^T | I] are echelonized with pivots in the M^T part.  As
+    the stored rows are independent (see ChainSpan), the solutions are
+    generated by the I part of each row whose M^T part reduces to zero and
+    pi^(m-a) times the I part of each stored row of pivot valuation a.
     """
     if not rows:
         return []
     n, k = len(rows), len(rows[0])
-    M = [[x for x in row] for row in rows]
-    # column operations are tracked so solutions can be reconstructed:
-    # M V = U D with V the accumulated column transform; x = V z, D z = 0.
-    V = identity_matrix(ctx, k)
-    diag = []
-    r = 0
-    while r < min(n, k):
-        best = None
-        for i in range(r, n):
-            for j in range(r, k):
-                v = _val(M[i][j], m)
-                if v < m and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        a, pi_i, pi_j = best
-        M[r], M[pi_i] = M[pi_i], M[r]
-        for row in M:
-            row[r], row[pi_j] = row[pi_j], row[r]
-        for row in V:
-            row[r], row[pi_j] = row[pi_j], row[r]
-        # pivot = pi^a * unit; normalize the column ops via the unit
-        pivot = M[r][r]
-        unit_inv = pivot.shift_down(a).inverse()
-        # clear the pivot column (row ops, untracked) and row (col ops, tracked)
-        for i in range(n):
-            if i == r:
-                continue
-            if _val(M[i][r], m) < m:
-                # the pivot has minimal valuation, so the quotient is exact
-                q = (M[i][r] * unit_inv).shift_down(a)
-                M[i] = [x - q * y for x, y in zip(M[i], M[r])]
-        for j in range(k):
-            if j == r:
-                continue
-            if _val(M[r][j], m) < m:
-                # q is known mod pi^(m-a) only, but any lift of it is an
-                # exact column operation over O/pi^m: take its coordinates
-                # as exact, so V (and the generators) stay known mod pi^m
-                q = ctx.from_coords((M[r][j] * unit_inv).shift_down(a).coords)
-                for i in range(n):
-                    M[i][j] = M[i][j] - q * M[i][r]
-                for i in range(k):
-                    V[i][j] = V[i][j] - q * V[i][r]
-        diag.append(a)
-        r += 1
-    gens = []
-    pw = ctx.pi_power
-    for j in range(k):
-        if j < len(diag):
-            a = diag[j]
-            if a == 0:
-                continue  # z_j must be 0
-            scale = pw(m - a)
-            gen = [(V[i][j] * scale).reduce_mod(m) for i in range(k)]
-            gens.append((gen, m - a))
-        else:
-            gen = [V[i][j].reduce_mod(m) for i in range(k)]
-            gens.append((gen, 0))
-    return gens
+    span = ChainSpan(ctx, m, n + k)
+    span._pivots = n
+    free = []
+    for j, unit in enumerate(identity_matrix(ctx, k)):
+        span._insert([row[j] for row in rows] + unit, free)
+    out = ChainSpan(ctx, m, k)
+    for vec in free:
+        out.add(vec[n:])
+    for a, vec in span.rows.values():
+        if a:
+            out.add([x * ctx.pi_power(m - a) for x in vec[n:]])
+    return [(vec, a) for a, vec in (out.rows[j] for j in sorted(out.rows))]
 
 
 # -- span closure -----------------------------------------------------------
@@ -188,12 +145,22 @@ def nullspace_mod(rows, ctx, m):
 
 class ChainSpan:
     """Incremental span of vectors in (O_E/pi^m)^k, echelon with pi-power
-    pivots; supports stabilization detection and fullness tests."""
+    pivots; supports stabilization detection and fullness tests.
+
+    A row is stored at its pivot, the first column of least valuation a, so
+    it has valuation > a before the pivot.  Hence the rows are independent:
+    in a relation sum c_i row_i = 0, the term of least valuation with the
+    first pivot is alone at that valuation in its pivot column, so it is 0.
+    Likewise a fully reduced vector of the span is 0.  A reduction at
+    valuation v adds valuation v only to later columns, so ``reduce`` ends
+    after at most m + 1 passes.
+    """
 
     def __init__(self, ctx, m, k):
         self.ctx = ctx
         self.m = m
         self.k = k
+        self._pivots = k  # pivots lie in the first _pivots columns
         self.rows = {}  # pivot column -> (exponent, vector)
 
     def reduce(self, vec):
@@ -203,48 +170,35 @@ class ChainSpan:
             changed = False
             for j in sorted(self.rows):
                 a, row = self.rows[j]
-                v = _val(vec[j], self.m)
-                if v >= self.m:
-                    continue
-                if v >= a:
+                if a <= _val(vec[j], self.m) < self.m:
+                    # the quotient is known mod pi^(m-a); taking a lift as
+                    # exact keeps the columns past the pivots known mod pi^m
                     q = (vec[j] * row[j].shift_down(a).inverse()).shift_down(a)
+                    q = self.ctx.from_coords(q.coords)
                     vec = [x - q * y for x, y in zip(vec, row)]
                     changed = True
         return [x.reduce_mod(self.m) for x in vec]
 
     def add(self, vec):
-        """Insert a vector; returns True when the span grew.
+        """Insert a vector; returns True when the span grew."""
+        return self._insert(vec, [])
 
-        Every other row is then reduced against the new one and placed
-        again, for stability.
-        """
-        j = self._place(vec)
-        if j is None:
-            return False
-        for jj in list(self.rows):
-            if jj != j:
-                self._place(self.rows.pop(jj)[1])
-        return True
-
-    def _place(self, vec):
-        """Store the reduced vector at the column of its minimal-valuation
-        entry and return that column (None when it reduces to zero).  A row
-        already there has a larger valuation in that column; it is
-        displaced and placed again, so no generator is lost."""
+    def _insert(self, vec, leftovers):
+        """Store the reduced vector at its pivot, or append it to leftovers
+        when it has none.  A row already there has a larger valuation in
+        that column; it is displaced and inserted again."""
         vec = self.reduce(vec)
-        best = None
-        for j in range(self.k):
-            v = _val(vec[j], self.m)
-            if v < self.m and (best is None or v < best[0]):
-                best = (v, j)
-        if best is None:
-            return None
-        a, j = best
+        vals = [_val(x, self.m) for x in vec[:self._pivots]]
+        a = min(vals)
+        if a >= self.m:
+            leftovers.append(vec)
+            return False
+        j = vals.index(a)
         displaced = self.rows.get(j)
         self.rows[j] = (a, vec)
         if displaced is not None:
-            self._place(displaced[1])
-        return j
+            self._insert(displaced[1], leftovers)
+        return True
 
     def is_full(self):
         return (len(self.rows) == self.k

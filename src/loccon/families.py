@@ -11,9 +11,6 @@ from loccon.lattice import IntegralRep
 from loccon.padic import DomainError, gamma_exponent, relative_ramification
 from loccon.series import AdicSeries
 
-# trace_algebra_full gives up (inconclusive) after this many product rounds
-_MAX_ROUNDS = 40
-
 
 class RepFamily(IntegralRep):
     """d x d matrices of AdicSeries over a model, one per group generator.
@@ -119,8 +116,9 @@ class RepFamily(IntegralRep):
         the whole truncated algebra?
 
         Works on disc models only (monomial basis up to the degree cap).
-        Returns "full", "proper", or "inconclusive" (after _MAX_ROUNDS)
-        together with the number of product rounds.
+        Returns "full" or "proper" together with the number of product
+        rounds.  Each round but the last grows the span, a submodule of
+        (O_E/pi^n)^k of length at most n k, so there are at most n k + 1.
         """
         model = self.model
         if model.relation is not None:
@@ -151,7 +149,7 @@ class RepFamily(IntegralRep):
         span.add(vec(basis[0]))
         frontier = list(basis)
         rounds = 0
-        while frontier and rounds < _MAX_ROUNDS:
+        while frontier:
             rounds += 1
             new = []
             for b in frontier:
@@ -163,9 +161,6 @@ class RepFamily(IntegralRep):
             if span.is_full():
                 return {"verdict": "full", "rounds": rounds,
                         "modulus": n, "degree_budget": degree_budget}
-        if frontier:
-            return {"verdict": "inconclusive", "rounds": rounds,
-                    "modulus": n, "degree_budget": degree_budget}
         return {"verdict": "proper", "rounds": rounds,
                 "modulus": n, "degree_budget": degree_budget}
 

@@ -359,14 +359,14 @@ def _extend_basis(rows, d, F):
 # -- stable lattices --------------------------------------------------------
 
 
-def stable_lattice(group, dim, context, gen_images, rounds_budget=40,
-                   denom_budget=60):
+def stable_lattice(group, dim, context, gen_images, rounds_budget=40):
     """Basis change making all generator images integral.
 
     ``gen_images`` maps generators to matrices of PadicNumber (possibly
     non-integral).  Returns (IntegralRep, certificate C) with C^{-1} rho C
     integral, or raises InconclusiveError("unbounded ...") when the orbit
-    lattice fails to stabilize within the budget.
+    lattice fails to stabilize within the budget or outgrows the working
+    precision.
     """
     ctx = context
     d = dim
@@ -383,10 +383,7 @@ def stable_lattice(group, dim, context, gen_images, rounds_budget=40,
         C = [list(col) for col in zip(*basis)]  # the basis vectors as columns
         for M in all_mats:
             candidates.extend(list(v) for v in zip(*mat_mul(M, C)))
-        new_basis, denom = _lattice_basis(candidates, ctx, d)
-        if denom > denom_budget:
-            raise InconclusiveError("unbounded: orbit lattice keeps growing "
-                                    "(no stable lattice at working precision)")
+        new_basis = _lattice_basis(candidates, ctx, d)
         # the candidates hold the old basis, so the lattice only grows and
         # it is stable once the new basis lies in the old lattice
         span, scaled, _ = _scaled_span(basis + new_basis, d, ctx, d)
@@ -408,13 +405,23 @@ def stable_lattice(group, dim, context, gen_images, rounds_budget=40,
 def _scaled_span(vectors, count, ctx, d):
     """Scale the vectors by pi^denom, denom their largest denominator, and
     span the first ``count`` of them over O_E/pi^M, with M the digits known
-    after scaling.  Returns (span, scaled vectors, denom)."""
+    after scaling.  Returns (span, scaled vectors, denom).
+
+    The vectors hold a basis of a lattice L with O_E^d <= L, so pi^denom L
+    lies between pi^denom O_E^d and O_E^d: its span mod pi^M has rank d
+    when denom < M, and M <= precision - denom - 1.  Past that bound the
+    orbit is unbounded at this precision; below it, a loss of rank is lost
+    precision.
+    """
     denom = 0
     for v in vectors:
         for x in v:
             vv = x.normalized().pi_valuation()
             if vv is not None and vv < 0:
                 denom = max(denom, -vv)
+    if 2 * denom + 1 >= ctx.precision:
+        raise InconclusiveError("unbounded: orbit lattice keeps growing "
+                                "(no stable lattice at working precision)")
     scale = ctx.pi_power(denom)
     scaled = [[(x * scale).to_integral() for x in v] for v in vectors]
     M = min([ctx.precision - denom - 1]
@@ -429,13 +436,10 @@ def _scaled_span(vectors, count, ctx, d):
 
 def _lattice_basis(vectors, ctx, d):
     span, _, denom = _scaled_span(vectors, len(vectors), ctx, d)
-    rows = [span.rows[j] for j in sorted(span.rows)]
-    if len(rows) != d:
-        raise DomainError("orbit does not span; representation is degenerate")
-    basis = []
-    for a, row in rows:
-        basis.append([PadicNumber(x, denom) for x in row])
-    return basis, denom
+    if len(span.rows) != d:
+        raise PrecisionError("orbit lattice lost rank: not enough precision")
+    return [[PadicNumber(x, denom) for x in span.rows[j][1]]
+            for j in sorted(span.rows)]
 
 
 # -- trace-congruence harness ----------------------------------------------

@@ -471,7 +471,7 @@ def test_criterion_10_pseudorep_suite(criterion):
     for group in (cyclic_group(3), dihedral_group(4)):
         reps.append(doubled_trivial(group, Z5))
     for ps in reps:
-        ok = ok and ps.axiom_check(seed=0)["verdict"] == "pass"
+        ok = ok and ps.axiom_check()["verdict"] == "pass"
     # doubled-trivial kernel = augmentation null space, |G| <= 12
     for group in (cyclic_group(2), cyclic_group(4), symmetric_group(3),
                   dihedral_group(4), dihedral_group(6), cyclic_group(12)):

@@ -295,3 +295,140 @@ def test_chainspan_is_the_generated_submodule(p, m, k):
             span.add([ctx.from_int(x) for x in g])
         for v in itertools.product(range(n), repeat=k):
             assert span.contains([ctx.from_int(x) for x in v]) == (v in generated)
+
+
+# -- the one echelon against the former Smith-like elimination ---------------
+
+
+def _val(x, m):
+    v = x.pi_valuation()
+    return m if v is None or v >= m else v
+
+
+def smith_nullspace(rows, ctx, m):
+    """Reference: the former nullspace_mod, a Smith-like elimination on M
+    that tracks the column operations V; the solutions are x = V z with
+    D z = 0 for the diagonal D."""
+    n, k = len(rows), len(rows[0])
+    M = [list(row) for row in rows]
+    V = identity_matrix(ctx, k)
+    diag = []
+    for r in range(min(n, k)):
+        best = None
+        for i in range(r, n):
+            for j in range(r, k):
+                v = _val(M[i][j], m)
+                if v < m and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            break
+        a, pi_i, pi_j = best
+        M[r], M[pi_i] = M[pi_i], M[r]
+        for row in M + V:
+            row[r], row[pi_j] = row[pi_j], row[r]
+        unit_inv = M[r][r].shift_down(a).inverse()
+        for i in range(n):
+            if i != r and _val(M[i][r], m) < m:
+                q = (M[i][r] * unit_inv).shift_down(a)
+                M[i] = [x - q * y for x, y in zip(M[i], M[r])]
+        for j in range(k):
+            if j != r and _val(M[r][j], m) < m:
+                q = ctx.from_coords((M[r][j] * unit_inv).shift_down(a).coords)
+                for row in M + V:
+                    row[j] = row[j] - q * row[r]
+        diag.append(a)
+    gens = []
+    for j in range(k):
+        s = m - diag[j] if j < len(diag) else 0  # z_j is free mod pi^(m-s)
+        if s < m:
+            scale = ctx.pi_power(s)
+            gens.append(([(V[i][j] * scale).reduce_mod(m) for i in range(k)], s))
+    return gens
+
+
+class ReplacingSpan:
+    """Reference: the former ChainSpan, which after each insertion reduces
+    every other row against the new one and places it again."""
+
+    def __init__(self, ctx, m, k):
+        self.ctx, self.m, self.k = ctx, m, k
+        self.rows = {}
+
+    def reduce(self, vec):
+        vec = list(vec)
+        changed = True
+        while changed:
+            changed = False
+            for j in sorted(self.rows):
+                a, row = self.rows[j]
+                v = _val(vec[j], self.m)
+                if a <= v < self.m:
+                    q = (vec[j] * row[j].shift_down(a).inverse()).shift_down(a)
+                    vec = [x - q * y for x, y in zip(vec, row)]
+                    changed = True
+        return [x.reduce_mod(self.m) for x in vec]
+
+    def add(self, vec):
+        j = self._place(vec)
+        if j is not None:
+            for jj in list(self.rows):
+                if jj != j:
+                    self._place(self.rows.pop(jj)[1])
+
+    def _place(self, vec):
+        vec = self.reduce(vec)
+        vals = [_val(x, self.m) for x in vec]
+        a = min(vals)
+        if a >= self.m:
+            return None
+        j = vals.index(a)
+        displaced = self.rows.get(j)
+        self.rows[j] = (a, vec)
+        if displaced is not None:
+            self._place(displaced[1])
+        return j
+
+    def contains(self, vec):
+        return all(_val(x, self.m) >= self.m for x in self.reduce(vec))
+
+
+def seeded_system(ctx, n, k, m, rng):
+    """An n x k matrix of rank below k, with pi-power noise so that the
+    solution module has generators of several orders."""
+    r = rng.randrange(0, k)
+    B = [[ctx.random_element(rng) for _ in range(r)] for _ in range(n)]
+    C = [[ctx.random_element(rng) for _ in range(k)] for _ in range(r)]
+    rows = mat_mul(B, C) if r else [[ctx.zero()] * k for _ in range(n)]
+    for _ in range(k):
+        row, j = rng.choice(rows), rng.randrange(k)
+        row[j] = row[j] + ctx.random_element(rng) * ctx.pi_power(
+            rng.randrange(1, m + 1))
+    return [[x.reduce_mod(m) for x in row] for row in rows]
+
+
+def generated_by(gens, ctx, m, k):
+    span = ReplacingSpan(ctx, m, k)
+    for g, _ in gens:
+        span.add(g)
+    return span
+
+
+@pytest.mark.parametrize("ctx,m", [(Z5, 3), (RAM2, 3), (TOWER, 2)],
+                         ids=["Z5", "ram2", "tower"])
+@pytest.mark.parametrize("n,k", [(1, 3), (3, 3), (4, 6), (8, 5), (24, 24)])
+def test_nullspace_matches_the_smith_like_elimination(ctx, m, n, k):
+    """Over Z_5, e = 2 and an unramified-then-Eisenstein tower, up to the
+    24 x 24 trace form of a group of order 24: the echelon-read solution
+    module and the former Smith-like one contain each other, and every
+    generator is pi^s times a unimodular vector."""
+    rng = random.Random(n * 100 + k)
+    for _ in range(1 if k == 24 else 6):
+        rows = seeded_system(ctx, n, k, m, rng)
+        new, old = nullspace_mod(rows, ctx, m), smith_nullspace(rows, ctx, m)
+        for vec, s in new:
+            assert 0 <= s < m and min(_val(x, m) for x in vec) == s
+        old_span = generated_by(old, ctx, m, k)
+        assert all(old_span.contains(g) for g, _ in new)
+        new_span = generated_by(new, ctx, m, k)
+        assert all(new_span.contains(g) for g, _ in old)
+        assert sorted(s for _, s in new) == sorted(s for _, s in old)

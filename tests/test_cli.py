@@ -112,8 +112,11 @@ def test_lattice_carayol_precondition(capsys):
 
 
 def test_pseudorep_check(capsys):
+    """Every pair is checked: 15 of the 25 pairs of words of length <= 2
+    have all the words the identity needs within the values."""
     code, rep = run(capsys, "--spec", FAMILY_SPEC, "pseudorep", "check")
     assert code == 0 and rep["verdict"] == "pass"
+    assert rep["pairs_checked"] == 15
 
 
 def test_cover_compare(capsys):
@@ -291,7 +294,7 @@ def _unstable_orbit(**budget):
 @pytest.mark.parametrize("limit,argv,patch", [
     ("|G| <= 24", ["pseudorep", "mf"], None),
     ("orbit lattice keeps growing", ["lattice", "stabilize"],
-     _unstable_orbit(denom_budget=1)),
+     _unstable_orbit()),
     ("did not stabilize within budget", ["lattice", "stabilize"],
      _unstable_orbit(rounds_budget=1)),
 ])

@@ -29,7 +29,13 @@ from loccon.lattice import (
     semisimplify_mod_p,
     stable_lattice,
 )
-from loccon.padic import DomainError, PadicContext, PadicNumber, PrecisionError
+from loccon.padic import (
+    DomainError,
+    InconclusiveError,
+    PadicContext,
+    PadicNumber,
+    PrecisionError,
+)
 from tests.test_padic import SHAPES
 
 Z5 = PadicContext(5, precision=14)
@@ -195,6 +201,32 @@ def test_stable_lattice_out_of_digits_is_a_precision_error():
     ctx = PadicContext(5, precision=14)
     with pytest.raises(PrecisionError):
         stable_lattice(cyclic_group(4), 4, ctx, {"g": _conjugated_four_cycle(ctx)})
+
+
+def test_four_cycle_orbit_succeeds_or_runs_out_of_precision():
+    """Below 17 digits the orbit rounds of the conjugated 4-cycle use up
+    the precision; a lost rank on the way is lost precision, never a
+    degenerate representation."""
+    from loccon.groups import cyclic_group
+    for precision in range(8, 22):
+        ctx = PadicContext(5, precision=precision)
+        try:
+            stable_lattice(cyclic_group(4), 4, ctx,
+                           {"g": _conjugated_four_cycle(ctx)})
+        except PrecisionError:
+            assert precision < 17
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_unbounded_orbit_is_inconclusive_at_every_precision(p):
+    """diag(1/p, 1) has no stable lattice: whatever the precision, the
+    orbit outgrows it and the verdict names the growth."""
+    for precision in range(6, 28):
+        ctx = PadicContext(p, precision=precision)
+        zero, one = PadicNumber(ctx.zero()), PadicNumber(ctx.one())
+        M = [[PadicNumber(ctx.one(), denom_pow=1), zero], [zero, one]]
+        with pytest.raises(InconclusiveError, match="keeps growing"):
+            stable_lattice(FREE1, 2, ctx, {"g1": M})
 
 
 def test_carayol_on_constructed_congruent_pair():
