@@ -162,6 +162,7 @@ class ChainSpan:
         self.k = k
         self._pivots = k  # pivots lie in the first _pivots columns
         self.rows = {}  # pivot column -> (exponent, vector)
+        self._units = {}  # pivot column -> inverse of its row's pivot / pi^a
 
     def reduce(self, vec):
         vec = list(vec)
@@ -173,7 +174,10 @@ class ChainSpan:
                 if a <= _val(vec[j], self.m) < self.m:
                     # the quotient is known mod pi^(m-a); taking a lift as
                     # exact keeps the columns past the pivots known mod pi^m
-                    q = (vec[j] * row[j].shift_down(a).inverse()).shift_down(a)
+                    u = self._units.get(j)
+                    if u is None:  # first use of this row
+                        u = self._units[j] = row[j].shift_down(a).inverse()
+                    q = (vec[j] * u).shift_down(a)
                     q = self.ctx.from_coords(q.coords)
                     vec = [x - q * y for x, y in zip(vec, row)]
                     changed = True
@@ -196,6 +200,7 @@ class ChainSpan:
         j = vals.index(a)
         displaced = self.rows.get(j)
         self.rows[j] = (a, vec)
+        self._units.pop(j, None)
         if displaced is not None:
             self._insert(displaced[1], leftovers)
         return True

@@ -239,9 +239,7 @@ def cmd_lattice(args):
         return _emit(ss, args, code)
     if args.op == "carayol":
         a, b = _two_reps(spec, args)
-        rep = carayol_audit(a, b, _param(spec, args, "n", 1),
-                            word_cap=_param(spec, args, "word_cap", 4),
-                            seed=args.seed)
+        rep = carayol_audit(a, b, _param(spec, args, "n", 1), seed=args.seed)
         return _emit(rep, args)
     raise SpecError(f"unknown lattice operation {args.op!r}")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from loccon.padic import DomainError
 
@@ -117,21 +118,28 @@ class GroupPresentation:
     def invert_word(self, word):
         return tuple((gi, -s) for gi, s in reversed(word))
 
+    @cached_property
+    def letters(self):
+        """The generators, then their inverses, as one-letter keys."""
+        return tuple((i, s) for s in (1, -1) for i in range(len(self.generators)))
+
+    def right_multiples(self, word):
+        """``word`` times each letter that does not cancel its last letter."""
+        cancel = (word[-1][0], -word[-1][1]) if word else None
+        return [word + (let,) for let in self.letters if let != cancel]
+
+    def word_text(self, word):
+        """The word in spec syntax: ``g1 g2^-1``, or ``e`` when empty."""
+        return " ".join(self.generators[gi] + ("" if s > 0 else "^-1")
+                        for gi, s in word) or "e"
+
     def words_up_to(self, cap):
         """All reduced words of length <= cap over the generators."""
-        r = len(self.generators)
-        letters = [(i, 1) for i in range(r)] + [(i, -1) for i in range(r)]
         out = [()]
         frontier = [()]
         for _ in range(cap):
-            nxt = []
-            for w in frontier:
-                for let in letters:
-                    if w and w[-1] == (let[0], -let[1]):
-                        continue
-                    nxt.append(w + (let,))
-            out.extend(nxt)
-            frontier = nxt
+            frontier = [v for w in frontier for v in self.right_multiples(w)]
+            out.extend(frontier)
         return out
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 
@@ -461,26 +462,55 @@ def residually_absolutely_irreducible(rep):
     return len(F.spin([[x for row in F.identity(d) for x in row]], maps)) == d * d
 
 
-def carayol_audit(a, b, n, word_cap=4, seed=0):
+def spanning_words(a, b):
+    """Words whose pairs (a(w), b(w)) span the image of O_E[G] in
+    M_d(O_E/pi^m)^2, for residue reps a and b mod pi^m, in breadth-first
+    order from the empty word.
+
+    Each word that grows the span (a ``ChainSpan`` of length-2d^2 vectors)
+    queues its right multiples by every letter; the others lie in the
+    span already.  So once the queue is empty the span is closed under
+    right multiplication by the letters and holds the empty word: it is
+    the image of O_E[G].
+    """
+    span = ChainSpan(a.context, a.modulus, 2 * a.dim * a.dim)
+    words, queue = [], deque([()])
+    while queue:
+        w = queue.popleft()
+        if span.add([x for r in (a, b) for row in r.matrix_of_word(w)
+                     for x in row]):
+            words.append(w)
+            queue.extend(a.group.right_multiples(w))
+    return words
+
+
+def carayol_audit(a, b, n, seed=0):
     """Trace congruence mod pi^n for residually absolutely irreducible pairs
-    forces a mod-pi^n isomorphism; failures under valid preconditions are
-    flagged as theorem violations."""
-    report = {"n": n, "word_cap": word_cap}
-    words = a.group.element_words(word_cap).values()
+    forces a mod-pi^n isomorphism (Carayol 1994; Nyssen 1996); failures
+    under valid preconditions are flagged as theorem violations.
+
+    Trace is linear, so the congruence holds on all of O_E[G] once it holds
+    on the ``spanning_words``; a failure names the first of them whose
+    traces differ, in spec syntax, as the ``witness``.
+    """
+    if (a.group, a.dim) != (b.group, b.dim) or a.context != b.context:
+        raise DomainError("representations are not comparable")
+    report = {"n": n}
     irr_a = residually_absolutely_irreducible(a)
     irr_b = residually_absolutely_irreducible(b)
     if not (irr_a and irr_b):
         report["verdict"] = "precondition_failed"
         report["reason"] = "residual absolute irreducibility fails"
         return report
-    for w in words:
-        diff = a.trace_of_word(w) - b.trace_of_word(w)
-        v = diff.pi_valuation()
+    ra, rb = reduce_rep_mod(a, n), reduce_rep_mod(b, n)
+    for w in spanning_words(ra, rb):
+        v = (ra.trace_of_word(w) - rb.trace_of_word(w)).pi_valuation()
         if v is not None and v < n:
             report["verdict"] = "precondition_failed"
             report["reason"] = f"traces differ mod pi^{n} on a word of length {len(w)}"
+            report["witness"] = a.group.word_text(w)
             return report
-    res = iso_mod(reduce_rep_mod(a, n), reduce_rep_mod(b, n), seed=seed)
+    res = iso_mod(ra, rb, seed=seed)
     if res.status == "isomorphic":
         report["verdict"] = "pass"
         report["intertwiner"] = [[list(x.coords) for x in row]

@@ -50,8 +50,9 @@ class PseudoRep2:
 
     def axiom_check(self):
         """T(1) = 2, then symmetry and the d = 2 identity on every pair of
-        elements of a finite group, or of free-group words of length <= 2;
-        a pair is skipped when a word it needs has no value."""
+        elements of a finite group, or of free-group words of length <= 2
+        (``word_length``); a pair is skipped when a word it needs has no
+        value, and ``pairs_skipped`` counts those pairs."""
         report = {"verdict": "pass", "violations": []}
         group = self.group
         if self.value(group.identity) != 2:
@@ -77,6 +78,9 @@ class PseudoRep2:
                 report["verdict"] = "fail"
                 report["violations"].append({"axiom": "d=2 identity", "pair": str((g, h))})
         report["pairs_checked"] = checkable
+        report["pairs_skipped"] = len(small) ** 2 - checkable
+        if group.kind == "free":
+            report["word_length"] = 2
         return report
 
     # -- kernel ------------------------------------------------------------

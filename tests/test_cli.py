@@ -111,12 +111,56 @@ def test_lattice_carayol_precondition(capsys):
     assert code == 2 and rep["verdict"] == "precondition_failed"
 
 
+DEFECT_PAIR_SPEC = """
+[context base]
+p = 5
+f = 1
+e = 1
+precision = 12
+
+[rep A]
+context = base
+group = free 2
+dim = 2
+matrix g1 = 1 , 1 ; 0 , 2
+matrix g2 = 1 , 0 ; 1 , 3
+
+[rep B]
+context = base
+group = free 2
+dim = 2
+matrix g1 = 1 , 1 ; 0 , 2
+matrix g2 = 1 , 0 ; 2 , 3
+
+[params]
+n = 1
+word_cap = {cap}
+"""
+
+
+def test_lattice_carayol_witness_ignores_word_cap(tmp_path, capsys):
+    """Two residually absolutely irreducible reps whose traces agree on the
+    letters but not on g1 g2: a failed precondition with that witness word
+    (exit 2), whatever word_cap the spec sets."""
+    reports = []
+    for cap in (1, 4):
+        path = tmp_path / f"defect{cap}.spec"
+        path.write_text(DEFECT_PAIR_SPEC.format(cap=cap), encoding="utf-8")
+        code, rep = run(capsys, "--spec", str(path), "lattice", "carayol")
+        assert code == 2 and rep["verdict"] == "precondition_failed"
+        assert rep["witness"] == "g1 g2"
+        reports.append(rep)
+    assert reports[0] == reports[1]
+
+
 def test_pseudorep_check(capsys):
     """Every pair is checked: 15 of the 25 pairs of words of length <= 2
-    have all the words the identity needs within the values."""
+    have all the words the identity needs within the values, and the
+    other 10 are reported as skipped."""
     code, rep = run(capsys, "--spec", FAMILY_SPEC, "pseudorep", "check")
     assert code == 0 and rep["verdict"] == "pass"
-    assert rep["pairs_checked"] == 15
+    assert rep["pairs_checked"] == 15 and rep["pairs_skipped"] == 10
+    assert rep["word_length"] == 2
 
 
 def test_cover_compare(capsys):

@@ -79,6 +79,23 @@ def test_words_up_to_counts():
     assert len(f2.words_up_to(2)) == 17
 
 
+def test_words_up_to_are_distinct_reduced_words_in_length_order():
+    f2 = free_group(2)
+    words = f2.words_up_to(3)
+    assert len(set(words)) == len(words) == 1 + 4 + 12 + 36
+    assert all(f2.reduce_word(w) == w for w in words)
+    assert [len(w) for w in words] == sorted(len(w) for w in words)
+
+
+def test_word_text_reads_back_through_the_spec_parser():
+    from loccon.specfile import _parse_word
+    f2 = free_group(2)
+    assert f2.word_text(()) == "e"
+    assert f2.word_text(((0, 1), (1, -1))) == "g1 g2^-1"
+    for w in f2.words_up_to(3):
+        assert _parse_word(f2.word_text(w).split(), f2, None) == w
+
+
 def test_symmetric_group_3_is_nonabelian():
     s3 = symmetric_group(3)
     s, c = s3.gen_elements

@@ -27,6 +27,7 @@ from loccon.lattice import (
     reduce_rep_mod,
     residually_absolutely_irreducible,
     semisimplify_mod_p,
+    spanning_words,
     stable_lattice,
 )
 from loccon.padic import (
@@ -38,6 +39,7 @@ from loccon.padic import (
 )
 from tests.test_padic import SHAPES
 
+Z3 = PadicContext(3, precision=14)
 Z5 = PadicContext(5, precision=14)
 FREE1 = free_group(1)
 FREE2 = free_group(2)
@@ -242,6 +244,98 @@ def test_carayol_rejects_reducible_pairs():
     a, b = diag_pair(Z5)
     out = carayol_audit(a, b, 2)
     assert out["verdict"] == "precondition_failed"
+
+
+def defect_pair(ctx):
+    """Residually absolutely irreducible reps of F_2 over Z_5 whose traces
+    agree on every letter and inverse letter but not on g1 g2."""
+    g1 = mat(ctx, [[1, 1], [0, 2]])
+    a = IntegralRep(FREE2, 2, ctx, {"g1": g1, "g2": mat(ctx, [[1, 0], [1, 3]])})
+    b = IntegralRep(FREE2, 2, ctx, {"g1": g1, "g2": mat(ctx, [[1, 0], [2, 3]])})
+    return a, b
+
+
+def test_carayol_names_the_word_whose_traces_differ():
+    """Congruence on short words is no proof; the spin finds the word."""
+    a, b = defect_pair(Z5)
+    assert residually_absolutely_irreducible(a)
+    assert residually_absolutely_irreducible(b)
+    out = carayol_audit(a, b, 1)
+    assert out["verdict"] == "precondition_failed"
+    assert out["witness"] == "g1 g2"
+    assert "word_cap" not in out
+
+
+def test_carayol_refuses_reps_of_other_groups_or_contexts():
+    a, _ = defect_pair(Z5)
+    with pytest.raises(DomainError, match="not comparable"):
+        carayol_audit(a, s3_standard_rep(Z5), 1)
+    with pytest.raises(DomainError, match="not comparable"):
+        carayol_audit(a, IntegralRep(FREE2, 2, Z3, {
+            g: mat(Z3, [[1, 1], [0, 2]]) for g in ("g1", "g2")}), 1)
+
+
+def _perturbed_pair(ctx, n, rng):
+    """A residually absolutely irreducible rep and a conjugate perturbed at
+    pi^n, redrawn until the perturbed matrices are invertible."""
+    a = sample_res_irred(ctx, rng)
+    while True:
+        try:
+            return a, perturbed_conjugate(a, n, rng)
+        except DomainError:
+            pass
+
+
+def _traces_differ(a, b, n, words):
+    for w in words:
+        v = (a.trace_of_word(w) - b.trace_of_word(w)).pi_valuation()
+        if v is not None and v < n:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("ctx", [Z3, Z5], ids=["Z3", "Z5"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spanning_words_decide_congruence_like_all_short_words(ctx, n):
+    """The spin's words show a trace difference exactly when some word of
+    length <= 5 does; half the pairs are perturbed at pi^(n-1), so most of
+    those differ.  A d = 2 spin needs at most 2 d^2 = 8 words."""
+    rng = random.Random(100 * ctx.p + n)
+    differ = 0
+    for k in range(6):
+        a, b = _perturbed_pair(ctx, n - k % 2, rng)
+        words = spanning_words(reduce_rep_mod(a, n), reduce_rep_mod(b, n))
+        assert words[0] == () and len(words) <= 8
+        spin = _traces_differ(a, b, n, words)
+        assert spin == _traces_differ(a, b, n, FREE2.words_up_to(5))
+        differ += spin
+        if residually_absolutely_irreducible(b):
+            verdict = carayol_audit(a, b, n)["verdict"]
+            assert (verdict == "precondition_failed") == spin
+            assert verdict in ("pass", "precondition_failed")
+    assert 0 < differ < 6
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("shift", [0, 1], ids=["conjugate", "perturbed"])
+def test_carayol_report_survives_doubled_precision(p, n, shift):
+    """The same seeded pair at precision 12 and 24: the same verdict and
+    witness, and intertwiners that agree mod pi^n."""
+    reports = []
+    for precision in (12, 24):
+        ctx = PadicContext(p, precision=precision)
+        a, b = _perturbed_pair(ctx, n - shift, random.Random(7 * p + n))
+        reports.append(carayol_audit(a, b, n))
+    low, high = reports
+    assert low["verdict"] == high["verdict"] == \
+        ("pass" if shift == 0 else "precondition_failed")
+    assert low.get("witness") == high.get("witness")
+    if low["verdict"] == "pass":
+        assert [[[c % p ** n for c in x] for x in row]
+                for row in low["intertwiner"]] == \
+            [[[c % p ** n for c in x] for x in row]
+             for row in high["intertwiner"]]
 
 
 # -- shared word products ---------------------------------------------------

@@ -55,6 +55,36 @@ def test_axioms_on_free_group_trace():
     assert ps.axiom_check()["verdict"] == "pass"
 
 
+def s4_through_s3_rep(ctx):
+    """The 2-dimensional irreducible of S_4, through its action on the
+    three ways to split {0, 1, 2, 3} into two pairs."""
+    from loccon.lattice import IntegralRep
+    group = symmetric_group(4)
+    splits = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+    key = [frozenset(map(frozenset, s)) for s in splits]
+    images = {}
+    for name, perm in zip(group.generators, ((1, 0, 2, 3), (1, 2, 3, 0))):
+        sigma = [key.index(frozenset(frozenset(perm[i] for i in pair)
+                                     for pair in s)) for s in splits]
+        # sigma on the sum-zero plane, basis v_i = e_i - e_2 (v_2 = 0):
+        # column i is v_sigma(i) - v_sigma(2)
+        M = [[0, 0], [0, 0]]
+        for i in range(2):
+            for j, sign in ((sigma[i], 1), (sigma[2], -1)):
+                if j < 2:
+                    M[j][i] += sign
+        images[name] = [[ctx.from_int(x) for x in row] for row in M]
+    return IntegralRep(group, 2, ctx, images)
+
+
+def test_axiom_check_covers_every_pair_of_a_finite_group():
+    """On S_4 every one of the 24^2 pairs is checked and none skipped."""
+    rep = from_rep_trace(s4_through_s3_rep(Z5)).axiom_check()
+    assert rep["verdict"] == "pass"
+    assert rep["pairs_checked"] == 24 ** 2 and rep["pairs_skipped"] == 0
+    assert "word_length" not in rep
+
+
 def test_axiom_violation_detected():
     g = cyclic_group(3)
     vals = {el: Z5.from_int(2) for el in g.elements()}

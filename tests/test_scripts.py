@@ -99,6 +99,21 @@ def test_bench_compare_prints_new_over_base(tmp_path, capsys):
     assert ["carayol", "verdicts_per_s", "1/s", "100", "0", "150", "0", "1.5000"] in rows
 
 
+@pytest.mark.parametrize("record", sorted(p.name for p in ROOT.glob("BENCH_*.json")))
+def test_bench_records_compare_against_the_baseline(record, capsys):
+    """Every BENCH record at the repo root stays readable by --compare: it
+    gives a ratio row for each metric it shares with the baseline."""
+    bench = _bench_module()
+    base = json.loads((ROOT / "BENCH_baseline.json").read_text())
+    new = json.loads((ROOT / record).read_text())
+    bench.compare(ROOT / "BENCH_baseline.json", ROOT / record)
+    rows = {tuple(line.split()[:2]) for line in capsys.readouterr().out.splitlines()}
+    shared = [(wl, metric) for wl in set(base["workloads"]) & set(new["workloads"])
+              for metric in base["workloads"][wl]["metrics"]
+              if metric in new["workloads"][wl]["metrics"]]
+    assert shared and all(key in rows for key in shared)
+
+
 def _bench_doc(label, revision, digest):
     return {"label": label, "seconds": 30.0, "trace": 0,
             "meta": dict(META, git_revision=revision, source_sha256=digest),
