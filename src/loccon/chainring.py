@@ -13,7 +13,8 @@ The solution-module and span code below works over O_E/pi^m: these rings
 are local principal ideal rings, so rank and solution-space computations
 pivot on minimal-valuation entries instead of nonzero ones.  Vectors there
 are lists of PadicElement (reduced mod pi^m on output); "zero" means
-valuation >= m.
+valuation >= m.  ``spin`` is the one breadth-first span closure, over F_q
+and O_E/pi^m alike.
 """
 
 from __future__ import annotations
@@ -212,3 +213,23 @@ class ChainSpan:
     def contains(self, vec):
         red = self.reduce(vec)
         return all(_val(x, self.m) >= self.m for x in red)
+
+
+def spin(grows, start, successors):
+    """Breadth-first span closure: yield the items of ``start`` that grow
+    the span, then, round by round, the ``successors`` of the last round's
+    yielded items that grow it, until a round grows nothing.  ``grows(x)``
+    adds x to the caller's span and says whether it grew; a caller that
+    stops iterating (at a full span, say) takes no further round.
+    ``successors`` may be lazy, so a round holds only its yielded items.
+    """
+    items = start
+    while True:
+        grown = []
+        for x in items:
+            if grows(x):
+                grown.append(x)
+                yield x
+        if not grown:
+            return
+        items = (y for x in grown for y in successors(x))

@@ -81,6 +81,18 @@ def _param(spec, args, key, default):
     return default
 
 
+def _read_depths(args):
+    """Resolve the depth n (``--n``, then ``[params] n``, then 1) of a
+    command that takes one; n and ``--m`` are exponents of pi, and a value
+    below 1 is a usage error."""
+    if "n" in vars(args):
+        args.n = _param(args.spec, args, "n", 1)
+    for key in ("n", "m"):
+        val = vars(args).get(key, 1)
+        if val < 1:
+            raise SpecError(f"depth {key} must be at least 1, got {val}")
+
+
 # -- bounds -----------------------------------------------------------------
 
 
@@ -149,7 +161,7 @@ def cmd_domain(args):
 def cmd_family(args):
     spec = _spec(args)
     fam = spec.sole("families", args.name)
-    n = _param(spec, args, "n", 1)
+    n = args.n
     if args.op == "check-strict":
         dom = spec.sole("domains")
         scale = args.scale if args.scale is not None else \
@@ -239,7 +251,7 @@ def cmd_lattice(args):
         return _emit(ss, args, code)
     if args.op == "carayol":
         a, b = _two_reps(spec, args)
-        rep = carayol_audit(a, b, _param(spec, args, "n", 1), seed=args.seed)
+        rep = carayol_audit(a, b, args.n, seed=args.seed)
         return _emit(rep, args)
     raise SpecError(f"unknown lattice operation {args.op!r}")
 
@@ -262,7 +274,7 @@ def cmd_pseudorep(args):
         return _emit(rep, args)
     if args.op == "audit":
         dom = spec.sole("domains")
-        rep = ps.constancy_audit(dom, _param(spec, args, "n", 1),
+        rep = ps.constancy_audit(dom, args.n,
                                  spec.extensions(),
                                  _param(spec, args, "samples", 25),
                                  seed=args.seed)
@@ -413,6 +425,7 @@ def main(argv=None):
     try:
         args.spec = _load(args)
         args.seed = _param(args.spec, args, "seed", 0)
+        _read_depths(args)
         return args.func(args)
     except (SpecError, FileNotFoundError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

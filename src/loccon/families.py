@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 
-from loccon.chainring import ChainSpan, determinant
+from loccon.chainring import ChainSpan, determinant, spin
 from loccon.lattice import IntegralRep
 from loccon.padic import DomainError, gamma_exponent, relative_ramification
 from loccon.series import AdicSeries
@@ -144,24 +144,18 @@ class RepFamily(IntegralRep):
             for row in M:
                 for x in row:
                     entries.append(x)
+        # items are (round, product); full in round r reports r (1 if full at
+        # the start), proper also counts the last round, which grew nothing
         span = ChainSpan(ctx, n, k)
-        basis = [model.constant(1)]
-        span.add(vec(basis[0]))
-        frontier = list(basis)
-        rounds = 0
-        while frontier:
-            rounds += 1
-            new = []
-            for b in frontier:
-                for e in entries:
-                    prod = b * e
-                    if span.add(vec(prod)):
-                        new.append(prod)
-            frontier = new
+        products = spin(lambda item: span.add(vec(item[1])),
+                        [(0, model.constant(1))],
+                        lambda item: ((item[0] + 1, item[1] * e) for e in entries))
+        last = 0
+        for last, _ in products:
             if span.is_full():
-                return {"verdict": "full", "rounds": rounds,
+                return {"verdict": "full", "rounds": max(last, 1),
                         "modulus": n, "degree_budget": degree_budget}
-        return {"verdict": "proper", "rounds": rounds,
+        return {"verdict": "proper", "rounds": last + 1,
                 "modulus": n, "degree_budget": degree_budget}
 
 

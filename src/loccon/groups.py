@@ -179,15 +179,6 @@ def dihedral_group(n):
     """Symmetries of the regular n-gon, as permutations of vertices."""
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((-i) % n for i in range(n))
-    perms = set()
-    frontier = {tuple(range(n))}
-    while frontier:
-        nxt = set()
-        for p in frontier:
-            for q in (rot, ref):
-                comp = tuple(p[q[i]] for i in range(n))
-                if comp not in perms:
-                    nxt.add(comp)
-            perms.add(p)
-        frontier = nxt - perms
+    perms = {tuple((s * i + k) % n for i in range(n))  # i -> +-i + k
+             for s in (1, -1) for k in range(n)}
     return _perm_group(perms, ("r", "f"), (rot, ref))

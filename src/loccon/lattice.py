@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 from loccon.chainring import (
     ChainSpan,
@@ -18,6 +17,7 @@ from loccon.chainring import (
     mat_reduce_mod,
     mat_trace,
     nullspace_mod,
+    spin,
 )
 from loccon.padic import DomainError, InconclusiveError, PadicNumber, PrecisionError
 
@@ -271,10 +271,12 @@ def _find_proper_submodule(mats, d, F, seed):
         rng = random.Random(seed)
         vecs = ([rng.randrange(q) for _ in range(d)] for _ in range(_RAND_BUDGET))
     for vec in vecs:
-        if any(vec):
-            basis = F.spin([vec], mats)
-            if 0 < len(basis) < d:
-                return basis, True
+        basis = {}
+        images = spin(partial(F.insert, basis), [vec],
+                      lambda v: ([F.dot(row, v) for row in M] for M in mats))
+        full = any(len(basis) == d for _ in images)
+        if basis and not full:
+            return basis, True
     return None, exhaustive
 
 
@@ -448,18 +450,14 @@ def _lattice_basis(vectors, ctx, d):
 
 def residually_absolutely_irreducible(rep):
     """Burnside's criterion: the generators' residues span M_d(F_q) as an
-    algebra.  Spins I under right multiplication by each generator, as a
-    d^2 x d^2 matrix on row-major flattened matrices; inverse letters add
-    nothing, as each G^-1 is a polynomial in G."""
+    algebra.  Spins I under right multiplication by each generator;
+    inverse letters add nothing, as each G^-1 is a polynomial in G."""
     F, d = rep.context.residue_field, rep.dim
-    maps = []
-    for M in rep.gen_images.values():
-        G = _residues(F, M)
-        # (X G)[r][s] = sum_t X[r][t] G[t][s]
-        maps.append([[G[c % d][s] if c // d == r else 0
-                      for c in range(d * d)]
-                     for r in range(d) for s in range(d)])
-    return len(F.spin([[x for row in F.identity(d) for x in row]], maps)) == d * d
+    gens = [_residues(F, M) for M in rep.gen_images.values()]
+    basis = {}
+    images = spin(lambda X: F.insert(basis, [x for row in X for x in row]),
+                  [F.identity(d)], lambda X: (F.mat_mul(X, G) for G in gens))
+    return any(len(basis) == d * d for _ in images)
 
 
 def spanning_words(a, b):
@@ -468,20 +466,16 @@ def spanning_words(a, b):
     order from the empty word.
 
     Each word that grows the span (a ``ChainSpan`` of length-2d^2 vectors)
-    queues its right multiples by every letter; the others lie in the
-    span already.  So once the queue is empty the span is closed under
+    is followed by its right multiples by every letter; the others lie in
+    the span already.  So once the spin ends the span is closed under
     right multiplication by the letters and holds the empty word: it is
     the image of O_E[G].
     """
     span = ChainSpan(a.context, a.modulus, 2 * a.dim * a.dim)
-    words, queue = [], deque([()])
-    while queue:
-        w = queue.popleft()
-        if span.add([x for r in (a, b) for row in r.matrix_of_word(w)
-                     for x in row]):
-            words.append(w)
-            queue.extend(a.group.right_multiples(w))
-    return words
+    return list(spin(lambda w: span.add([x for r in (a, b)
+                                         for row in r.matrix_of_word(w)
+                                         for x in row]),
+                     [()], a.group.right_multiples))
 
 
 def carayol_audit(a, b, n, seed=0):

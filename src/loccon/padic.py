@@ -616,8 +616,8 @@ class ResidueField:
 
     Linear algebra keeps an echelon basis as a dict {pivot column: row},
     each row 1 at its pivot and 0 at the pivots of the rows inserted before
-    it; ``insert`` is the one elimination step, and ``rank``, ``spin`` and
-    ``inverse`` are built on it.
+    it; ``insert`` is the one elimination step, and ``rank`` and
+    ``inverse`` are built on it (``chainring.spin`` spins with it).
     """
 
     def __init__(self, ctx):
@@ -737,21 +737,6 @@ class ResidueField:
     def rank(self, rows):
         basis = {}
         return sum(self.insert(basis, row) for row in rows)
-
-    def spin(self, vecs, mats):
-        """Echelon basis of the smallest subspace that holds ``vecs`` and is
-        mapped into itself by each matrix of ``mats`` (acting on columns)."""
-        basis = {}
-        frontier = [v for v in vecs if self.insert(basis, v)]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for M in mats:
-                    w = [self.dot(row, v) for row in M]
-                    if self.insert(basis, w):
-                        nxt.append(w)
-            frontier = nxt
-        return basis
 
     def inverse(self, M):
         """Inverse of an invertible matrix.  Each row (r | s) inserted from

@@ -494,13 +494,16 @@ def _load_domain(spec, block):
     return describe(model, center, n, kind)
 
 
+_INT_PARAMS = ("seed", "n", "samples", "word_cap")  # read by the commands as ints
+
+
 def _load_params(spec, block):
     for key, val, lineno in block["entries"]:
         try:
             spec.params[key] = int(val)
         except ValueError:
-            if key == "seed":
-                raise SpecError(f"seed must be an integer, got {val!r}",
+            if key in _INT_PARAMS:
+                raise SpecError(f"{key} must be an integer, got {val!r}",
                                 lineno) from None
             spec.params[key] = tuple(val.split()) if " " in val else val
 

@@ -3,6 +3,8 @@ over O/pi^m."""
 
 import itertools
 import random
+from collections import deque
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from loccon.chainring import (
     mat_mul,
     mat_reduce_mod,
     nullspace_mod,
+    spin,
 )
 from loccon.padic import DomainError, PadicContext, PadicNumber
 from loccon.series import AlgebraModel
@@ -432,3 +435,100 @@ def test_nullspace_matches_the_smith_like_elimination(ctx, m, n, k):
         new_span = generated_by(new, ctx, m, k)
         assert all(new_span.contains(g) for g, _ in old)
         assert sorted(s for _, s in new) == sorted(s for _, s in old)
+
+
+# -- the one spin against the former hand-written loops ---------------------
+
+
+def frontier_spin(F, vecs, mats):
+    """The former ``ResidueField.spin``: echelon basis of the smallest
+    subspace that holds ``vecs`` and is mapped into itself by each matrix
+    of ``mats`` (acting on columns)."""
+    basis = {}
+    frontier = [v for v in vecs if F.insert(basis, v)]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for M in mats:
+                w = [F.dot(row, v) for row in M]
+                if F.insert(basis, w):
+                    nxt.append(w)
+        frontier = nxt
+    return basis
+
+
+def seeded_module(F, d, count, rng):
+    """``count`` random d x d matrices over F and start vectors; half the
+    time the matrices keep the span of the first k coordinates, 0 < k < d,
+    and the start vectors lie in it."""
+    k = rng.randrange(1, d) if d > 1 and rng.random() < 0.5 else d
+    mats = [[[0 if i >= k > j else rng.randrange(F.q) for j in range(d)]
+             for i in range(d)] for _ in range(count)]
+    vecs = [[rng.randrange(F.q) if j < k else 0 for j in range(d)]
+            for _ in range(rng.randrange(1, 3))]
+    return mats, vecs
+
+
+@pytest.mark.parametrize("ctx", [PadicContext(3, precision=4),
+                                 PadicContext(2, f=2, precision=4),
+                                 PadicContext(5, precision=4)],
+                         ids=["F3", "F4", "F5"])
+def test_spin_builds_the_echelon_of_the_frontier_loop(ctx):
+    """Spinning ``F.insert`` under v -> M v gives exactly the echelon dict,
+    rows and order of insertion alike, of the former frontier loop."""
+    F = ctx.residue_field
+    rng = random.Random(ctx.residue_field_size)
+    for _ in range(40):
+        d = rng.randrange(1, 7)
+        mats, vecs = seeded_module(F, d, rng.randrange(1, 4), rng)
+        basis = {}
+        grown = list(spin(partial(F.insert, basis), vecs,
+                          lambda v: ([F.dot(row, v) for row in M] for M in mats)))
+        want = frontier_spin(F, vecs, mats)
+        assert list(basis.items()) == list(want.items())
+        assert len(grown) == len(basis)
+
+
+def queue_spin(grows, start, successors):
+    """The former first-in first-out loop of ``spanning_words``."""
+    out, queue = [], deque(start)
+    while queue:
+        x = queue.popleft()
+        if grows(x):
+            out.append(x)
+            queue.extend(successors(x))
+    return out
+
+
+def test_spin_yields_in_queue_order_and_stops_with_its_caller():
+    """Items grow the span in the order a queue would try them; a round
+    that grows nothing ends the spin, and a caller that stops iterating
+    asks for no further successors."""
+    def closure():
+        seen, asked, tried = set(), [], []
+
+        def grows(x):
+            tried.append(x)
+            if x % 97 in seen:
+                return False
+            seen.add(x % 97)
+            return True
+
+        def successors(x):
+            asked.append(x)
+            return (x * c + 1 for c in (2, 3, 5))
+
+        return grows, successors, asked, tried
+
+    grows, successors, _, _ = closure()
+    want = queue_spin(grows, [1, 4, 1], successors)
+    grows, successors, asked, _ = closure()
+    assert list(spin(grows, [1, 4, 1], successors)) == want
+    assert len(want) == 97 and asked == want
+    grows, successors, asked, tried = closure()
+    for i, _ in enumerate(spin(grows, [1, 4, 1], successors)):
+        if i == 10:
+            break
+    # nothing past the item that was yielded last is tried or expanded
+    assert tried[-1] == want[10]
+    assert asked == want[:len(asked)] and len(asked) <= 10

@@ -285,12 +285,59 @@ def test_spec_seed_is_read_and_the_flag_overrides_it(capsys, tmp_path):
 
 
 def test_non_integer_spec_seed_is_usage_error(capsys, tmp_path):
-    spec = tmp_path / "bad_seed.spec"
-    spec.write_text(pathlib.Path(FAMILY_SPEC).read_text()
-                    .replace("\nseed = 0\n", "\nseed = five\n"))
-    code = main(["--spec", str(spec), "domain", "describe"])
-    err = capsys.readouterr().err
-    assert code == 3 and "seed must be an integer" in err
+    """seed, n, samples and word_cap are integer [params] keys: another
+    value is a load error, whichever command reads the spec."""
+    for key, path, old, new, argv in [
+            ("seed", FAMILY_SPEC, "seed = 0", "seed = five",
+             ["domain", "describe"]),
+            ("n", ISO_SPEC, "[params]\nn = 2", "[params]\nn = two",
+             ["lattice", "carayol"]),
+            ("word_cap", FAMILY_SPEC, "word_cap = 2", "word_cap = 2.5",
+             ["family", "trace-algebra"]),
+            ("samples", FAMILY_SPEC, "samples = 20", "samples = many",
+             ["family", "audit"])]:
+        text = pathlib.Path(path).read_text()
+        assert old in text
+        spec = tmp_path / "bad_param.spec"
+        spec.write_text(text.replace(old, new))
+        code = main(["--spec", str(spec)] + argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert f"{key} must be an integer" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("spec,argv,depth", [
+    (FAMILY_SPEC, ["family", "check-strict", "--n", "0"], "n = 0"),
+    (FAMILY_SPEC, ["family", "audit", "--n", "0"], "n = 0"),
+    (FAMILY_SPEC, ["family", "trace-algebra", "--n", "-1"], "n = -1"),
+    (FAMILY_SPEC, ["pseudorep", "audit", "--n", "0"], "n = 0"),
+    (FAMILY_SPEC, ["pseudorep", "kernel", "--m", "0"], "m = 0"),
+    (ISO_SPEC, ["lattice", "carayol", "--n", "0"], "n = 0"),
+    (ISO_SPEC, ["lattice", "iso", "--m", "0"], "m = 0"),
+    (ISO_SPEC, ["lattice", "reduce", "--m", "0"], "m = 0"),
+    (None, ["bounds", "crys-disc", "--n", "0"], "n = 0"),
+    ("[params] n = 0", ["lattice", "carayol"], "n = 0"),
+    ("[params] n = 0", ["family", "trace-algebra"], "n = 0"),
+])
+def test_depth_below_one_is_usage_error(capsys, tmp_path, spec, argv, depth):
+    """--n, [params] n and --m are exponents of pi: below 1 each exits 3
+    with a one-line JSON error, on every command that takes one."""
+    if spec is None:
+        prefix = []
+    elif spec.startswith("[params]"):
+        path = tmp_path / "depth.spec"
+        source = ISO_SPEC if argv[0] == "lattice" else FAMILY_SPEC
+        path.write_text(pathlib.Path(source).read_text()
+                        .replace("[params]\nn = 2", "[params]\nn = 0"))
+        prefix = ["--spec", str(path)]
+    else:
+        prefix = ["--spec", spec]
+    code = main(prefix + argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    key, val = depth.split(" = ")
+    assert json.loads(captured.err)["error"] == \
+        f"depth {key} must be at least 1, got {val}"
 
 
 def test_precision_error_is_an_inconclusive_report(capsys, tmp_path):

@@ -179,6 +179,30 @@ def test_trace_algebra_proper_for_constant_family():
     assert out["verdict"] == "proper"
 
 
+@pytest.mark.parametrize("scale,n,word_cap,verdict,rounds", [
+    (1, 2, 3, "full", 1),
+    (1, 1, 2, "full", 2),
+    (1, 2, 1, "full", 3),
+    (5, 1, 3, "proper", 1),
+    (5, 2, 3, "proper", 2),
+])
+def test_trace_algebra_rounds(scale, n, word_cap, verdict, rounds):
+    """A full span reports the round that filled it; a proper one counts
+    its last round too, in which nothing grew."""
+    out = unramified_family(scale).trace_algebra_full(n, word_cap=word_cap)
+    assert out == {"verdict": verdict, "rounds": rounds, "modulus": n,
+                   "degree_budget": 6}
+
+
+def test_trace_algebra_one_monomial_span_reports_one_round():
+    """With degree cap 0 the span is full at the start, which counts as
+    one round."""
+    point = AlgebraModel(Z5, open_vars=("T",), degree_cap=0)
+    fam = RepFamily(FREE1, 1, point, {"g1": [[point.constant(2)]]})
+    assert fam.trace_algebra_full(2) == {"verdict": "full", "rounds": 1,
+                                         "modulus": 2, "degree_budget": 0}
+
+
 def test_trace_algebra_needs_disc_model():
     ann = AlgebraModel(Z5, bounded_vars=("zeta1", "zeta2"),
                        relation=Annulus(1), degree_cap=4)

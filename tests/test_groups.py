@@ -2,6 +2,7 @@
 
 import pytest
 
+from loccon import groups
 from loccon.groups import (
     GroupPresentation,
     cyclic_group,
@@ -17,6 +18,37 @@ def test_orders():
     assert symmetric_group(3).order == 6
     assert symmetric_group(4).order == 24
     assert dihedral_group(4).order == 8
+
+
+def closure_dihedral_perms(n):
+    """The former construction of ``dihedral_group``: {rot, ref} closed
+    under composition."""
+    rot = tuple((i + 1) % n for i in range(n))
+    ref = tuple((-i) % n for i in range(n))
+    perms = set()
+    frontier = {tuple(range(n))}
+    while frontier:
+        nxt = set()
+        for p in frontier:
+            for q in (rot, ref):
+                comp = tuple(p[q[i]] for i in range(n))
+                if comp not in perms:
+                    nxt.add(comp)
+            perms.add(p)
+        frontier = nxt - perms
+    return perms
+
+
+def test_dihedral_group_lists_the_closure_of_rotation_and_reflection(
+        monkeypatch):
+    """Listing i -> +-i + k gives the closure's set of permutations, which
+    ``_perm_group`` sorts, so tables and generator indices are unchanged."""
+    listed = []
+    monkeypatch.setattr(groups, "_perm_group",
+                        lambda perms, names, gens: listed.append(set(perms)))
+    for n in range(1, 40):
+        dihedral_group(n)
+        assert listed.pop() == closure_dihedral_perms(n)
 
 
 def test_identity_and_inverses():
