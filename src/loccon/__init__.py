@@ -15,8 +15,8 @@ from loccon.padic import (
     is_extension,
     relative_ramification,
 )
-from loccon.series import AdicSeries, AlgebraModel
-from loccon.domains import ModelPoint, ResidueDomain, describe
+from loccon.series import AdicSeries, AlgebraModel, ModelPoint
+from loccon.domains import ResidueDomain, describe
 from loccon.families import RepFamily
 from loccon.lattice import IntegralRep, ResidueRep, iso_mod, stable_lattice
 

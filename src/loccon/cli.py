@@ -93,6 +93,22 @@ def _read_depths(args):
             raise SpecError(f"depth {key} must be at least 1, got {val}")
 
 
+# the commands that draw points, each a given number per extension
+_SAMPLING = {("domain", "sample"), ("domain", "cover-compare"),
+             ("family", "audit"), ("pseudorep", "audit")}
+
+
+def _read_samples(args):
+    """Resolve the sample count (``--samples``, then ``[params] samples``,
+    then 25) of a command that draws points; a count below 1 is a usage
+    error.  The domain commands default ``--samples`` to 25 themselves."""
+    if (args.command, args.op) not in _SAMPLING:
+        return
+    args.samples = _param(args.spec, args, "samples", 25)
+    if args.samples < 1:
+        raise SpecError(f"samples must be at least 1, got {args.samples}")
+
+
 # -- bounds -----------------------------------------------------------------
 
 
@@ -180,10 +196,8 @@ def cmd_family(args):
         return _emit(rep, args)
     if args.op == "audit":
         dom = spec.sole("domains")
-        rep = fam.pointwise_constancy_audit(
-            dom, n, spec.extensions(),
-            _param(spec, args, "samples", 25), seed=args.seed,
-            word_cap=_param(spec, args, "word_cap", 3))
+        rep = fam.pointwise_constancy_audit(dom, n, spec.extensions(),
+                                            args.samples, seed=args.seed)
         return _emit(rep, args)
     if args.op == "trace":
         word = specfile._parse_word(args.word.split(), fam.group, None)
@@ -274,10 +288,8 @@ def cmd_pseudorep(args):
         return _emit(rep, args)
     if args.op == "audit":
         dom = spec.sole("domains")
-        rep = ps.constancy_audit(dom, args.n,
-                                 spec.extensions(),
-                                 _param(spec, args, "samples", 25),
-                                 seed=args.seed)
+        rep = ps.constancy_audit(dom, args.n, spec.extensions(),
+                                 args.samples, seed=args.seed)
         return _emit(rep, args)
     raise SpecError(f"unknown pseudorep operation {args.op!r}")
 
@@ -426,6 +438,7 @@ def main(argv=None):
         args.spec = _load(args)
         args.seed = _param(args.spec, args, "seed", 0)
         _read_depths(args)
+        _read_samples(args)
         return args.func(args)
     except (SpecError, FileNotFoundError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

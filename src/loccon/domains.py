@@ -22,40 +22,12 @@ from loccon.padic import (
     gamma_exponent,
     relative_ramification,
 )
-from loccon.series import (
-    AlgebraModel,
-    Cover,
-    _check_point,
-    _eval_terms,
-    _point_context,
-)
+from loccon.series import AlgebraModel, Cover, ModelPoint, _eval_terms
 
 # sampling gives up after this many draws per requested point
 _SAMPLE_BUDGET = 20
 # cover_compare tests preimage equality at the depths 1.._PREIMAGE_DEPTHS
 _PREIMAGE_DEPTHS = 4
-
-
-@dataclass(frozen=True)
-class ModelPoint:
-    """A point of a model over some extension of its base."""
-
-    model: AlgebraModel
-    coords: dict
-
-    def __post_init__(self):
-        ext = _point_context(self.model, self.coords)
-        _check_point(self.model, self.coords, ext)
-
-    @property
-    def context(self):
-        return _point_context(self.model, self.coords)
-
-    def is_base_point(self):
-        return self.context == self.model.base
-
-    def to_json(self):
-        return {v: list(c.coords) for v, c in sorted(self.coords.items())}
 
 
 def ideal_generators(model, x):
@@ -94,31 +66,30 @@ def _pi_threshold(kind, n, e_rel):
 class ResidueDomain:
     """U^(n) (kind 'U') or V^(n) (kind 'V') around a base point."""
 
-    def __init__(self, model, center, n, kind, ideal_gens, closed_form=None):
+    def __init__(self, model, center, n, kind, closed_form=None):
         self.model = model
         self.center = center
         self.n = n
         self.kind = kind
-        self.ideal_gens = ideal_gens
         self.closed_form = closed_form
 
     def pi_threshold(self, e_rel):
         return _pi_threshold(self.kind, self.n, e_rel)
 
     def member(self, y):
-        """Membership of a point over a marked extension of the base.
+        """Membership of a point over a marked extension of the base, read
+        from v(y_var - x_var) for the generators var - x_var of the ideal.
 
         Raises PrecisionError when a comparison is undecidable at the
         point's working precision.
         """
         ext = y.context
-        e_rel = relative_ramification(self.model.base, ext)
-        thr = self.pi_threshold(e_rel)
-        for g in self.ideal_gens:
-            val = g.evaluate(dict(y.coords))
-            v = val.pi_valuation()
+        thr = self.pi_threshold(relative_ramification(self.model.base, ext))
+        for name in self.model.vars:
+            delta = y.coords[name] - embed(self.center.coords[name], ext)
+            v = delta.pi_valuation()
             if v is None:
-                if val.known_precision >= thr:
+                if delta.known_precision >= thr:
                     continue
                 raise PrecisionError(
                     "membership undecidable: generator value indistinguishable "
@@ -192,7 +163,7 @@ class ResidueDomain:
             "kind": self.kind,
             "n": self.n,
             "center": self.center.to_json(),
-            "generators": [series_literal(g) for g in self.ideal_gens],
+            "generators": [series_literal(g) for g in ideal_generators(self.model, self.center)],
             "closed_form": self.closed_form.to_json() if self.closed_form else None,
         }
 
@@ -203,7 +174,8 @@ def describe(model, x, n, kind):
         raise DomainError("kind must be 'U' or 'V'")
     if n < 1:
         raise DomainError("n must be >= 1")
-    gens = ideal_generators(model, x)
+    if not x.is_base_point():
+        raise DomainError("residue domains are defined around base points only")
     e = model.base.e
     base_thr = Fraction(n - 1, e) if kind == "U" else Fraction(n, e)
     if model.relation is not None:
@@ -211,7 +183,7 @@ def describe(model, x, n, kind):
     else:
         form = (model.vars[0], base_thr) if len(model.vars) == 1 else None
     closed = None if form is None else ClosedForm(*form, kind == "U")
-    return ResidueDomain(model, x, n, kind, gens, closed)
+    return ResidueDomain(model, x, n, kind, closed)
 
 
 def sqrt_in_context(a, ext):
@@ -275,9 +247,10 @@ def cover_compare(model, center, n, ext, samples=100, seed=0):
         down = describe(down_model, down_center, n, kind)
         ok = 0
         bad = []
+        # down.member reads an upstairs point's image, its tvar coordinate: a point
+        # of down_model, as an upstairs member has v(t - t0) >= 1 and v(t0) >= 1
         for pt in up.sample(ext, samples, seed=seed):
-            img = ModelPoint(down_model, {tvar: pt.coords[tvar]})
-            if down.member(img):
+            if down.member(pt):
                 ok += 1
             else:
                 bad.append(pt.to_json())

@@ -8,8 +8,8 @@ import itertools
 
 from loccon.chainring import ChainSpan, determinant, spin
 from loccon.lattice import IntegralRep
-from loccon.padic import DomainError, gamma_exponent, relative_ramification
-from loccon.series import AdicSeries
+from loccon.padic import DomainError, embed, gamma_exponent, relative_ramification
+from loccon.series import AdicSeries, ModelPoint
 
 
 class RepFamily(IntegralRep):
@@ -37,11 +37,10 @@ class RepFamily(IntegralRep):
     # -- specialization ----------------------------------------------------
 
     def specialize(self, point):
-        """Integral representation at a point of the model."""
-        coords = dict(point.coords)
+        """Integral representation at a point (a ModelPoint) of the model."""
         images = {}
         for name, M in self.gen_images.items():
-            images[name] = [[x.evaluate(coords) for x in row] for row in M]
+            images[name] = [[x.evaluate(point) for x in row] for row in M]
         return IntegralRep(self.group, self.dim, point.context, images)
 
     # -- constancy ---------------------------------------------------------
@@ -71,15 +70,12 @@ class RepFamily(IntegralRep):
         return True, None, constants
 
     def pointwise_constancy_audit(self, domain, n, extensions, samples_per_ext,
-                                  seed=0, word_cap=3):
+                                  seed=0):
         """Sampled audit: specializations at points of the domain are
         isomorphic mod pi_E^{gamma(n)} to the specialization at the center.
         """
-        from loccon.domains import ModelPoint
         from loccon.lattice import iso_mod, reduce_rep_mod
-        from loccon.padic import embed
-        report = {"n": n, "word_cap": word_cap, "verdict": "pass",
-                  "witnesses": [], "extensions": []}
+        report = {"n": n, "verdict": "pass", "witnesses": [], "extensions": []}
         for idx, ext in enumerate(extensions):
             e_rel = relative_ramification(self.model.base, ext)
             g = gamma_exponent(e_rel, n)

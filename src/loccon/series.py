@@ -3,7 +3,8 @@
 An AlgebraModel fixes a base ring, named variables of two kinds (bounded:
 |.| <= 1, open: |.| < 1), an optional preset relation, and a degree cap for
 the open variables.  AdicSeries are finitely supported coefficient maps in
-normal form under the relation.
+normal form under the relation.  A ModelPoint is a point of a model, checked
+once when it is built.
 """
 
 from __future__ import annotations
@@ -240,6 +241,27 @@ class AlgebraModel:
         return AdicSeries(self, out)
 
 
+@dataclass(frozen=True)
+class ModelPoint:
+    """A point of a model over an extension of its base (``context``),
+    checked once, when it is built; every reader takes it as checked."""
+
+    model: AlgebraModel
+    coords: dict
+    context: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ext = _point_context(self.model, self.coords)
+        _check_point(self.model, self.coords, ext)
+        object.__setattr__(self, "context", ext)
+
+    def is_base_point(self):
+        return self.context == self.model.base
+
+    def to_json(self):
+        return {v: list(c.coords) for v, c in sorted(self.coords.items())}
+
+
 def _mono_str(model, mono):
     parts = []
     for name, a in zip(model.vars, mono):
@@ -367,18 +389,22 @@ class AdicSeries:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, point):
-        """Value at a point given as {var: PadicElement over an extension}.
+        """Value at a point: a ModelPoint of this model, or a dict {var:
+        PadicElement over an extension}, which is checked as a ModelPoint.
 
         The returned element carries the guaranteed absolute precision
         min(coefficient precision, (D+1) * min open-var valuation).
         """
         model = self.model
-        ext = _point_context(model, point)
-        _check_point(model, point, ext)
-        acc = _eval_terms(model, self.terms, point, ext)
+        if not isinstance(point, ModelPoint):
+            point = ModelPoint(model, point)
+        elif point.model != model:
+            point = ModelPoint(model, point.coords)
+        ext, coords = point.context, point.coords
+        acc = _eval_terms(model, self.terms, coords, ext)
         guar = self.coefficient_precision() * relative_ramification(model.base, ext)
         if model.open_vars:
-            vmin = min(point[v].pi_valuation_lower() for v in model.open_vars)
+            vmin = min(coords[v].pi_valuation_lower() for v in model.open_vars)
             guar = min(guar, (model.degree_cap + 1) * vmin)
         guar = min(guar, ext.precision)
         if guar < 1:
@@ -407,35 +433,9 @@ class AdicSeries:
 
     def pointwise_constancy_audit(self, domain, n, extensions, samples_per_ext,
                                   seed=0):
-        """Sampled check that values over each extension E agree with the
-        value at the domain's center mod pi_E^{gamma(n)}.
-
-        ``domain`` must provide .center (a point object with .coords and
-        .context) and .sample(ext, count, seed).
-        """
-        model = self.model
-        report = {"n": n, "verdict": "pass", "witnesses": [], "extensions": []}
-        for idx, ext in enumerate(extensions):
-            e_rel = relative_ramification(model.base, ext)
-            g = gamma_exponent(e_rel, n)
-            center_pt = {v: embed(c, ext) for v, c in domain.center.coords.items()}
-            ref = self.evaluate(center_pt).reduce_mod(g)
-            entry = {"e_rel": e_rel, "gamma": g, "samples": 0, "failures": 0}
-            pts = domain.sample(ext, samples_per_ext, seed=seed + idx)
-            for pt in pts:
-                val = self.evaluate({v: c for v, c in pt.coords.items()}).reduce_mod(g)
-                entry["samples"] += 1
-                if val.coords != ref.coords:
-                    entry["failures"] += 1
-                    report["verdict"] = "fail"
-                    report["witnesses"].append({
-                        "extension_index": idx,
-                        "point": {v: list(c.coords) for v, c in pt.coords.items()},
-                        "value": list(val.coords),
-                        "center_value": list(ref.coords),
-                    })
-            report["extensions"].append(entry)
-        return report
+        """The report of ``constancy_audits`` for this one series."""
+        return constancy_audits({None: self}, domain, n, extensions,
+                                 samples_per_ext, seed)[None]
 
     # -- recentering -------------------------------------------------------
 
@@ -474,6 +474,41 @@ class AdicSeries:
             s = out_model.var(v).scale(model.base.pi_power(scales[v]))
             subs[v] = s + out_model.constant(center[v])
         return _eval_terms(model, self.terms, subs, out_model)
+
+
+def constancy_audits(values, domain, n, extensions, samples_per_ext, seed=0):
+    """Per key of ``values``, a sampled check that the series' values over
+    each extension E agree with its value at the domain's center mod
+    pi_E^{gamma(n)}.  ``domain`` provides .center (a ModelPoint) and
+    .sample(ext, count, seed); the points over the extension of index i
+    are drawn once, with seed + i, and read by every series."""
+    model = domain.center.model
+    reports = {key: {"n": n, "verdict": "pass", "witnesses": [],
+                     "extensions": []} for key in values}
+    for idx, ext in enumerate(extensions):
+        e_rel = relative_ramification(model.base, ext)
+        g = gamma_exponent(e_rel, n)
+        center = ModelPoint(model, {v: embed(c, ext)
+                                    for v, c in domain.center.coords.items()})
+        refs = {key: s.evaluate(center).reduce_mod(g) for key, s in values.items()}
+        pts = domain.sample(ext, samples_per_ext, seed=seed + idx)
+        for key, s in values.items():
+            report, ref = reports[key], refs[key]
+            entry = {"e_rel": e_rel, "gamma": g, "samples": len(pts),
+                     "failures": 0}
+            for pt in pts:
+                val = s.evaluate(pt).reduce_mod(g)
+                if val.coords != ref.coords:
+                    entry["failures"] += 1
+                    report["verdict"] = "fail"
+                    report["witnesses"].append({
+                        "extension_index": idx,
+                        "point": pt.to_json(),
+                        "value": list(val.coords),
+                        "center_value": list(ref.coords),
+                    })
+            report["extensions"].append(entry)
+    return reports
 
 
 @dataclass(frozen=True)
@@ -517,15 +552,10 @@ def _normalize(model, terms):
 
 
 def _point_context(model, point):
-    ctxs = {id(v.context): v.context for v in point.values()}
+    ctxs = {v.context for v in point.values()}
     if len(ctxs) > 1:
-        uniq = list({v.context for v in point.values()})
-        if len(uniq) > 1:
-            raise DomainError("point coordinates live in different contexts")
-        return uniq[0]
-    if not point:
-        return model.base
-    return next(iter(ctxs.values()))
+        raise DomainError("point coordinates live in different contexts")
+    return ctxs.pop() if ctxs else model.base
 
 
 def _check_point(model, point, ext):

@@ -287,8 +287,7 @@ def test_criterion_5_unramified_family(criterion):
         rng = random.Random(p)
         for n in (1, 2, 3):
             dom = describe(model, origin, n, "U")
-            rep = fam.pointwise_constancy_audit(dom, n, exts, 6, seed=p + n,
-                                                word_cap=2)
+            rep = fam.pointwise_constancy_audit(dom, n, exts, 6, seed=p + n)
             ok = ok and rep["verdict"] == "pass"
             # boundary witness: v(y - x) = n - 1 breaks the congruence
             if n >= 2:

@@ -340,6 +340,44 @@ def test_depth_below_one_is_usage_error(capsys, tmp_path, spec, argv, depth):
         f"depth {key} must be at least 1, got {val}"
 
 
+@pytest.mark.parametrize("spec,argv,count", [
+    (FAMILY_SPEC, ["family", "audit", "--samples", "0"], "0"),
+    (FAMILY_SPEC, ["family", "audit", "--samples", "-3"], "-3"),
+    (FAMILY_SPEC, ["pseudorep", "audit", "--samples", "0"], "0"),
+    (FAMILY_SPEC, ["domain", "sample", "--samples", "0"], "0"),
+    (COVER_SPEC, ["domain", "cover-compare", "--samples", "0"], "0"),
+    ("[params] samples = 0", ["family", "audit"], "0"),
+    ("[params] samples = -1", ["pseudorep", "audit"], "-1"),
+])
+def test_sample_count_below_one_is_usage_error(capsys, tmp_path, spec, argv,
+                                               count):
+    """--samples and [params] samples count the points drawn per extension:
+    below 1 each exits 3 with a one-line JSON error, on every command that
+    samples."""
+    if spec.startswith("[params]"):
+        path = tmp_path / "samples.spec"
+        path.write_text(pathlib.Path(FAMILY_SPEC).read_text()
+                        .replace("samples = 20", spec[len("[params] "):]))
+        spec = str(path)
+    code = main(["--spec", spec] + argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err)["error"] == \
+        f"samples must be at least 1, got {count}"
+
+
+def test_sample_count_is_read_only_by_the_commands_that_sample(capsys,
+                                                              tmp_path):
+    """A [params] samples below 1 leaves the commands that draw no points
+    alone, and the domain commands take --samples only."""
+    path = tmp_path / "samples.spec"
+    path.write_text(pathlib.Path(FAMILY_SPEC).read_text()
+                    .replace("samples = 20", "samples = 0"))
+    assert run(capsys, "--spec", str(path), "family", "trace-algebra")[0] == 0
+    code, out = run(capsys, "--spec", str(path), "domain", "sample")
+    assert code == 0 and out["count"] == 25
+
+
 def test_precision_error_is_an_inconclusive_report(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["--spec", FAMILY_SPEC, "--precision", "2", "--json", str(out),
@@ -562,7 +600,7 @@ GOLDEN = {
     ("1", 1): (0, "b8b430162440e4de9ebcd0edc639e52674bfd64b6bfae944982c106869d6b075"),
     ("1", 2): (0, "e4a976f00bdf0b7df4a7b082dc951390b89f08aabddcedafc3de8f66bd3676b3"),
     ("1", 3): (0, "ebf6743c49f8de0b79d1e262be51faf171a12f9b32930caf63cb095aede8b72f"),
-    ("1", 4): (0, "fd703370fdae5426d23af7b639691cdacf800729a4eb8d0613cd8f6155b2c609"),
+    ("1", 4): (0, "79ee36a222919f5509e4dd17b0fe7b3d7bcd4b6a099c58a39db61c9bddeabbdb"),
     ("1", 5): (1, "518dc1d0409339d4a9718bd484663b194e0284cff6fcf61a26a226524ec5d607"),
     ("1", 6): (1, "711a06a85237ff1b687c2d2e03d59842022d2be5e7afdbc5a56434ecf7f06a75"),
     ("1", 7): (0, "ad1f34646a4ce4abc758e19287318c2be7417a68de01adb4b1c1ab639a92089f"),
@@ -572,7 +610,7 @@ GOLDEN = {
     ("1", 11): (0, "ebf6743c49f8de0b79d1e262be51faf171a12f9b32930caf63cb095aede8b72f"),
     ("1", 12): (0, "1c9505498f0d5ceb38d9c31c282ecfe7835a5ed65e9bbdb697b5c64f422bf7fa"),
     ("1", 13): (0, "8406428953404cb4a2c0aee59cd1679e84f7f5c40c7c2f5adb3808bd1714ed2b"),
-    ("1", 14): (0, "e0aaaebe5a2415e7534df2aa22a160c72ca14a3f94fc6aa6651ac6a91720442c"),
+    ("1", 14): (0, "85727b7858cde22196b6603c7637a2036edb0bd730dc2d9c79b78271b70d1615"),
     ("1", 15): (0, "80ec9da0304bf6adae6d0ff216e573d6d2dccdb141f33602744f9fff2924ce7d"),
     ("1", 16): (0, "7d4b873053b9379c4a5c6a83530cab41adaac3ea04668a809911cee926b5fb8e"),
     ("1", 17): (0, "bd718f2097e40ddcbdeeec0af54f3d257d6209fa988b6b91c8533be438290c69"),
@@ -585,7 +623,7 @@ GOLDEN = {
     ("1001", 1): (0, "b8b430162440e4de9ebcd0edc639e52674bfd64b6bfae944982c106869d6b075"),
     ("1001", 2): (0, "e4a976f00bdf0b7df4a7b082dc951390b89f08aabddcedafc3de8f66bd3676b3"),
     ("1001", 3): (0, "ebf6743c49f8de0b79d1e262be51faf171a12f9b32930caf63cb095aede8b72f"),
-    ("1001", 4): (0, "fd703370fdae5426d23af7b639691cdacf800729a4eb8d0613cd8f6155b2c609"),
+    ("1001", 4): (0, "79ee36a222919f5509e4dd17b0fe7b3d7bcd4b6a099c58a39db61c9bddeabbdb"),
     ("1001", 5): (1, "518dc1d0409339d4a9718bd484663b194e0284cff6fcf61a26a226524ec5d607"),
     ("1001", 6): (1, "711a06a85237ff1b687c2d2e03d59842022d2be5e7afdbc5a56434ecf7f06a75"),
     ("1001", 7): (0, "ad1f34646a4ce4abc758e19287318c2be7417a68de01adb4b1c1ab639a92089f"),
@@ -595,7 +633,7 @@ GOLDEN = {
     ("1001", 11): (0, "ebf6743c49f8de0b79d1e262be51faf171a12f9b32930caf63cb095aede8b72f"),
     ("1001", 12): (0, "99f45aeb4dea82928134bc48f6eaf3b01c35ca4ff73686ddb912019664ca2f2a"),
     ("1001", 13): (0, "0acf184a1aeaa7a74cf79588a83b047784d5ee5aef0fea2e981903787c5224ab"),
-    ("1001", 14): (0, "e0aaaebe5a2415e7534df2aa22a160c72ca14a3f94fc6aa6651ac6a91720442c"),
+    ("1001", 14): (0, "85727b7858cde22196b6603c7637a2036edb0bd730dc2d9c79b78271b70d1615"),
     ("1001", 15): (0, "80ec9da0304bf6adae6d0ff216e573d6d2dccdb141f33602744f9fff2924ce7d"),
     ("1001", 16): (0, "7d4b873053b9379c4a5c6a83530cab41adaac3ea04668a809911cee926b5fb8e"),
     ("1001", 17): (0, "25faacb0e4205eeceb0f9b2d3263c23bc898f6aa6ee476268c763b385a29e5fe"),

@@ -1,5 +1,6 @@
 """Residue domains around base points: membership, closed forms, sampling."""
 
+import pathlib
 import random
 from fractions import Fraction
 
@@ -13,8 +14,17 @@ from loccon.domains import (
     ideal_generators,
     sqrt_in_context,
 )
-from loccon.padic import DomainError, PadicContext, PrecisionError
+from loccon.padic import (
+    DomainError,
+    PadicContext,
+    PrecisionError,
+    embed,
+    relative_ramification,
+)
 from loccon.series import AlgebraModel, Annulus, Cover
+from loccon.specfile import load_spec
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
 Z5 = PadicContext(5, precision=14)
 Z3 = PadicContext(3, precision=14)
@@ -86,6 +96,63 @@ def test_closed_form_agrees_with_generic_membership():
                 pt = ModelPoint(DISC, {
                     "T": RAM2.random_with_pi_valuation(rng.randrange(1, 9), rng)})
                 assert dom.member(pt) == dom.closed_form_member(pt)
+
+
+def _member_by_generators(dom, y):
+    """Membership by evaluating each vanishing-ideal generator var - x_var
+    as a series at y: the reference for the direct test on coordinates."""
+    thr = dom.pi_threshold(relative_ramification(dom.model.base, y.context))
+    for g in ideal_generators(dom.model, dom.center):
+        val = g.evaluate(dict(y.coords))
+        v = val.pi_valuation()
+        if v is None:
+            if val.known_precision >= thr:
+                continue
+            raise PrecisionError("generator value indistinguishable from 0")
+        if v < thr:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["unramified_family", "annulus", "cover"])
+def test_membership_agrees_with_the_generator_series(name):
+    """On the domain model of each spec, at depths 1-4, for U and V and over
+    every context of the spec, the direct test gives the verdict of the
+    generator series at the exact center and at seeded points drawn at
+    valuations below and above the threshold; neither is undecidable."""
+    spec = load_spec(str(SPECS / f"{name}.spec"))
+    center = spec.sole("domains").center
+    model = center.model
+    rng = random.Random(name)
+    verdicts = []
+    for n in (1, 2, 3, 4):
+        for kind in ("U", "V"):
+            dom = describe(model, center, n, kind)
+            for ext in spec.contexts.values():
+                thr = dom.pi_threshold(relative_ramification(model.base, ext))
+                points = [ModelPoint(model, {v: embed(c, ext)
+                                             for v, c in center.coords.items()})]
+                for _ in range(8):
+                    pt = dom._sample_one(ext, rng.randrange(1, thr + 2), rng)
+                    if pt is not None:
+                        points.append(pt)
+                for pt in points:
+                    want = _member_by_generators(dom, pt)
+                    assert dom.member(pt) == want
+                    verdicts.append(want)
+    assert verdicts[0] and True in verdicts and False in verdicts
+
+
+def test_center_is_a_member_beyond_the_series_precision_cap():
+    """At T = 5 a series value on DISC is guaranteed to (6 + 1) * 1 = 7
+    digits, so at threshold 8 the generator series cannot decide the
+    center itself; the coordinate difference is exactly 0 and can."""
+    center = ModelPoint(DISC, {"T": Z5.from_int(5)})
+    dom = describe(DISC, center, 8, "V")
+    assert dom.pi_threshold(1) == 8
+    with pytest.raises(PrecisionError):
+        _member_by_generators(dom, center)
+    assert dom.member(center)
 
 
 def test_annulus_closed_form_radius():

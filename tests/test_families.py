@@ -107,6 +107,35 @@ def test_specialize_at_point():
     assert (top - Z5.from_int(6)).pi_valuation() is None
 
 
+def test_readers_do_not_check_a_built_point_again(monkeypatch):
+    """specialize, member and the family audit read ModelPoints as checked:
+    the audit checks only the points it builds (one center per extension
+    and the sampler's draws)."""
+    from loccon import series
+    pt = ModelPoint(DISC, {"T": Z5.from_int(25)})
+    dom = describe(DISC, ORIGIN, 2, "U")
+    checks = []
+    check = series._check_point
+    monkeypatch.setattr(series, "_check_point",
+                        lambda *args: checks.append(args[1]) or check(*args))
+    fam = unramified_family()
+    fam.specialize(pt)
+    assert dom.member(pt)
+    assert checks == []
+    built = []
+    sample = dom.sample
+
+    def counted(ext, count, seed=0):
+        before = len(checks)
+        out = sample(ext, count, seed=seed)
+        built.append(len(checks) - before)
+        return out
+    monkeypatch.setattr(dom, "sample", counted)
+    exts = [Z5, PadicContext(5, e=2, precision=14)]
+    assert fam.pointwise_constancy_audit(dom, 2, exts, 4)["verdict"] == "pass"
+    assert len(checks) == len(exts) + sum(built)
+
+
 # -- strict constancy --------------------------------------------------------
 
 
@@ -132,7 +161,7 @@ def test_pointwise_audit_passes_on_wide_open():
     fam = unramified_family()
     dom = describe(DISC, ORIGIN, 2, "U")
     exts = [Z5, PadicContext(5, e=2, precision=14)]
-    rep = fam.pointwise_constancy_audit(dom, 2, exts, 8, seed=0, word_cap=2)
+    rep = fam.pointwise_constancy_audit(dom, 2, exts, 8, seed=0)
     assert rep["verdict"] == "pass"
     assert all(e["failures"] == 0 for e in rep["extensions"])
 
@@ -150,7 +179,7 @@ def test_pointwise_audit_catches_boundary_points():
         def sample(self, ext, count, seed=0):
             return [bad]
 
-    rep = fam.pointwise_constancy_audit(FixedDomain(), n, [Z5], 1, word_cap=2)
+    rep = fam.pointwise_constancy_audit(FixedDomain(), n, [Z5], 1)
     assert rep["verdict"] == "fail"
     assert rep["witnesses"]
 

@@ -218,6 +218,48 @@ def test_evaluate_enforces_cover_relation():
     assert same(ok, Z3.from_int(3))
 
 
+def test_evaluate_of_a_dict_checks_the_point():
+    """A dict is checked as a ModelPoint: a missing coordinate or a violated
+    relation is a DomainError."""
+    with pytest.raises(DomainError, match="missing coordinate 'z'"):
+        POLYDISC.var("T").evaluate({"T": Z5.from_int(5)})
+    with pytest.raises(DomainError, match="violates the annulus relation"):
+        ANN.var("zeta1").evaluate({"zeta1": Z5.from_int(5),
+                                   "zeta2": Z5.from_int(25)})
+    with pytest.raises(DomainError, match="violates the cover relation"):
+        COVER.var("T").evaluate({"Y": Z3.from_int(3), "T": Z3.from_int(9)})
+
+
+def test_model_point_keeps_the_context_it_was_built_with(monkeypatch):
+    """The context is found and the point checked when it is built; reading
+    the point, or evaluating a series of an equal model at it, does neither
+    again."""
+    ram = PadicContext(5, e=2, precision=12)
+    pt = ModelPoint(DISC, {"T": ram.pi() * ram.from_int(3)})
+    assert pt.context is ram and not pt.is_base_point()
+
+    def again(*args):
+        raise AssertionError("a built point was checked again")
+    monkeypatch.setattr(series_module, "_point_context", again)
+    monkeypatch.setattr(series_module, "_check_point", again)
+    assert pt.context is ram
+    twin = AlgebraModel(Z5, open_vars=("T",), degree_cap=8)
+    assert twin == DISC and twin is not DISC
+    assert twin.var("T").evaluate(pt).pi_valuation() == 1
+    with pytest.raises(AssertionError):
+        DISC.var("T").evaluate(dict(pt.coords))
+
+
+def test_evaluate_checks_a_point_of_another_model():
+    """A ModelPoint of a model that is not equal to the series' model is
+    checked against the series' model."""
+    pt = ModelPoint(DISC, {"T": Z5.from_int(5)})
+    with pytest.raises(DomainError, match="missing coordinate 'z'"):
+        POLYDISC.var("T").evaluate(pt)
+    wider = AlgebraModel(Z5, open_vars=("T",), degree_cap=4)
+    assert same(wider.var("T").evaluate(pt), Z5.from_int(5))
+
+
 def test_evaluate_precision_guarantee():
     s = DISC.series({(i,): 1 for i in range(DISC.degree_cap + 1)})
     val = s.evaluate({"T": Z5.from_int(5)})
