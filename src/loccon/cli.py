@@ -101,7 +101,7 @@ _SAMPLING = {("domain", "sample"), ("domain", "cover-compare"),
 def _read_samples(args):
     """Resolve the sample count (``--samples``, then ``[params] samples``,
     then 25) of a command that draws points; a count below 1 is a usage
-    error.  The domain commands default ``--samples`` to 25 themselves."""
+    error."""
     if (args.command, args.op) not in _SAMPLING:
         return
     args.samples = _param(args.spec, args, "samples", 25)
@@ -386,7 +386,7 @@ def build_parser():
     d.add_argument("--name", help="domain block name (default: the only one)")
     d.add_argument("--point", help="'var : token, var : token' over --ext")
     d.add_argument("--ext", help="context block name for the extension")
-    d.add_argument("--samples", type=int, default=25)
+    d.add_argument("--samples", type=int)
     d.set_defaults(func=cmd_domain)
 
     f = sub.add_parser("family")

@@ -144,11 +144,15 @@ class GroupPresentation:
 
 
 def free_group(r):
+    if r < 1:
+        raise DomainError(f"free groups need rank r >= 1, not r = {r}")
     return GroupPresentation("free", tuple(f"g{i+1}" for i in range(r)), None,
                              (), tuple(((i, 1),) for i in range(r)))
 
 
 def cyclic_group(n):
+    if n < 1:
+        raise DomainError(f"cyclic groups need n >= 1, not n = {n}")
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return GroupPresentation("finite", ("g",), table, 0, (1 % n,))
 
@@ -167,8 +171,9 @@ def _perm_group(perms, gen_names, gen_perms):
 
 
 def symmetric_group(n):
-    if n > 4:
-        raise DomainError("symmetric groups supported up to n = 4")
+    if not 2 <= n <= 4:
+        raise DomainError("symmetric groups supported for 2 <= n <= 4, "
+                          f"not n = {n}")
     perms = list(itertools.permutations(range(n)))
     transposition = tuple([1, 0] + list(range(2, n)))
     cycle = tuple(list(range(1, n)) + [0])
@@ -177,6 +182,8 @@ def symmetric_group(n):
 
 def dihedral_group(n):
     """Symmetries of the regular n-gon, as permutations of vertices."""
+    if n < 1:
+        raise DomainError(f"dihedral groups need n >= 1, not n = {n}")
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((-i) % n for i in range(n))
     perms = {tuple((s * i + k) % n for i in range(n))  # i -> +-i + k

@@ -362,87 +362,74 @@ def _extend_basis(rows, d, F):
 # -- stable lattices --------------------------------------------------------
 
 
-def stable_lattice(group, dim, context, gen_images, rounds_budget=40):
+def stable_lattice(group, dim, context, gen_images):
     """Basis change making all generator images integral.
 
     ``gen_images`` maps generators to matrices of PadicNumber (possibly
     non-integral).  Returns (IntegralRep, certificate C) with C^{-1} rho C
     integral, or raises InconclusiveError("unbounded ...") when the orbit
-    lattice fails to stabilize within the budget or outgrows the working
-    precision.
+    lattice outgrows the working precision.
+
+    The lattice L is the O_E-span of the orbit of O_E^d under the letters
+    (each generator and its inverse), built by one spin from the unit
+    vectors.  With D the largest denominator seen so far, O_E^d <= L <=
+    pi^-D O_E^d, so pi^D L holds pi^(D+1) O_E^d and its span mod pi^(D+1)
+    decides membership in L exactly.  A vector with a larger denominator
+    raises D and spans the grown vectors again at the new scale.  Each
+    image is normalized, so its products spend no digits on a denominator
+    its numerator cancels.  The spin ends, as each grown vector lengthens a
+    span of finite length.
     """
-    ctx = context
-    d = dim
+    ctx, d = context, dim
     mats = {}
     for name, M in gen_images.items():
         mats[name] = [[x if isinstance(x, PadicNumber) else PadicNumber(x)
                        for x in row] for row in M]
-    all_mats = list(mats.values()) + [mat_inverse(M) for M in mats.values()]
+    letters = list(mats.values()) + [mat_inverse(M) for M in mats.values()]
+    grown = []
+    D, span = 0, ChainSpan(ctx, 1, d)
 
-    basis = [[PadicNumber(ctx.one() if i == j else ctx.zero()) for i in range(d)]
-             for j in range(d)]  # list of column vectors
-    for _ in range(rounds_budget):
-        candidates = list(basis)
-        C = [list(col) for col in zip(*basis)]  # the basis vectors as columns
-        for M in all_mats:
-            candidates.extend(list(v) for v in zip(*mat_mul(M, C)))
-        new_basis = _lattice_basis(candidates, ctx, d)
-        # the candidates hold the old basis, so the lattice only grows and
-        # it is stable once the new basis lies in the old lattice
-        span, scaled, _ = _scaled_span(basis + new_basis, d, ctx, d)
-        basis = new_basis
-        if all(span.contains(v) for v in scaled[d:]):
-            break
-    else:
-        raise InconclusiveError("unbounded: orbit did not stabilize within budget")
+    def add(v):
+        scale = ctx.pi_power(D)
+        return span.add([(x * scale).to_integral() for x in v])
 
-    C = [list(col) for col in zip(*basis)]
+    def grows(v):
+        nonlocal D, span
+        vals = [x.pi_valuation() for x in v]
+        k = max([0] + [-a for a in vals if a is not None])
+        if 2 * k + 1 >= ctx.precision:
+            raise InconclusiveError("unbounded: orbit lattice keeps growing "
+                                    "(no stable lattice at working precision)")
+        if k > D:
+            D, span = k, ChainSpan(ctx, k + 1, d)
+            for u in grown:
+                add(u)
+        return add(v)
+
+    def letter_images(v):
+        col = [[x] for x in v]
+        return ([y.normalized() for y, in mat_mul(M, col)] for M in letters)
+
+    units = [[PadicNumber(x) for x in row] for row in identity_matrix(ctx, d)]
+    # each grown vector is recorded before the spin asks about the next
+    for v in spin(grows, units, letter_images):
+        grown.append(v)
+
+    def lift(x):
+        x = ctx.from_coords(x.coords)
+        if x.pi_valuation() is None:
+            return PadicNumber(x)
+        return PadicNumber(x, D).normalized()
+
+    # column j of C is span row j over pi^D
+    C = [list(col) for col in zip(*(
+        [lift(x) for x in span.rows[j][1]] for j in sorted(span.rows)))]
     Cinv = mat_inverse(C)
     images = {}
     for name, M in mats.items():
         conj = mat_mul(mat_mul(Cinv, M), C)
         images[name] = [[x.to_integral() for x in row] for row in conj]
     return IntegralRep(group, d, ctx, images), C
-
-
-def _scaled_span(vectors, count, ctx, d):
-    """Scale the vectors by pi^denom, denom their largest denominator, and
-    span the first ``count`` of them over O_E/pi^M, with M the digits known
-    after scaling.  Returns (span, scaled vectors, denom).
-
-    The vectors hold a basis of a lattice L with O_E^d <= L, so pi^denom L
-    lies between pi^denom O_E^d and O_E^d: its span mod pi^M has rank d
-    when denom < M, and M <= precision - denom - 1.  Past that bound the
-    orbit is unbounded at this precision; below it, a loss of rank is lost
-    precision.
-    """
-    denom = 0
-    for v in vectors:
-        for x in v:
-            vv = x.normalized().pi_valuation()
-            if vv is not None and vv < 0:
-                denom = max(denom, -vv)
-    if 2 * denom + 1 >= ctx.precision:
-        raise InconclusiveError("unbounded: orbit lattice keeps growing "
-                                "(no stable lattice at working precision)")
-    scale = ctx.pi_power(denom)
-    scaled = [[(x * scale).to_integral() for x in v] for v in vectors]
-    M = min([ctx.precision - denom - 1]
-            + [x.known_precision for v in scaled for x in v])
-    if M < 2:
-        raise PrecisionError("not enough precision for lattice computation")
-    span = ChainSpan(ctx, M, d)
-    for vec in scaled[:count]:
-        span.add(vec)
-    return span, scaled, denom
-
-
-def _lattice_basis(vectors, ctx, d):
-    span, _, denom = _scaled_span(vectors, len(vectors), ctx, d)
-    if len(span.rows) != d:
-        raise PrecisionError("orbit lattice lost rank: not enough precision")
-    return [[PadicNumber(x, denom) for x in span.rows[j][1]]
-            for j in sorted(span.rows)]
 
 
 # -- trace-congruence harness ----------------------------------------------

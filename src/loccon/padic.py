@@ -936,7 +936,8 @@ class PadicNumber:
     def inverse(self):
         v = self.num.pi_valuation()
         if v is None:
-            raise DomainError("cannot invert an element indistinguishable from 0")
+            # 0 to its known digits: more digits may show a unit
+            raise PrecisionError("cannot invert an element indistinguishable from 0")
         unit = self.num.shift_down(v)
         # 1 / (u pi^v / pi^d) = u^{-1} pi^{d-v}
         d = self.denom_pow

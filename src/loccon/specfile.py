@@ -377,10 +377,7 @@ def _load_group(block):
     val, lineno = _get(e, "kind", block)
     parts = val.split()
     if parts[0] in _GROUP_BUILTIN:
-        if len(parts) != 2:
-            raise SpecError(f"group kind {parts[0]!r} needs one integer "
-                            "argument", lineno)
-        return _GROUP_BUILTIN[parts[0]](int(parts[1]))
+        return _builtin_group(parts, lineno)
     if parts[0] != "finite":
         raise SpecError(f"unknown group kind {parts[0]!r}", lineno)
     tab_val, tab_line = _get(e, "table", block)
@@ -395,10 +392,21 @@ def _load_group(block):
         gen_elements=tuple(int(c) for c in gen_el_val.split()))
 
 
+def _builtin_group(parts, lineno):
+    """``kind n`` for a built-in kind; n must be one integer."""
+    try:
+        kind, n = parts
+        n = int(n)
+    except ValueError:
+        raise SpecError(f"group kind {parts[0]!r} needs one integer "
+                        "argument", lineno) from None
+    return _GROUP_BUILTIN[kind](n)
+
+
 def _group_ref(spec, val, lineno):
     parts = val.split()
     if parts[0] in _GROUP_BUILTIN and len(parts) == 2:
-        return _GROUP_BUILTIN[parts[0]](int(parts[1]))
+        return _builtin_group(parts, lineno)
     if len(parts) == 1:
         return _resolve(spec.groups, parts[0], "group", lineno)
     raise SpecError(f"cannot parse group reference {val!r}", lineno)

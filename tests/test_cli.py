@@ -239,6 +239,43 @@ def test_malformed_rep_is_usage_error(capsys, tmp_path, rank, matrices,
     assert error in json.loads(captured.err)["error"]
 
 
+ONE_REP = """
+[context base]
+p = 5
+precision = 8
+
+[rep R]
+context = base
+group = {group}
+dim = 1
+matrix g = 1
+"""
+
+
+@pytest.mark.parametrize("group,error", [
+    ("symmetric 0", "symmetric groups supported for 2 <= n <= 4, not n = 0"),
+    ("symmetric 1", "symmetric groups supported for 2 <= n <= 4, not n = 1"),
+    ("symmetric 5", "symmetric groups supported for 2 <= n <= 4, not n = 5"),
+    ("cyclic 0", "cyclic groups need n >= 1, not n = 0"),
+    ("cyclic -2", "cyclic groups need n >= 1, not n = -2"),
+    ("dihedral 0", "dihedral groups need n >= 1, not n = 0"),
+    ("free 0", "free groups need rank r >= 1, not r = 0"),
+    ("cyclic x", "group kind 'cyclic' needs one integer argument"),
+])
+def test_builtin_group_out_of_range_is_usage_error(capsys, tmp_path, group,
+                                                   error):
+    """A built-in group whose argument names no group is a usage error: exit
+    3 with a one-line JSON error naming the argument, never a traceback
+    (with no generator, ``free 0`` crashed ``lattice reduce``)."""
+    spec = tmp_path / "group.spec"
+    spec.write_text(ONE_REP.format(group=group))
+    code = main(["--spec", str(spec), "lattice", "reduce", "--m", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert error in json.loads(captured.err)["error"]
+
+
 def test_phimod_wadm(capsys):
     code, rep = run(capsys, "phimod", "wadm", "--k", "2", "--p", "5",
                     "--ap", "5")
@@ -369,13 +406,19 @@ def test_sample_count_below_one_is_usage_error(capsys, tmp_path, spec, argv,
 def test_sample_count_is_read_only_by_the_commands_that_sample(capsys,
                                                               tmp_path):
     """A [params] samples below 1 leaves the commands that draw no points
-    alone, and the domain commands take --samples only."""
+    alone; the domain commands read the key like the other two."""
     path = tmp_path / "samples.spec"
     path.write_text(pathlib.Path(FAMILY_SPEC).read_text()
                     .replace("samples = 20", "samples = 0"))
     assert run(capsys, "--spec", str(path), "family", "trace-algebra")[0] == 0
-    code, out = run(capsys, "--spec", str(path), "domain", "sample")
-    assert code == 0 and out["count"] == 25
+    code = main(["--spec", str(path), "domain", "sample"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err)["error"] == \
+        "samples must be at least 1, got 0"
+    code, out = run(capsys, "--spec", COVER_SPEC, "domain", "cover-compare")
+    assert code == 0
+    assert [out["containment"][kind]["checked"] for kind in "UV"] == [100, 100]
 
 
 def test_precision_error_is_an_inconclusive_report(capsys, tmp_path):
@@ -404,11 +447,11 @@ rep = R
 """
 
 
-def _unstable_orbit(**budget):
-    """stable_lattice on diag(1/pi, 1), whose orbit lattice grows each round.
+def _unstable_orbit():
+    """stable_lattice on diag(1/pi, 1), whose orbit lattice keeps growing.
 
-    Spec reps are integral, so their orbit is stable at once; the budget rows
-    swap in this generator to reach the limits through the CLI."""
+    Spec reps are integral, so their orbit is stable at once; the growth row
+    swaps in this generator to reach the limit through the CLI."""
     from loccon import lattice
     from loccon.padic import PadicNumber
 
@@ -416,7 +459,7 @@ def _unstable_orbit(**budget):
         zero, one = PadicNumber(ctx.zero()), PadicNumber(ctx.one())
         M = [[PadicNumber(ctx.one(), denom_pow=1), zero], [zero, one]]
         return lattice.stable_lattice(group, dim, ctx,
-                                      {name: M for name in images}, **budget)
+                                      {name: M for name in images})
     return run
 
 
@@ -424,8 +467,6 @@ def _unstable_orbit(**budget):
     ("|G| <= 24", ["pseudorep", "mf"], None),
     ("orbit lattice keeps growing", ["lattice", "stabilize"],
      _unstable_orbit()),
-    ("did not stabilize within budget", ["lattice", "stabilize"],
-     _unstable_orbit(rounds_budget=1)),
 ])
 def test_budget_and_precondition_limits_exit_2(capsys, tmp_path, monkeypatch,
                                                limit, argv, patch):

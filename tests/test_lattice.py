@@ -1,21 +1,24 @@
 """Integral representations, mod-pi^m isomorphism testing, stable lattices."""
 
+import collections
 import gc
 import itertools
 import random
 import weakref
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccon.chainring import (
+    ChainSpan,
     determinant,
     mat_inverse,
     mat_mul,
     mat_reduce_mod,
 )
-from loccon.groups import free_group, symmetric_group
+from loccon.groups import cyclic_group, free_group, symmetric_group
 from loccon.lattice import (
     IntegralRep,
     IsoResult,
@@ -162,7 +165,6 @@ def test_stable_lattice_integralizes():
     images = {"g": [[PadicNumber(Z5.zero()), PadicNumber(Z5.from_int(5))],
                     [PadicNumber(Z5.one(), denom_pow=1),
                      PadicNumber(Z5.zero())]]}
-    from loccon.groups import cyclic_group
     lat, cert = stable_lattice(cyclic_group(2), 2, Z5, images)
     for row in lat.gen_images["g"]:
         for x in row:
@@ -181,10 +183,8 @@ def _conjugated_four_cycle(ctx):
 
 
 def test_stable_lattice_in_dimension_four():
-    """Each orbit round costs as many digits as the denominator, so the
-    orbit's three rounds need more than the 14 digits of Z5."""
-    from loccon.chainring import mat_inverse, mat_mul
-    from loccon.groups import cyclic_group
+    """The orbit of O_E^4 reaches pi^-3 e_4, so the spin spans it scaled by
+    pi^3; 20 digits leave room for that (13 are enough, see below)."""
     ctx = PadicContext(5, precision=20)
     M = _conjugated_four_cycle(ctx)
     lat, C = stable_lattice(cyclic_group(4), 4, ctx, {"g": M})
@@ -196,27 +196,27 @@ def test_stable_lattice_in_dimension_four():
 
 
 def test_stable_lattice_out_of_digits_is_a_precision_error():
-    """At 14 digits the orbit rounds use up the precision: the division that
-    follows needs more digits than are known, which is inconclusive, not a
-    proof that the element is not divisible."""
-    from loccon.groups import cyclic_group
-    ctx = PadicContext(5, precision=14)
+    """At 12 digits the orbit uses up the precision: the span needs more
+    digits than are known, which is inconclusive, not a proof that the
+    orbit has no lattice."""
+    ctx = PadicContext(5, precision=12)
     with pytest.raises(PrecisionError):
         stable_lattice(cyclic_group(4), 4, ctx, {"g": _conjugated_four_cycle(ctx)})
 
 
 def test_four_cycle_orbit_succeeds_or_runs_out_of_precision():
-    """Below 17 digits the orbit rounds of the conjugated 4-cycle use up
-    the precision; a lost rank on the way is lost precision, never a
-    degenerate representation."""
-    from loccon.groups import cyclic_group
-    for precision in range(8, 22):
+    """From 13 digits the conjugated 4-cycle has its lattice; below, the
+    orbit runs out of precision, and a lost rank on the way is lost
+    precision, never a degenerate representation."""
+    for precision in range(8, 28):
         ctx = PadicContext(5, precision=precision)
-        try:
-            stable_lattice(cyclic_group(4), 4, ctx,
-                           {"g": _conjugated_four_cycle(ctx)})
-        except PrecisionError:
-            assert precision < 17
+        run = partial(stable_lattice, cyclic_group(4), 4, ctx,
+                      {"g": _conjugated_four_cycle(ctx)})
+        if precision < 13:
+            with pytest.raises(PrecisionError):
+                run()
+        else:
+            run()
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -231,6 +231,206 @@ def test_unbounded_orbit_is_inconclusive_at_every_precision(p):
             stable_lattice(FREE1, 2, ctx, {"g1": M})
 
 
+def reference_stable_lattice(group, dim, context, gen_images, rounds_budget=40):
+    """The orbit lattice by rounds, each re-basing the lattice: the former
+    ``stable_lattice``, whose loop one spin replaced, kept as the reference
+    the spin must agree with.
+
+    ``gen_images`` maps generators to matrices of PadicNumber (possibly
+    non-integral).  Returns (IntegralRep, certificate C) with C^{-1} rho C
+    integral, or raises InconclusiveError("unbounded ...") when the orbit
+    lattice fails to stabilize within the budget or outgrows the working
+    precision.
+    """
+    ctx = context
+    d = dim
+    mats = {}
+    for name, M in gen_images.items():
+        mats[name] = [[x if isinstance(x, PadicNumber) else PadicNumber(x)
+                       for x in row] for row in M]
+    all_mats = list(mats.values()) + [mat_inverse(M) for M in mats.values()]
+
+    basis = [[PadicNumber(ctx.one() if i == j else ctx.zero()) for i in range(d)]
+             for j in range(d)]  # list of column vectors
+    for _ in range(rounds_budget):
+        candidates = list(basis)
+        C = [list(col) for col in zip(*basis)]  # the basis vectors as columns
+        for M in all_mats:
+            candidates.extend(list(v) for v in zip(*mat_mul(M, C)))
+        new_basis = _reference_lattice_basis(candidates, ctx, d)
+        # the candidates hold the old basis, so the lattice only grows and
+        # it is stable once the new basis lies in the old lattice
+        span, scaled, _ = _reference_scaled_span(basis + new_basis, d, ctx, d)
+        basis = new_basis
+        if all(span.contains(v) for v in scaled[d:]):
+            break
+    else:
+        raise InconclusiveError("unbounded: orbit did not stabilize within budget")
+
+    C = [list(col) for col in zip(*basis)]
+    Cinv = mat_inverse(C)
+    images = {}
+    for name, M in mats.items():
+        conj = mat_mul(mat_mul(Cinv, M), C)
+        images[name] = [[x.to_integral() for x in row] for row in conj]
+    return IntegralRep(group, d, ctx, images), C
+
+
+def _reference_scaled_span(vectors, count, ctx, d):
+    """Scale the vectors by pi^denom, denom their largest denominator, and
+    span the first ``count`` of them over O_E/pi^M, with M the digits known
+    after scaling.  Returns (span, scaled vectors, denom).
+
+    The vectors hold a basis of a lattice L with O_E^d <= L, so pi^denom L
+    lies between pi^denom O_E^d and O_E^d: its span mod pi^M has rank d
+    when denom < M, and M <= precision - denom - 1.  Past that bound the
+    orbit is unbounded at this precision; below it, a loss of rank is lost
+    precision.
+    """
+    denom = 0
+    for v in vectors:
+        for x in v:
+            vv = x.normalized().pi_valuation()
+            if vv is not None and vv < 0:
+                denom = max(denom, -vv)
+    if 2 * denom + 1 >= ctx.precision:
+        raise InconclusiveError("unbounded: orbit lattice keeps growing "
+                                "(no stable lattice at working precision)")
+    scale = ctx.pi_power(denom)
+    scaled = [[(x * scale).to_integral() for x in v] for v in vectors]
+    M = min([ctx.precision - denom - 1]
+            + [x.known_precision for v in scaled for x in v])
+    if M < 2:
+        raise PrecisionError("not enough precision for lattice computation")
+    span = ChainSpan(ctx, M, d)
+    for vec in scaled[:count]:
+        span.add(vec)
+    return span, scaled, denom
+
+
+def _reference_lattice_basis(vectors, ctx, d):
+    span, _, denom = _reference_scaled_span(vectors, len(vectors), ctx, d)
+    if len(span.rows) != d:
+        raise PrecisionError("orbit lattice lost rank: not enough precision")
+    return [[PadicNumber(x, denom) for x in span.rows[j][1]]
+            for j in sorted(span.rows)]
+
+
+
+
+# permutation representations: (group, one permutation per generator)
+PERMUTATION_REPS = {
+    "C2": (cyclic_group(2), {"g": (1, 0)}),
+    "C3": (cyclic_group(3), {"g": (1, 2, 0)}),
+    "C4": (cyclic_group(4), {"g": (1, 2, 3, 0)}),
+    "S3": (symmetric_group(3), {"s": (1, 0, 2), "c": (1, 2, 0)}),
+}
+LATTICE_SHAPES = {"Z3": dict(p=3), "Z5": dict(p=5), "e2": dict(p=5, e=2),
+                  "f2": dict(p=5, f=2)}
+
+
+def conjugated_permutation_rep(ctx, perms, seed):
+    """The images X^-1 P X of the permutation matrices P, with X = diag(pi^k)
+    U for seeded exponents 0 <= k <= 4 and U over O_E of unit determinant:
+    a representation whose stable lattices include X^-1 O_E^d.  U's
+    coordinates are below p^3, so the input is the same at every precision."""
+    rng = random.Random(seed)
+    d = len(next(iter(perms.values())))
+    ks = [rng.randrange(5) for _ in range(d)]
+    while True:
+        U = [[ctx.from_coords([rng.randrange(ctx.p ** 3)
+                               for _ in range(ctx.degree)])
+              for _ in range(d)] for _ in range(d)]
+        if determinant(U).is_unit():
+            break
+    Uinv = [[PadicNumber(x) for x in row] for row in mat_inverse(U)]
+    U = [[PadicNumber(x) for x in row] for row in U]
+    images = {}
+    for name, perm in perms.items():
+        # diag(pi^-k) P diag(pi^k) has pi^(k_j - k_i) at each (i, j) of P
+        inner = [[PadicNumber(ctx.pi_power(max(0, ks[j] - ks[i])),
+                              max(0, ks[i] - ks[j]))
+                  if perm[j] == i else PadicNumber(ctx.zero())
+                  for j in range(d)] for i in range(d)]
+        images[name] = mat_mul(mat_mul(Uinv, inner), U)
+    return images
+
+
+def _lattice_or_reason(fn, group, ctx, images):
+    """The certificate C of ``fn``'s lattice, or the inconclusive class."""
+    d = len(next(iter(images.values())))
+    try:
+        return fn(group, d, ctx, images)[1]
+    except InconclusiveError as exc:
+        return type(exc)
+
+
+def _in_context(C, ctx):
+    """The exact entries of C, as numbers of ``ctx``."""
+    return [[PadicNumber(ctx.from_coords(x.num.coords), x.denom_pow)
+             for x in row] for row in C]
+
+
+def _same_lattice(C, D):
+    """The columns of C and of D span the same lattice."""
+    return all(x.is_integral()
+               for A, B in ((C, D), (D, C))
+               for row in mat_mul(mat_inverse(A), B) for x in row)
+
+
+def test_stable_lattice_matches_the_rounds_reference():
+    """On seeded conjugated permutation representations the spin finds the
+    reference's lattice wherever the reference finds one, and where the
+    reference is inconclusive the spin is too or succeeds, never a usage
+    error."""
+    outcomes = collections.Counter()
+    for (gname, (group, perms)), shape, precision in itertools.product(
+            PERMUTATION_REPS.items(), LATTICE_SHAPES.values(), (12, 16, 20)):
+        ctx = PadicContext(precision=precision, **shape)
+        images = conjugated_permutation_rep(ctx, perms, seed=precision)
+        want = _lattice_or_reason(reference_stable_lattice, group, ctx, images)
+        got = _lattice_or_reason(stable_lattice, group, ctx, images)
+        if isinstance(want, list):
+            assert isinstance(got, list) and _same_lattice(want, got), \
+                (gname, shape, precision)
+        outcomes[isinstance(want, list), isinstance(got, list)] += 1
+    # the sample holds both reference verdicts, and inputs the spin gains
+    assert outcomes[True, True] and outcomes[False, True]
+    assert not outcomes[True, False]
+
+
+@pytest.mark.parametrize("group,shape,precision,seed", [
+    ("C3", "Z5", 20, 15), ("C4", "Z5", 12, 17), ("C4", "e2", 20, 4),
+    ("C4", "f2", 20, 3)])
+def test_spin_finds_lattices_the_rounds_run_out_of_digits_for(group, shape,
+                                                              precision, seed):
+    """Spanning each image as it comes, normalized and at the least scale
+    that holds it, keeps digits that the rounds' re-basing spent."""
+    group, perms = PERMUTATION_REPS[group]
+    ctx = PadicContext(precision=precision, **LATTICE_SHAPES[shape])
+    images = conjugated_permutation_rep(ctx, perms, seed)
+    assert _lattice_or_reason(reference_stable_lattice, group, ctx,
+                              images) is PrecisionError
+    assert isinstance(_lattice_or_reason(stable_lattice, group, ctx, images),
+                      list)
+
+
+@pytest.mark.parametrize("precision", [13, 16])
+def test_stable_lattice_survives_doubled_precision(precision):
+    """Precision N and 2N give the same lattice, for the conjugated 4-cycle
+    and for a seeded conjugate of each permutation representation."""
+    cases = [(cyclic_group(4), lambda ctx: {"g": _conjugated_four_cycle(ctx)})]
+    cases += [(group, partial(conjugated_permutation_rep, perms=perms,
+                              seed=precision))
+              for group, perms in PERMUTATION_REPS.values()]
+    for (group, images), shape in itertools.product(
+            cases, (dict(p=5), dict(p=3, f=2))):
+        ctx, ctx2 = (PadicContext(precision=n, **shape)
+                     for n in (precision, 2 * precision))
+        C, C2 = (_lattice_or_reason(stable_lattice, group, c, images(c))
+                 for c in (ctx, ctx2))
+        assert isinstance(C, list) and isinstance(C2, list)
+        assert _same_lattice(_in_context(C, ctx2), C2)
 def test_carayol_on_constructed_congruent_pair():
     rng = random.Random(5)
     rep = sample_res_irred(Z5, rng)

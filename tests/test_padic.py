@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from loccon import padic
 from loccon.padic import (
     DomainError,
+    InconclusiveError,
     PadicContext,
     PadicElement,
     PadicNumber,
@@ -350,6 +351,15 @@ def test_padic_number_inverse():
     assert (prod - PadicNumber(RAM2.one())).num.pi_valuation() is None
 
 
+def test_padic_number_zero_to_its_digits_is_a_precision_error():
+    """0 to K digits may be a unit of valuation K: inverting it is
+    inconclusive, not a usage error."""
+    with pytest.raises(PrecisionError, match="indistinguishable from 0"):
+        PadicNumber(RAM2.zero()).inverse()
+    with pytest.raises(PrecisionError):
+        PadicNumber(RAM2.from_int(5).reduce_mod(2), denom_pow=1).inverse()
+
+
 def test_padic_number_vp():
     x = PadicNumber(RAM2.pi(), denom_pow=3)
     assert x.vp() == Fraction(-1)
@@ -382,6 +392,13 @@ def _power_cases(ctx, rng):
     return xs
 
 
+def _raises_like(exc, call):
+    """``call()`` raises exactly the class of the reference's ``exc``."""
+    with pytest.raises(type(exc)) as info:
+        call()
+    assert type(info.value) is type(exc)
+
+
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=["Z5", "ram2", "unram2", "mixed", "Z2e3"])
 def test_power_matches_naive_products(ctx):
     """PadicElement and PadicNumber powers by the one square-and-multiply
@@ -393,18 +410,16 @@ def test_power_matches_naive_products(ctx):
         for n in range(-5, 10):
             try:
                 expect = _naive_pow(x, n, ctx.one())
-            except DomainError:
-                with pytest.raises(DomainError):
-                    x ** n
+            except (DomainError, InconclusiveError) as exc:
+                _raises_like(exc, lambda: x ** n)
             else:
                 got = x ** n
                 assert (got.coords, got.known_precision) \
                     == (expect.coords, expect.known_precision)
             try:
                 expect = _naive_pow(num, n, PadicNumber(ctx.one()))
-            except DomainError:
-                with pytest.raises(DomainError):
-                    num ** n
+            except (DomainError, InconclusiveError) as exc:
+                _raises_like(exc, lambda: num ** n)
             else:
                 got = num ** n
                 assert (got.num.coords, got.num.known_precision, got.denom_pow) \
