@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Run the full constancy audit for a family described in a spec file:
 pointwise audit on the wide open, strict constancy in affinoid coordinates,
-and the trace-algebra fullness check.  Exits 1 on any failed verdict."""
+and the trace-algebra fullness check.  Exits 1 on any failed verdict and
+3, with the reason on stderr, on an input the audit refuses (a depth or
+sample count below 1)."""
 
 import argparse
 import json
 import sys
 
+from loccon.padic import DomainError
 from loccon.specfile import load_spec
 
 
@@ -25,10 +28,14 @@ def main():
     n = args.n if args.n is not None else spec.params.get("n", 2)
     exts = spec.extensions(fam.model.base)
 
-    audit = fam.pointwise_constancy_audit(dom, n, exts, args.samples,
-                                          seed=args.seed)
-    strict_ok, witness, _ = fam.strict_constancy_check(dom.center, n)
-    trace = fam.trace_algebra_full(n)
+    try:
+        audit = fam.pointwise_constancy_audit(dom, n, exts, args.samples,
+                                              seed=args.seed)
+        strict_ok, witness, _ = fam.strict_constancy_check(dom.center, n)
+        trace = fam.trace_algebra_full(n)
+    except DomainError as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 3
     report = {
         "n": n,
         "pointwise_audit": audit["verdict"],

@@ -75,6 +75,11 @@ class RepFamily(IntegralRep):
         isomorphic mod pi_E^{gamma(n)} to the specialization at the center.
         """
         from loccon.lattice import iso_mod, reduce_rep_mod
+        if n < 1:
+            raise DomainError(f"n must be at least 1, got {n}")
+        if samples_per_ext < 1:
+            raise DomainError(
+                f"samples_per_ext must be at least 1, got {samples_per_ext}")
         report = {"n": n, "verdict": "pass", "witnesses": [], "extensions": []}
         for idx, ext in enumerate(extensions):
             e_rel = relative_ramification(self.model.base, ext)

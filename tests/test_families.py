@@ -184,6 +184,19 @@ def test_pointwise_audit_catches_boundary_points():
     assert rep["witnesses"]
 
 
+@pytest.mark.parametrize("n,samples,message", [
+    (2, 0, "samples_per_ext must be at least 1, got 0"),
+    (2, -3, "samples_per_ext must be at least 1, got -3"),
+    (0, 4, "n must be at least 1, got 0"),
+])
+def test_pointwise_audit_refuses_an_empty_audit(n, samples, message):
+    """No sample or no depth checks nothing, so it is refused, not a pass."""
+    dom = describe(DISC, ORIGIN, 2, "U")
+    with pytest.raises(DomainError) as exc:
+        unramified_family().pointwise_constancy_audit(dom, n, [Z5], samples)
+    assert str(exc.value) == message
+
+
 # -- trace algebra -----------------------------------------------------------
 
 

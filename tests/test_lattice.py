@@ -750,9 +750,9 @@ def brute_force_isomorphic(a, b):
     return False
 
 
-def unit_det_matrix(ctx, rng):
+def unit_det_matrix(ctx, rng, d=2):
     while True:
-        M = [[ctx.random_element(rng) for _ in range(2)] for _ in range(2)]
+        M = [[ctx.random_element(rng) for _ in range(d)] for _ in range(d)]
         if determinant(M).is_unit():
             return M
 
@@ -809,14 +809,156 @@ def test_iso_mod_agrees_with_brute_force(ring, m):
     assert statuses == {"isomorphic", "not_isomorphic"}
 
 
+def seeded_pairs(ctx, group, d, m, seed):
+    """Seeded pairs of reps of ``group`` in dimension d mod pi^m: a
+    conjugate, a perturbed conjugate, a pair congruent entry by entry, and
+    an unrelated pair."""
+    rng = random.Random(seed)
+    names = group.generators
+
+    def unrelated():
+        return {g: unit_det_matrix(ctx, rng, d) for g in names}
+
+    def perturbed(images, k):
+        pk = ctx.pi_power(k)
+        return {g: [[x + ctx.random_element(rng) * pk for x in row]
+                    for row in M] for g, M in images.items()}
+
+    A = unrelated()
+    C = unit_det_matrix(ctx, rng, d)
+    conj = {g: mat_mul(mat_mul(C, M), mat_inverse(C)) for g, M in A.items()}
+    pairs = [(A, conj), (A, perturbed(conj, rng.randrange(1, m + 1))),
+             (A, perturbed(A, m)), (A, unrelated())]
+    return [tuple(ResidueRep(group, d, ctx, m, images) for images in pair)
+            for pair in pairs]
+
+
+@pytest.mark.parametrize("ring,gens,d,m", [
+    ("Z2", 2, 2, 1), ("Z2", 2, 2, 2), ("Z3", 2, 2, 1),
+    ("Z2", 1, 3, 1), ("Z2", 2, 3, 1)])
+def test_iso_mod_agrees_with_brute_force_beyond_one_generator(ring, gens, d, m):
+    ctx = TINY_RINGS[ring]
+    statuses = set()
+    for seed in range(4):
+        for a, b in seeded_pairs(ctx, free_group(gens), d, m, seed):
+            res = iso_mod(a, b)
+            want = brute_force_isomorphic(a, b)
+            assert res.status == ("isomorphic" if want else "not_isomorphic")
+            statuses.add(res.status)
+            if want:
+                assert determinant(res.intertwiner).is_unit()
+                assert intertwines(a, b, res.intertwiner)
+    assert statuses == {"isomorphic", "not_isomorphic"}
+
+
+def _counting(monkeypatch, name):
+    """Replace loccon.lattice.<name> by a wrapper that counts its calls."""
+    import loccon.lattice as lattice
+    calls = []
+    original = getattr(lattice, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, name, counted)
+    return calls
+
+
+def _two_generator_pair(ctx, m, conjugate_by):
+    """A two-generator rep and one that agrees with its conjugate by
+    ``conjugate_by`` mod pi^m but not at precision m + 1."""
+    a = {"g1": mat(ctx, [[1, 2], [3, 2]]), "g2": mat(ctx, [[0, 1], [1, 1]])}
+    C = mat(ctx, conjugate_by)
+    pm = ctx.pi_power(m)
+    b = {g: [[x + pm for x in row]
+             for row in mat_mul(mat_mul(C, M), mat_inverse(C))]
+         for g, M in a.items()}
+    return (ResidueRep(FREE2, 2, ctx, m, a), ResidueRep(FREE2, 2, ctx, m, b))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_iso_mod_returns_the_identity_for_a_congruent_pair(monkeypatch, m):
+    """A pair that agrees mod pi^m is isomorphic by X = I, found without
+    solving for the intertwiner module, and I is still checked."""
+    solved = _counting(monkeypatch, "intertwiner_space")
+    checked = _counting(monkeypatch, "_check_intertwines")
+    a, b = _two_generator_pair(Z5, m, [[1, 0], [0, 1]])
+    res = iso_mod(a, b)
+    assert (res.status, res.certificate) == ("isomorphic", "explicit intertwiner")
+    assert res.intertwiner == mat_reduce_mod(mat(Z5, [[1, 0], [0, 1]]), m)
+    assert solved == [] and len(checked) == 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_iso_mod_finds_a_pair_congruent_only_after_conjugation(monkeypatch, m):
+    solved = _counting(monkeypatch, "intertwiner_space")
+    checked = _counting(monkeypatch, "_check_intertwines")
+    a, b = _two_generator_pair(Z5, m, [[1, 2], [0, 1]])
+    res = iso_mod(a, b)
+    assert res.status == "isomorphic"
+    assert res.intertwiner != mat_reduce_mod(mat(Z5, [[1, 0], [0, 1]]), m)
+    assert determinant(res.intertwiner).is_unit()
+    assert intertwines(a, b, res.intertwiner)
+    assert len(solved) == 1 and len(checked) == 1
+
+
+def test_iso_mod_enumerates_when_no_single_generator_is_invertible(monkeypatch):
+    """diag(1, 2) against diag(2, 1): Hom is the antidiagonal, spanned by
+    the singular E12 and E21, so without random draws only the enumeration
+    reaches E12 + E21."""
+    import loccon.lattice as lattice
+    monkeypatch.setattr(lattice, "_SEEDED_DRAWS", 0)
+    a, b = (ResidueRep(FREE1, 2, Z5, 1, {"g1": mat(Z5, M)})
+            for M in ([[1, 0], [0, 2]], [[2, 0], [0, 1]]))
+    assert all(not determinant([g[:2], g[2:]]).is_unit()
+               for g, _ in intertwiner_space(a, b))
+    res = iso_mod(a, b)
+    assert res.status == "isomorphic"
+    assert determinant(res.intertwiner).is_unit()
+
+
+@pytest.mark.parametrize("ctx,left,right,m", [
+    # a unipotent block against the identity: Hom holds E12 and E22
+    (Z5, {"g1": [[1, 1], [0, 1]]}, {"g1": [[1, 0], [0, 1]]}, 1),
+    (Z5, {"g1": [[1, 1], [0, 1]]}, {"g1": [[1, 0], [0, 1]]}, 2),
+    # distinct eigenvalues mod 3: Hom is the first row
+    (Z3, {"g1": [[1, 0], [0, 1]]}, {"g1": [[1, 0], [0, -1]]}, 2),
+    (Z5, {"g1": [[1, 1], [0, 1]], "g2": [[2, 0], [0, 2]]},
+     {"g1": [[1, 0], [0, 1]], "g2": [[2, 0], [0, 2]]}, 1),
+    (TINY_RINGS["Z2"], {"g1": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]},
+     {"g1": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, 1),
+], ids=["unipotent-Z5-m1", "unipotent-Z5-m2", "eigenvalues-Z3-m2",
+        "two-generators-Z5-m1", "unipotent-d3-Z2-m1"])
+def test_iso_mod_refutes_a_pair_with_a_singular_mod_pi_hom(ctx, left, right, m):
+    """A nonzero mod-pi Hom with no invertible element: the search runs
+    through to the exhaustive certificate."""
+    d, group = len(left["g1"]), free_group(len(left))
+    a, b = (ResidueRep(group, d, ctx, m, {g: mat(ctx, M) for g, M in x.items()})
+            for x in (left, right))
+    assert any(s == 0 for _, s in intertwiner_space(a, b))
+    res = iso_mod(a, b)
+    assert res.status == "not_isomorphic"
+    assert res.certificate.endswith("(exhaustive)")
+    if ctx.residue_field_size ** (d * d * m) <= 5 ** 4:
+        assert not brute_force_isomorphic(a, b)
+
+
 def reference_iso_mod(a, b, search_cap=1 << 20, rand_budget=2000, seed=0):
-    """The full-precision candidate loop: each combination of the unit
-    generators with integer coefficients c < q is built over O_E/pi^m and
-    kept when its determinant is a unit.  For f = 1 these are the
-    residue-field combinations, in the order iso_mod tries them."""
+    """The full-precision candidate loop: each candidate is built over
+    O_E/pi^m and kept when it intertwines (the identity) or its determinant
+    is a unit (combinations of the unit generators with integer
+    coefficients c < q).  For f = 1 these are the residue-field
+    combinations, in the order iso_mod tries them: the identity, each
+    single generator, 32 seeded draws before an exhaustive enumeration or
+    ``rand_budget`` without one, then every nonzero combination."""
+    d, m, ctx = a.dim, a.modulus, a.context
+    identity = [[ctx.from_int(int(i == j)) for j in range(d)] for i in range(d)]
+    if intertwines(a, b, identity):
+        return IsoResult("isomorphic", mat_reduce_mod(identity, m),
+                         "explicit intertwiner")
     gens = intertwiner_space(a, b)
     unit_gens = [g for g, s in gens if s == 0]
-    d, m, ctx = a.dim, a.modulus, a.context
     if not unit_gens:
         return IsoResult("not_isomorphic", None,
                          "solution module is contained in pi * M_d")
@@ -834,12 +976,13 @@ def reference_iso_mod(a, b, search_cap=1 << 20, rand_budget=2000, seed=0):
                     X[i][j] = X[i][j] + cc * g[i * d + j]
         return X
 
-    if q ** t <= search_cap:
-        combos = itertools.product(range(q), repeat=t)
-    else:
-        rng = random.Random(seed)
-        combos = ([rng.randrange(q) for _ in range(t)]
-                  for _ in range(rand_budget))
+    exhaustive = q ** t <= search_cap
+    combos = [[int(j == k) for j in range(t)] for k in range(t)]
+    rng = random.Random(seed)
+    combos += [[rng.randrange(q) for _ in range(t)]
+               for _ in range(32 if exhaustive else rand_budget)]
+    if exhaustive:
+        combos += itertools.product(range(q), repeat=t)
     for combo in combos:
         if not any(combo):
             continue
@@ -847,7 +990,7 @@ def reference_iso_mod(a, b, search_cap=1 << 20, rand_budget=2000, seed=0):
         if determinant(X).is_unit():
             return IsoResult("isomorphic", mat_reduce_mod(X, m),
                              "explicit intertwiner")
-    if q ** t <= search_cap:
+    if exhaustive:
         return IsoResult("not_isomorphic", None,
                          "no invertible element in the mod-pi solution span "
                          "(exhaustive)")

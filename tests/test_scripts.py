@@ -43,6 +43,19 @@ def test_report_scripts_exit_cleanly(args):
     assert proc.stdout.startswith("{")
 
 
+@pytest.mark.parametrize("flag,message", [
+    ("--samples", "samples_per_ext must be at least 1, got 0"),
+    ("--n", "n must be at least 1, got 0"),
+])
+def test_audit_script_refuses_an_empty_audit(flag, message):
+    """No sample or no depth exits 3 with the reason and no report."""
+    proc = run_script("scripts/audit_family.py", "specs/unramified_family.spec",
+                      flag, "0")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": message}
+
+
 def _bench_module():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     module = importlib.util.module_from_spec(spec)
