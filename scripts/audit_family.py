@@ -31,11 +31,11 @@ def main():
     try:
         audit = fam.pointwise_constancy_audit(dom, n, exts, args.samples,
                                               seed=args.seed)
-        strict_ok, witness, _ = fam.strict_constancy_check(dom.center, n)
-        trace = fam.trace_algebra_full(n)
     except DomainError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
+    strict_ok, witness, _ = fam.strict_constancy_check(dom.center, n)
+    trace = fam.trace_algebra_full(n)
     report = {
         "n": n,
         "pointwise_audit": audit["verdict"],

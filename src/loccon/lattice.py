@@ -186,35 +186,22 @@ def intertwiner_space(a, b):
     return nullspace_mod(rows, ctx, m)
 
 
-_SEEDED_DRAWS = 32  # random candidates tried before an exhaustive enumeration
-
-
 def iso_mod(a, b, search_cap=1 << 20, rand_budget=2000, seed=0):
     """Module isomorphism test over O_E/pi^m.
 
-    An invertible intertwiner exists iff some F_q-combination of the unit
-    generators G_1..G_t of the solution module is invertible mod pi.
-    Candidates are tried in this order:
-
-    1. the identity, when a(g) = b(g) mod pi^m for every generator g: that
-       is exactly when I intertwines, and the common case of a family
-       audit's samples, so no solution module is solved;
-    2. each single G_k;
-    3. seeded random combinations: ``_SEEDED_DRAWS`` of them when q^t <=
-       ``search_cap``, else ``rand_budget``;
-    4. when q^t <= ``search_cap``, every nonzero combination.
-
-    The first steps only reorder the search and step 4 still covers the
-    whole span, so ``not_isomorphic`` is proved; a miss on the random path
-    is ``inconclusive``.  Candidates are tested over F_q, so only the winner
-    is built over O_E/pi^m, and every returned intertwiner is checked.
+    The identity is tried first: it intertwines exactly when a(g) = b(g)
+    mod pi^m for every generator g, the common case of a family audit's
+    samples, and then no solution module is solved.  Otherwise an
+    invertible intertwiner exists iff some residue-field combination of the
+    solution-space generators is invertible mod pi, so the search over the
+    mod-pi span is a complete decision procedure when it is enumerable.
+    Candidates sum_k c_k G_k are tested over F_q, so only the winner is
+    built over O_E/pi^m.
     """
     _check_comparable(a, b)
-    d, m = a.dim, a.modulus
-    if all(_congruent(a.gen_images[name], b.gen_images[name], m)
-           for name in a.group.generators):
-        X = mat_reduce_mod(identity_matrix(a.context, d), m)
-        _check_intertwines(a, b, X)
+    d = a.dim
+    X = mat_reduce_mod(identity_matrix(a.context, d), a.modulus)
+    if _intertwines(a, b, X):
         return IsoResult("isomorphic", X, "explicit intertwiner")
     gens = intertwiner_space(a, b)
     unit_gens = [g for g, s in gens if s == 0]
@@ -233,14 +220,11 @@ def iso_mod(a, b, search_cap=1 << 20, rand_budget=2000, seed=0):
         return F.rank(X[i * d:(i + 1) * d] for i in range(d)) == d
 
     exhaustive = q ** t <= search_cap
-    rng = random.Random(seed)
-    singles = ([int(j == k) for j in range(t)] for k in range(t))
-    draws = ([rng.randrange(q) for _ in range(t)]
-             for _ in range(_SEEDED_DRAWS if exhaustive else rand_budget))
-    combos = itertools.chain(singles, draws)
-    if exhaustive:  # every combination but the leading zero one
-        combos = itertools.chain(combos, itertools.islice(
-            itertools.product(range(q), repeat=t), 1, None))
+    if exhaustive:
+        combos = itertools.product(range(q), repeat=t)
+    else:
+        rng = random.Random(seed)
+        combos = ([rng.randrange(q) for _ in range(t)] for _ in range(rand_budget))
     for combo in combos:
         if invertible(combo):
             X = _intertwiner(a, b, unit_gens, combo)
@@ -271,22 +255,24 @@ def _intertwiner(a, b, unit_gens, combo):
     return X
 
 
-def _congruent(L, R, m):
-    """Whether the matrices L and R agree entrywise mod pi^m."""
-    for r1, r2 in zip(L, R):
-        for x, y in zip(r1, r2):
-            v = (x - y).pi_valuation()
-            if v is not None and v < m:
-                return False
+def _intertwines(a, b, X):
+    """Whether X a(g) = b(g) X mod pi^m for every generator g."""
+    m = a.modulus
+    for name in a.group.generators:
+        L = mat_mul(X, a.gen_images[name])
+        R = mat_mul(b.gen_images[name], X)
+        for r1, r2 in zip(L, R):
+            for x, y in zip(r1, r2):
+                v = (x - y).pi_valuation()
+                if v is not None and v < m:
+                    return False
     return True
 
 
 def _check_intertwines(a, b, X):
-    """Raise unless X a(g) = b(g) X mod pi^m for every generator g."""
-    for name in a.group.generators:
-        if not _congruent(mat_mul(X, a.gen_images[name]),
-                          mat_mul(b.gen_images[name], X), a.modulus):
-            raise RuntimeError("intertwiner verification failed")
+    """Raise unless X intertwines a and b."""
+    if not _intertwines(a, b, X):
+        raise RuntimeError("intertwiner verification failed")
 
 
 # -- semisimplification mod pi ----------------------------------------------
