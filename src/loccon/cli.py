@@ -8,6 +8,7 @@ Reports are byte-stable for a fixed (spec, seed, --single-thread) triple.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from loccon.padic import (
     PadicNumber,
     PrecisionError,
     gamma_exponent,
+    require_at_least_one,
 )
 from loccon import galois, specfile
 from loccon.domains import ModelPoint, cover_compare
@@ -81,32 +83,13 @@ def _param(spec, args, key, default):
     return default
 
 
-def _read_depths(args):
-    """Resolve the depth n (``--n``, then ``[params] n``, then 1) of a
-    command that takes one; n and ``--m`` are exponents of pi, and a value
-    below 1 is a usage error."""
-    if "n" in vars(args):
-        args.n = _param(args.spec, args, "n", 1)
-    for key in ("n", "m"):
-        val = vars(args).get(key, 1)
-        if val < 1:
-            raise SpecError(f"depth {key} must be at least 1, got {val}")
-
-
-# the commands that draw points, each a given number per extension
-_SAMPLING = {("domain", "sample"), ("domain", "cover-compare"),
-             ("family", "audit"), ("pseudorep", "audit")}
-
-
-def _read_samples(args):
-    """Resolve the sample count (``--samples``, then ``[params] samples``,
-    then 25) of a command that draws points; a count below 1 is a usage
-    error."""
-    if (args.command, args.op) not in _SAMPLING:
-        return
-    args.samples = _param(args.spec, args, "samples", 25)
-    if args.samples < 1:
-        raise SpecError(f"samples must be at least 1, got {args.samples}")
+def _resolve_params(args):
+    """Resolve the seed, the depth n and the sample count, each on the
+    subcommands that have its flag: the flag, then its ``[params]`` key,
+    then the default.  The library refuses a depth or count below 1."""
+    for key, default in (("seed", 0), ("n", 1), ("samples", 25)):
+        if key in vars(args):
+            setattr(args, key, _param(args.spec, args, key, default))
 
 
 # -- bounds -----------------------------------------------------------------
@@ -179,6 +162,8 @@ def cmd_family(args):
     fam = spec.sole("families", args.name)
     n = args.n
     if args.op == "check-strict":
+        # the depth error comes before the trivial pass below
+        require_at_least_one("depth n", n)
         dom = spec.sole("domains")
         scale = args.scale if args.scale is not None else \
             (n - 1 if dom.kind == "U" else n)
@@ -243,8 +228,9 @@ def cmd_lattice(args):
                       "matrices": {g: M for g, M in lat.gen_images.items()}},
                      args)
     if args.op == "reduce":
-        rep = spec.sole("reps", args.left)
-        rr = reduce_rep_mod(rep, args.m)
+        # the depth error comes first, as in the library, not the lookup's
+        require_at_least_one("depth m", args.m)
+        rr = reduce_rep_mod(spec.sole("reps", args.left), args.m)
         return _emit({"modulus": args.m,
                       "matrices": {g: M for g, M in rr.gen_images.items()}},
                      args)
@@ -355,7 +341,9 @@ def cmd_phimod(args):
 # -- argument plumbing ------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once: it does not depend on the arguments."""
     ap = argparse.ArgumentParser(
         prog="loccon",
         description="exact p-adic congruence toolkit")
@@ -378,7 +366,6 @@ def build_parser():
     b.add_argument("--k", type=int, default=2)
     b.add_argument("--km1", type=int, default=1)
     b.add_argument("--v", default="1", help="v_p(a_p0), a rational")
-    b.set_defaults(func=cmd_bounds)
 
     d = sub.add_parser("domain")
     d.add_argument("op", choices=["describe", "member", "sample",
@@ -387,7 +374,6 @@ def build_parser():
     d.add_argument("--point", help="'var : token, var : token' over --ext")
     d.add_argument("--ext", help="context block name for the extension")
     d.add_argument("--samples", type=int)
-    d.set_defaults(func=cmd_domain)
 
     f = sub.add_parser("family")
     f.add_argument("op", choices=["check-strict", "audit", "trace",
@@ -397,7 +383,6 @@ def build_parser():
     f.add_argument("--scale", type=int)
     f.add_argument("--samples", type=int)
     f.add_argument("--word", default="g1")
-    f.set_defaults(func=cmd_family)
 
     l = sub.add_parser("lattice")
     l.add_argument("op", choices=["stabilize", "reduce", "iso",
@@ -406,7 +391,6 @@ def build_parser():
     l.add_argument("--n", type=int)
     l.add_argument("--left")
     l.add_argument("--right")
-    l.set_defaults(func=cmd_lattice)
 
     q = sub.add_parser("pseudorep")
     q.add_argument("op", choices=["check", "kernel", "mf", "audit"])
@@ -414,7 +398,6 @@ def build_parser():
     q.add_argument("--m", type=int, default=1)
     q.add_argument("--n", type=int)
     q.add_argument("--samples", type=int)
-    q.set_defaults(func=cmd_pseudorep)
 
     g = sub.add_parser("phimod")
     g.add_argument("op", choices=["build-crys", "build-sst", "wadm", "params"])
@@ -423,7 +406,6 @@ def build_parser():
     g.add_argument("--p", type=int, default=5)
     g.add_argument("--ap", default="5", help="a_p as an element token")
     g.add_argument("--L", default="0", help="L-invariant token or 'inf'")
-    g.set_defaults(func=cmd_phimod)
 
     return ap
 
@@ -436,10 +418,13 @@ def main(argv=None):
         return 3 if exc.code not in (0, None) else 0
     try:
         args.spec = _load(args)
-        args.seed = _param(args.spec, args, "seed", 0)
-        _read_depths(args)
-        _read_samples(args)
-        return args.func(args)
+        _resolve_params(args)
+        # read at each call, not kept in the cached parser, so that a wrapper
+        # installed on a module attribute (the benchmark's tracer) is called
+        command = {"bounds": cmd_bounds, "domain": cmd_domain,
+                   "family": cmd_family, "lattice": cmd_lattice,
+                   "pseudorep": cmd_pseudorep, "phimod": cmd_phimod}
+        return command[args.command](args)
     except (SpecError, FileNotFoundError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3

@@ -21,6 +21,7 @@ from loccon.padic import (
     embed,
     gamma_exponent,
     relative_ramification,
+    require_at_least_one,
 )
 from loccon.series import AlgebraModel, Cover, ModelPoint, _eval_terms
 
@@ -117,6 +118,7 @@ class ResidueDomain:
 
     def sample(self, ext, count, seed=0):
         """Up to `count` member points over ext, deterministic under seed."""
+        require_at_least_one("samples", count)
         rng = random.Random(seed)
         e_rel = relative_ramification(self.model.base, ext)
         thr = self.pi_threshold(e_rel)
@@ -237,6 +239,8 @@ def cover_compare(model, center, n, ext, samples=100, seed=0):
     depth at which the preimage of the downstairs neighborhood equals the
     upstairs one (reported as found/not found within the budget).
     """
+    require_at_least_one("depth n", n)
+    require_at_least_one("samples", samples)
     d, yvar, tvar, _ = model.linear_cover()
     base = model.base
     down_model = AlgebraModel(base, (), (tvar,), None, model.degree_cap)

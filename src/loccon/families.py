@@ -8,7 +8,8 @@ import itertools
 
 from loccon.chainring import ChainSpan, determinant, spin
 from loccon.lattice import IntegralRep
-from loccon.padic import DomainError, embed, gamma_exponent, relative_ramification
+from loccon.padic import (DomainError, embed, gamma_exponent, relative_ramification,
+                          require_at_least_one)
 from loccon.series import AdicSeries, ModelPoint
 
 
@@ -52,6 +53,7 @@ class RepFamily(IntegralRep):
         for the wide open U^(n) coordinates.  On success returns the constant
         model matrices mod pi^n.
         """
+        require_at_least_one("depth n", n)
         if scale is None:
             scale = n
         scales = {v: scale for v in self.model.vars}
@@ -75,11 +77,8 @@ class RepFamily(IntegralRep):
         isomorphic mod pi_E^{gamma(n)} to the specialization at the center.
         """
         from loccon.lattice import iso_mod, reduce_rep_mod
-        if n < 1:
-            raise DomainError(f"n must be at least 1, got {n}")
-        if samples_per_ext < 1:
-            raise DomainError(
-                f"samples_per_ext must be at least 1, got {samples_per_ext}")
+        require_at_least_one("depth n", n)
+        require_at_least_one("samples", samples_per_ext)
         report = {"n": n, "verdict": "pass", "witnesses": [], "extensions": []}
         for idx, ext in enumerate(extensions):
             e_rel = relative_ramification(self.model.base, ext)
@@ -121,6 +120,7 @@ class RepFamily(IntegralRep):
         rounds.  Each round but the last grows the span, a submodule of
         (O_E/pi^n)^k of length at most n k, so there are at most n k + 1.
         """
+        require_at_least_one("depth n", n)
         model = self.model
         if model.relation is not None:
             raise DomainError("trace-algebra test needs a disc model")

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 from loccon.chainring import mat_mul
 from loccon.domains import sqrt_in_context
-from loccon.padic import DomainError, PadicContext, PadicNumber, embed
+from loccon.padic import (DomainError, PadicContext, PadicNumber, embed,
+                          require_at_least_one)
 
 
 # -- elementary bounds ------------------------------------------------------
@@ -43,6 +44,7 @@ def crystalline_congruence_disc(k, p, v_ap0, n):
     the attached modules holds pointwise on the wide open disc
     v_p(a_p - a_p0) > 2 v + alpha(k-1) + n - 1, and constancy holds on the
     affinoid of valuation radius 2 v + alpha(k-1) + n."""
+    require_at_least_one("depth n", n)
     v = Fraction(v_ap0)
     if v <= 0:
         raise DomainError("need v_p(a_p0) > 0")
@@ -60,6 +62,7 @@ def crystalline_congruence_disc(k, p, v_ap0, n):
 def semistable_congruence_bound(k, p, n):
     """Threshold 2 - k/2 - v_p((k-2)!) + 1 - n on v_p(L) below which the
     semistable modules of weight k are congruent mod p^n in the L-aspect."""
+    require_at_least_one("depth n", n)
     if k < 4:
         raise DomainError("the semistable bound needs k >= 4")
     if p == 2:

@@ -19,7 +19,8 @@ from loccon.chainring import (
     nullspace_mod,
     spin,
 )
-from loccon.padic import DomainError, InconclusiveError, PadicNumber, PrecisionError
+from loccon.padic import (DomainError, InconclusiveError, PadicNumber, PrecisionError,
+                          require_at_least_one)
 
 
 def _residues(F, M):
@@ -142,6 +143,7 @@ class ResidueRep(IntegralRep):
 def reduce_rep_mod(rep, m):
     """Entrywise reduction of an IntegralRep (functorial in products); the
     reduction reads its word products from ``rep``'s memo."""
+    require_at_least_one("depth m", m)
     if m > min(x.known_precision for M in rep.gen_images.values()
                for row in M for x in row):
         raise PrecisionError("not enough precision for this reduction")
@@ -494,6 +496,7 @@ def carayol_audit(a, b, n, seed=0):
     on the ``spanning_words``; a failure names the first of them whose
     traces differ, in spec syntax, as the ``witness``.
     """
+    require_at_least_one("depth n", n)
     if (a.group, a.dim) != (b.group, b.dim) or a.context != b.context:
         raise DomainError("representations are not comparable")
     report = {"n": n}

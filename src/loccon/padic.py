@@ -32,6 +32,14 @@ class DomainError(ValueError):
     """An argument violates a valuation or domain constraint."""
 
 
+def require_at_least_one(what, value):
+    """Refuse a depth (an exponent of pi) or a sample count below 1, where a
+    check mod pi^0 or over no point would pass vacuously.  ``what`` names
+    the value in the error: "depth n", "depth m" or "samples"."""
+    if value < 1:
+        raise DomainError(f"{what} must be at least 1, got {value}")
+
+
 def _poly_addmul(acc, off, a, b):
     """Add the integer polynomial a * b into acc from index off on."""
     for i, x in enumerate(a):
@@ -772,8 +780,9 @@ class Valuation:
 
 def gamma_exponent(e_rel, n):
     """Smallest m with O_L/pi_L^n injecting into O_E/pi_E^m: (n-1)e + 1."""
-    if e_rel < 1 or n < 1:
-        raise DomainError("gamma_exponent needs e_rel >= 1 and n >= 1")
+    require_at_least_one("depth n", n)
+    if e_rel < 1:
+        raise DomainError("gamma_exponent needs e_rel >= 1")
     return (n - 1) * e_rel + 1
 
 

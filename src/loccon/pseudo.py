@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from loccon.padic import DomainError, InconclusiveError
+from loccon.padic import DomainError, InconclusiveError, require_at_least_one
 from loccon.series import AdicSeries, constancy_audits
 
 
@@ -89,6 +89,7 @@ class PseudoRep2:
         """Generators of the null space of B(x, y) = T(xy) over O/pi^m, for
         finite groups: the algebra kernel {y : T(xy) = 0 for all x}."""
         from loccon.chainring import nullspace_mod
+        require_at_least_one("depth m", m)
         if self.group.kind != "finite":
             raise DomainError("kernels are computed for finite groups")
         els = list(self.group.elements())
@@ -168,6 +169,8 @@ class PseudoRep2:
     def constancy_audit(self, domain, n, extensions, samples_per_ext, seed=0):
         """Run the function-level constancy audits on each available value,
         all read at one draw of points per extension."""
+        require_at_least_one("depth n", n)
+        require_at_least_one("samples", samples_per_ext)
         if not all(isinstance(val, AdicSeries) for val in self.values.values()):
             raise DomainError("constancy audits need series-valued T")
         reports = constancy_audits(

@@ -20,6 +20,7 @@ from loccon.padic import (
     gamma_exponent,
     power,
     relative_ramification,
+    require_at_least_one,
 )
 
 
@@ -482,6 +483,8 @@ def constancy_audits(values, domain, n, extensions, samples_per_ext, seed=0):
     pi_E^{gamma(n)}.  ``domain`` provides .center (a ModelPoint) and
     .sample(ext, count, seed); the points over the extension of index i
     are drawn once, with seed + i, and read by every series."""
+    require_at_least_one("depth n", n)
+    require_at_least_one("samples", samples_per_ext)
     model = domain.center.model
     reports = {key: {"n": n, "verdict": "pass", "witnesses": [],
                      "extensions": []} for key in values}

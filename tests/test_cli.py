@@ -17,6 +17,9 @@ COVER_SPEC = str(SPECS / "cover.spec")
 ISO_SPEC = str(SPECS / "iso_pair.spec")
 ANNULUS_SPEC = str(SPECS / "annulus.spec")
 S3_SPEC = str(SPECS / "s3_standard.spec")
+# its [params] extensions names one context
+UNRAM_POINTS_SPEC = str(SPECS.parent / "perfbench" / "specs"
+                        / "unramified_points.spec")
 
 
 def run(capsys, *argv):
@@ -83,6 +86,13 @@ def test_domain_sample_deterministic(capsys):
 def test_family_audit_passes(capsys):
     code, rep = run(capsys, "--spec", FAMILY_SPEC, "family", "audit")
     assert code == 0 and rep["verdict"] == "pass"
+    assert len(rep["extensions"]) == 3
+
+
+def test_family_audit_passes_on_one_context_extensions(capsys):
+    code, rep = run(capsys, "--spec", UNRAM_POINTS_SPEC, "family", "audit")
+    assert code == 0 and rep["verdict"] == "pass"
+    assert len(rep["extensions"]) == 1
 
 
 def test_family_check_strict_fails_on_wide_open_coordinates(capsys):

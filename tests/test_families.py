@@ -154,6 +154,14 @@ def test_strict_constancy_fails_on_wide_open_coordinates():
     assert witness[0] == "g1" and witness[3] == "T"
 
 
+def test_strict_constancy_at_scale_zero_runs_the_check():
+    # recentering without rescaling leaves 1 + T, not constant mod pi^2
+    fam = unramified_family()
+    ok, witness, consts = fam.strict_constancy_check(ORIGIN, 2, scale=0)
+    assert not ok and consts is None
+    assert witness[0] == "g1" and witness[3] == "T"
+
+
 # -- pointwise audit ---------------------------------------------------------
 
 
@@ -185,9 +193,9 @@ def test_pointwise_audit_catches_boundary_points():
 
 
 @pytest.mark.parametrize("n,samples,message", [
-    (2, 0, "samples_per_ext must be at least 1, got 0"),
-    (2, -3, "samples_per_ext must be at least 1, got -3"),
-    (0, 4, "n must be at least 1, got 0"),
+    (2, 0, "samples must be at least 1, got 0"),
+    (2, -3, "samples must be at least 1, got -3"),
+    (0, 4, "depth n must be at least 1, got 0"),
 ])
 def test_pointwise_audit_refuses_an_empty_audit(n, samples, message):
     """No sample or no depth checks nothing, so it is refused, not a pass."""
