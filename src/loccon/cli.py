@@ -74,22 +74,14 @@ def _spec(args):
     return args.spec
 
 
-def _param(spec, args, key, default):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if spec is not None and key in spec.params:
-        return spec.params[key]
-    return default
-
-
 def _resolve_params(args):
     """Resolve the seed, the depth n and the sample count, each on the
     subcommands that have its flag: the flag, then its ``[params]`` key,
     then the default.  The library refuses a depth or count below 1."""
+    params = args.spec.params if args.spec is not None else {}
     for key, default in (("seed", 0), ("n", 1), ("samples", 25)):
-        if key in vars(args):
-            setattr(args, key, _param(args.spec, args, key, default))
+        if key in vars(args) and getattr(args, key) is None:
+            setattr(args, key, params.get(key, default))
 
 
 # -- bounds -----------------------------------------------------------------
@@ -101,8 +93,11 @@ def cmd_bounds(args):
     if args.op == "alpha":
         return _emit({"alpha": galois.alpha(args.km1, args.p)}, args)
     if args.op == "crys-disc":
-        rep = galois.crystalline_congruence_disc(
-            args.k, args.p, Fraction(args.v), args.n)
+        try:
+            v = Fraction(args.v)
+        except (ValueError, ZeroDivisionError):
+            raise SpecError(f"--v must be a rational, got {args.v!r}") from None
+        rep = galois.crystalline_congruence_disc(args.k, args.p, v, args.n)
         return _emit(rep, args)
     if args.op == "sst-bound":
         return _emit(
@@ -168,7 +163,7 @@ def cmd_family(args):
         scale = args.scale if args.scale is not None else \
             (n - 1 if dom.kind == "U" else n)
         rep = {"n": n, "kind": dom.kind, "scale": scale}
-        if scale < 1:
+        if (n, scale, dom.kind) == (1, 0, "U"):
             # wide open at n = 1: the residue domain carries no congruence
             rep["verdict"] = "pass"
             rep["note"] = "trivial at this depth"
@@ -190,8 +185,7 @@ def cmd_family(args):
                       "trace": specfile.series_literal(fam.trace_of_word(word))},
                      args)
     if args.op == "trace-algebra":
-        rep = fam.trace_algebra_full(n, word_cap=_param(spec, args, "word_cap", 3))
-        return _emit(rep, args)
+        return _emit(fam.trace_algebra_full(n), args)
     raise SpecError(f"unknown family operation {args.op!r}")
 
 

@@ -111,14 +111,17 @@ class RepFamily(IntegralRep):
 
     # -- trace algebra -----------------------------------------------------
 
-    def trace_algebra_full(self, n, word_cap=3):
+    def trace_algebra_full(self, n):
         """Is the closure of the O_L-algebra generated by the matrix entries
         the whole truncated algebra?
 
-        Works on disc models only (monomial basis up to the degree cap).
-        Returns "full" or "proper" together with the number of product
-        rounds.  Each round but the last grows the span, a submodule of
-        (O_E/pi^n)^k of length at most n k, so there are at most n k + 1.
+        The letters' entries generate it, and a zero, a constant or a
+        repeat never grows the span, so each distinct non-constant entry
+        of a letter is used once.  Works on disc models only (monomial
+        basis up to the degree cap).  Returns "full" or "proper" together
+        with the number of product rounds.  Each round but the last grows
+        the span, a submodule of (O_E/pi^n)^k of length at most n k, so
+        there are at most n k + 1.
         """
         require_at_least_one("depth n", n)
         model = self.model
@@ -126,28 +129,20 @@ class RepFamily(IntegralRep):
             raise DomainError("trace-algebra test needs a disc model")
         degree_budget = model.degree_cap
         monos = _monomials_up_to(model, degree_budget)
-        mono_index = {m: i for i, m in enumerate(monos)}
-        k = len(monos)
-        ctx = model.base
+        zero = model.base.zero()
 
         def vec(series):
-            out = [ctx.zero()] * k
-            for mono, c in series.terms.items():
-                if mono in mono_index:
-                    out[mono_index[mono]] = c
-            return out
+            return [series.terms.get(mono, zero) for mono in monos]
 
         entries = []
-        for word in self.group.words_up_to(word_cap):
-            if not word:
-                continue
-            M = self.matrix_of_word(word)
-            for row in M:
+        for let in self.group.letters:
+            for row in self.matrix_of_word((let,)):
                 for x in row:
-                    entries.append(x)
+                    if any(any(mono) for mono in x.terms) and x not in entries:
+                        entries.append(x)
         # items are (round, product); full in round r reports r (1 if full at
         # the start), proper also counts the last round, which grew nothing
-        span = ChainSpan(ctx, n, k)
+        span = ChainSpan(model.base, n, len(monos))
         products = spin(lambda item: span.add(vec(item[1])),
                         [(0, model.constant(1))],
                         lambda item: ((item[0] + 1, item[1] * e) for e in entries))

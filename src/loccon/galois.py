@@ -9,7 +9,7 @@ from fractions import Fraction
 from loccon.chainring import mat_mul
 from loccon.domains import sqrt_in_context
 from loccon.padic import (DomainError, PadicContext, PadicNumber, embed,
-                          require_at_least_one)
+                          require_at_least_one, require_prime)
 
 
 # -- elementary bounds ------------------------------------------------------
@@ -17,6 +17,7 @@ from loccon.padic import (DomainError, PadicContext, PadicNumber, embed,
 
 def alpha(km1, p):
     """alpha(k-1) = sum_{n>=1} floor((k-1) / (p^{n-1}(p-1)))."""
+    require_prime(p)
     if km1 < 0:
         raise DomainError("alpha takes a non-negative argument")
     total = 0
@@ -45,6 +46,7 @@ def crystalline_congruence_disc(k, p, v_ap0, n):
     v_p(a_p - a_p0) > 2 v + alpha(k-1) + n - 1, and constancy holds on the
     affinoid of valuation radius 2 v + alpha(k-1) + n."""
     require_at_least_one("depth n", n)
+    require_prime(p)
     v = Fraction(v_ap0)
     if v <= 0:
         raise DomainError("need v_p(a_p0) > 0")
@@ -63,6 +65,7 @@ def semistable_congruence_bound(k, p, n):
     """Threshold 2 - k/2 - v_p((k-2)!) + 1 - n on v_p(L) below which the
     semistable modules of weight k are congruent mod p^n in the L-aspect."""
     require_at_least_one("depth n", n)
+    require_prime(p)
     if k < 4:
         raise DomainError("the semistable bound needs k >= 4")
     if p == 2:

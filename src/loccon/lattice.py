@@ -346,9 +346,10 @@ def with_trace_coords(F, factors):
             for f in factors]
 
 
-def semisimplify_mod_p(r, word_cap=4, seed=0):
+def semisimplify_mod_p(r, seed=0):
     """Composition factors of a residue representation (modulus 1), from
-    the residues of the generators and their inverses."""
+    the residues of the generators and their inverses, each labeled by its
+    traces on the ``residue_spin`` words, reported as "words"."""
     if r.modulus != 1:
         raise DomainError("semisimplification is defined at modulus 1")
     F = r.context.residue_field
@@ -356,10 +357,27 @@ def semisimplify_mod_p(r, word_cap=4, seed=0):
     for gi, name in enumerate(r.group.generators):
         G = _residues(F, r.gen_images[name])
         letters[(gi, 1)], letters[(gi, -1)] = G, F.inverse(G)
-    ss = composition_factors(F, letters, r.dim,
-                             r.group.element_words(word_cap).values(), seed)
+    words = list(residue_spin(r))
+    ss = composition_factors(F, letters, r.dim, words, seed)
     ss["factors"] = with_trace_coords(F, ss["factors"])
+    ss["words"] = [r.group.word_text(w) for w in words]
     return ss
+
+
+def residue_spin(rep):
+    """Words whose residue matrices span the image of F_q[G] in M_d(F_q),
+    on which the traces of non-isomorphic simple modules differ: one
+    ``spin`` of I under right multiplication by the generators' residues.
+    Inverse letters add nothing, as each G^-1 is a polynomial in G."""
+    F = rep.context.residue_field
+    gens = [((gi, 1), _residues(F, rep.gen_images[name]))
+            for gi, name in enumerate(rep.group.generators)]
+    basis = {}
+    items = spin(lambda item: F.insert(basis, [x for row in item[1] for x in row]),
+                 [((), F.identity(rep.dim))],
+                 lambda item: ((item[0] + (let,), F.mat_mul(item[1], G))
+                               for let, G in gens))
+    return (word for word, _ in items)
 
 
 def _word_traces(F, letters, d, words):
@@ -459,14 +477,9 @@ def stable_lattice(group, dim, context, gen_images):
 
 def residually_absolutely_irreducible(rep):
     """Burnside's criterion: the generators' residues span M_d(F_q) as an
-    algebra.  Spins I under right multiplication by each generator;
-    inverse letters add nothing, as each G^-1 is a polynomial in G."""
-    F, d = rep.context.residue_field, rep.dim
-    gens = [_residues(F, M) for M in rep.gen_images.values()]
-    basis = {}
-    images = spin(lambda X: F.insert(basis, [x for row in X for x in row]),
-                  [F.identity(d)], lambda X: (F.mat_mul(X, G) for G in gens))
-    return any(len(basis) == d * d for _ in images)
+    algebra, that is, their ``residue_spin`` reaches d^2 words."""
+    d2 = rep.dim * rep.dim
+    return len(list(itertools.islice(residue_spin(rep), d2))) == d2
 
 
 def spanning_words(a, b):

@@ -17,7 +17,7 @@ import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, gcd, isqrt
 
 
 class InconclusiveError(Exception):
@@ -38,6 +38,12 @@ def require_at_least_one(what, value):
     the value in the error: "depth n", "depth m" or "samples"."""
     if value < 1:
         raise DomainError(f"{what} must be at least 1, got {value}")
+
+
+def require_prime(p):
+    """Refuse a p that is not a prime number."""
+    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise DomainError(f"p={p} is not prime")
 
 
 def _poly_addmul(acc, off, a, b):
@@ -126,8 +132,7 @@ class PadicContext:
     """
 
     def __init__(self, p, f=1, e=1, unram_poly=None, eis_poly=None, precision=20):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            raise DomainError(f"p={p} is not prime")
+        require_prime(p)
         if f < 1 or e < 1 or precision < 1:
             raise DomainError("f, e and precision must be >= 1")
         self.p = p

@@ -154,13 +154,14 @@ class SpecFile:
         """The block of a kind with the given name, or without a name the
         only block of that kind."""
         table = getattr(self, kind)
+        noun = kind[:-3] + "y" if kind.endswith("ies") else kind[:-1]
         if name is not None:
             if name not in table:
-                raise SpecError(f"no {kind[:-1]} block named {name!r} "
+                raise SpecError(f"no {noun} block named {name!r} "
                                 f"(declared: {', '.join(table) or 'none'})")
             return table[name]
         if len(table) != 1:
-            raise SpecError(f"spec must contain exactly one {kind[:-1]} block "
+            raise SpecError(f"spec must contain exactly one {noun} block "
                             f"(found {len(table)})")
         return next(iter(table.values()))
 
@@ -502,7 +503,7 @@ def _load_domain(spec, block):
     return describe(model, center, n, kind)
 
 
-_INT_PARAMS = ("seed", "n", "samples", "word_cap")  # read by the commands as ints
+_INT_PARAMS = ("seed", "n", "samples")  # read by the commands as ints
 
 
 def _load_params(spec, block):

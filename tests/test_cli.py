@@ -102,6 +102,50 @@ def test_family_check_strict_fails_on_wide_open_coordinates(capsys):
     assert "T" in rep["witness"]
 
 
+@pytest.mark.parametrize("argv,code,verdict", [
+    (["--n", "1"], 0, "pass"),
+    (["--n", "2", "--scale", "0"], 1, "fail"),
+    (["--n", "1", "--scale", "1"], 0, "pass"),
+])
+def test_family_check_strict_is_trivial_only_on_the_residue_domain(
+        capsys, argv, code, verdict):
+    """Only depth 1 at scale 0 on a wide open domain passes trivially; at
+    depth 2, scale 0 keeps T, which is not constant mod pi^2."""
+    got, rep = run(capsys, "--spec", FAMILY_SPEC, "family", "check-strict",
+                   *argv)
+    assert got == code and rep["verdict"] == verdict
+    trivial = argv == ["--n", "1"]
+    assert ("note" in rep) == trivial
+    if code == 1:
+        assert "'T'" in rep["witness"]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["bounds", "sst-bound", "--k", "4", "--p", "1"], "p=1 is not prime"),
+    (["bounds", "sst-bound", "--k", "4", "--p", "0"], "p=0 is not prime"),
+    (["bounds", "sst-bound", "--k", "4", "--p", "4"], "p=4 is not prime"),
+    (["bounds", "alpha", "--p", "-1", "--km1", "3"], "p=-1 is not prime"),
+    (["bounds", "alpha", "--p", "0", "--km1", "3"], "p=0 is not prime"),
+    (["bounds", "alpha", "--p", "4", "--km1", "3"], "p=4 is not prime"),
+    (["bounds", "crys-disc", "--p", "-3"], "p=-3 is not prime"),
+    (["bounds", "crys-disc", "--p", "0"], "p=0 is not prime"),
+    (["bounds", "crys-disc", "--p", "5", "--v", "abc"],
+     "--v must be a rational, got 'abc'"),
+    (["bounds", "crys-disc", "--p", "5", "--v", "1/0"],
+     "--v must be a rational, got '1/0'"),
+    (["--spec", FAMILY_SPEC, "family", "check-strict", "--n", "3",
+      "--scale", "-1"], "scale exponents must be >= 0"),
+])
+def test_bad_bounds_or_scale_is_usage_error(capsys, argv, error):
+    """A p that is not prime, a --v that is not a rational or a negative
+    check-strict scale exits 3 with a one-line JSON error: no loop,
+    traceback, number or trivial pass."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err)["error"] == error
+
+
 def test_family_trace_algebra(capsys):
     code, rep = run(capsys, "--spec", FAMILY_SPEC, "family", "trace-algebra",
                     "--n", "2")
@@ -332,15 +376,13 @@ def test_spec_seed_is_read_and_the_flag_overrides_it(capsys, tmp_path):
 
 
 def test_non_integer_spec_seed_is_usage_error(capsys, tmp_path):
-    """seed, n, samples and word_cap are integer [params] keys: another
-    value is a load error, whichever command reads the spec."""
+    """seed, n and samples are integer [params] keys: another value is a
+    load error, whichever command reads the spec."""
     for key, path, old, new, argv in [
             ("seed", FAMILY_SPEC, "seed = 0", "seed = five",
              ["domain", "describe"]),
             ("n", ISO_SPEC, "[params]\nn = 2", "[params]\nn = two",
              ["lattice", "carayol"]),
-            ("word_cap", FAMILY_SPEC, "word_cap = 2", "word_cap = 2.5",
-             ["family", "trace-algebra"]),
             ("samples", FAMILY_SPEC, "samples = 20", "samples = many",
              ["family", "audit"])]:
         text = pathlib.Path(path).read_text()
@@ -521,6 +563,9 @@ def test_unproven_factor_exits_2(capsys, tmp_path):
     ("s3_standard", ["lattice", "semisimplify", "--left", "x"], "'x'"),
     ("s3_standard", ["lattice", "iso", "--left", "S"], "exactly two rep"),
     ("s3_standard", ["lattice", "carayol", "--right", "S"], "exactly two rep"),
+    ("unramified_family", ["family", "audit", "--name", "x"],
+     "no family block named 'x'"),
+    ("iso_pair", ["family", "audit"], "exactly one family block"),
 ])
 def test_unknown_block_name_or_bad_point_is_usage_error(capsys, spec, argv,
                                                         needle):
@@ -666,9 +711,9 @@ GOLDEN = {
     ("1", 16): (0, "7d4b873053b9379c4a5c6a83530cab41adaac3ea04668a809911cee926b5fb8e"),
     ("1", 17): (0, "bd718f2097e40ddcbdeeec0af54f3d257d6209fa988b6b91c8533be438290c69"),
     ("1", 18): (0, "f1bbef60155a2c40fd1b141048513a300f4240f926a9946190169d3fad76d8e8"),
-    ("1", 19): (0, "2adf020b1a450327dac12ef1a9386d506584559e05d38c622cf0685e1a679c90"),
+    ("1", 19): (0, "6d2a26764f959c10f62f4e79fb9d7fa50b68c77ef16712cb3c3bddd213658594"),
     ("1", 20): (0, "333a3835310555e09fe2a299f3e703a6c814a0e7a58931cd7581bb17a7b77965"),
-    ("1", 21): (0, "ed9cf6afeca268ad67fd407c688b73f3685acf698d23237dd98b2521b854979f"),
+    ("1", 21): (0, "7d82864bad53dc1560c78c1bf84dfd527527737394c9b08682e996a97d3152d1"),
     ("1", 22): (0, "5a215c8a3fa25539592459dff9f171cfbde89df90b7019d8231907935904b73f"),
     ("1001", 0): (0, "b487ae5455b48d867efc748c331ff3c695b705f25c909dd5e08931db1456243d"),
     ("1001", 1): (0, "b8b430162440e4de9ebcd0edc639e52674bfd64b6bfae944982c106869d6b075"),
@@ -689,9 +734,9 @@ GOLDEN = {
     ("1001", 16): (0, "7d4b873053b9379c4a5c6a83530cab41adaac3ea04668a809911cee926b5fb8e"),
     ("1001", 17): (0, "25faacb0e4205eeceb0f9b2d3263c23bc898f6aa6ee476268c763b385a29e5fe"),
     ("1001", 18): (0, "f1bbef60155a2c40fd1b141048513a300f4240f926a9946190169d3fad76d8e8"),
-    ("1001", 19): (0, "2adf020b1a450327dac12ef1a9386d506584559e05d38c622cf0685e1a679c90"),
+    ("1001", 19): (0, "6d2a26764f959c10f62f4e79fb9d7fa50b68c77ef16712cb3c3bddd213658594"),
     ("1001", 20): (0, "333a3835310555e09fe2a299f3e703a6c814a0e7a58931cd7581bb17a7b77965"),
-    ("1001", 21): (0, "ed9cf6afeca268ad67fd407c688b73f3685acf698d23237dd98b2521b854979f"),
+    ("1001", 21): (0, "7d82864bad53dc1560c78c1bf84dfd527527737394c9b08682e996a97d3152d1"),
     ("1001", 22): (0, "5a215c8a3fa25539592459dff9f171cfbde89df90b7019d8231907935904b73f"),
 }
 

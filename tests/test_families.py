@@ -1,13 +1,19 @@
 """Matrix families over mixed algebras: constancy and trace-algebra tests."""
 
+import pathlib
+
 import pytest
 
+from loccon.chainring import ChainSpan, spin
 from loccon.domains import ModelPoint, describe
-from loccon.families import RepFamily
+from loccon.families import RepFamily, _monomials_up_to
 from loccon.groups import cyclic_group, free_group
 from loccon.lattice import IntegralRep, ResidueRep
 from loccon.padic import DomainError, PadicContext
 from loccon.series import AlgebraModel, Annulus
+from loccon.specfile import load_spec
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
 Z5 = PadicContext(5, precision=14)
 DISC = AlgebraModel(Z5, open_vars=("T",), degree_cap=6)
@@ -229,6 +235,20 @@ def test_trace_algebra_proper_for_constant_family():
     assert out["verdict"] == "proper"
 
 
+@pytest.mark.parametrize("scale,n,verdict,rounds", [
+    (1, 1, "full", 3),
+    (1, 2, "full", 3),
+    (5, 1, "proper", 1),
+    (5, 2, "proper", 2),
+])
+def test_trace_algebra_letter_rounds(scale, n, verdict, rounds):
+    """A full span reports the round that filled it; a proper one counts
+    its last round too, in which nothing grew."""
+    out = unramified_family(scale).trace_algebra_full(n)
+    assert out == {"verdict": verdict, "rounds": rounds, "modulus": n,
+                   "degree_budget": 6}
+
+
 @pytest.mark.parametrize("scale,n,word_cap,verdict,rounds", [
     (1, 2, 3, "full", 1),
     (1, 1, 2, "full", 2),
@@ -237,11 +257,93 @@ def test_trace_algebra_proper_for_constant_family():
     (5, 2, 3, "proper", 2),
 ])
 def test_trace_algebra_rounds(scale, n, word_cap, verdict, rounds):
-    """A full span reports the round that filled it; a proper one counts
-    its last round too, in which nothing grew."""
-    out = unramified_family(scale).trace_algebra_full(n, word_cap=word_cap)
-    assert out == {"verdict": verdict, "rounds": rounds, "modulus": n,
-                   "degree_budget": 6}
+    """The word-cap reference below reproduces the figures that the
+    word-cap generator gave; trace_algebra_full, which uses the letters
+    alone, reaches the same verdict, in the rounds of word_cap 1."""
+    fam = unramified_family(scale)
+    assert ref_trace_algebra_full(fam, n, word_cap) == (verdict, rounds)
+    out = fam.trace_algebra_full(n)
+    assert out["verdict"] == verdict
+    assert (out["verdict"], out["rounds"]) == ref_trace_algebra_full(fam, n, 1)
+
+
+def ref_trace_algebra_full(fam, n, word_cap):
+    """The word-cap generator that trace_algebra_full replaced: every entry
+    of every nonempty word of length <= word_cap is a generator, constants
+    and repeats included."""
+    model, ctx = fam.model, fam.model.base
+    if model.relation is not None:
+        raise DomainError("trace-algebra test needs a disc model")
+    monos = _monomials_up_to(model, model.degree_cap)
+    index = {m: i for i, m in enumerate(monos)}
+
+    def vec(series):
+        out = [ctx.zero()] * len(monos)
+        for mono, c in series.terms.items():
+            out[index[mono]] = c
+        return out
+
+    entries = [x for word in fam.group.words_up_to(word_cap) if word
+               for row in fam.matrix_of_word(word) for x in row]
+    span = ChainSpan(ctx, n, len(monos))
+    last = 0
+    for last, _ in spin(lambda item: span.add(vec(item[1])),
+                        [(0, model.constant(1))],
+                        lambda item: ((item[0] + 1, item[1] * e)
+                                      for e in entries)):
+        if span.is_full():
+            return "full", max(last, 1)
+    return "proper", last + 1
+
+
+def _two_generator_family(scale):
+    """A rank-2 free group family whose entries mix constants, repeats and
+    monomials, T scaled by ``scale``."""
+    t, one, zero = DISC.var("T").scale(scale), DISC.constant(1), DISC.zero()
+    return RepFamily(free_group(2), 2, DISC, {
+        "g1": [[one + t.scale(5), t], [zero, one]],
+        "g2": [[one, zero], [t * t, one + one]]})
+
+
+def _constant_family():
+    one, zero = DISC.constant(1), DISC.zero()
+    return RepFamily(FREE1, 2, DISC, {"g1": [[one + one, zero], [zero, one]]})
+
+
+REFERENCE_FAMILIES = {
+    "scale1": lambda: unramified_family(1),
+    "scale5": lambda: unramified_family(5),
+    "constant": _constant_family,
+    "two_generators": lambda: _two_generator_family(1),
+    "two_generators_scale5": lambda: _two_generator_family(5),
+    "unramified_spec": lambda: load_spec(str(SPECS / "unramified_family.spec"))
+    .sole("families"),
+    "annulus_spec": lambda: load_spec(str(SPECS / "annulus.spec"))
+    .sole("families"),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trace_algebra_matches_the_word_cap_reference(name, n):
+    """The letters' entries generate the algebra that the words of any
+    length generate: the verdict equals the reference's at word_cap 1-4,
+    and the rounds equal its rounds at word_cap 1 (the letters).  A model
+    with a relation is refused by both."""
+    fam = REFERENCE_FAMILIES[name]()
+    if fam.model.relation is not None:
+        with pytest.raises(DomainError, match="disc model"):
+            fam.trace_algebra_full(n)
+        for cap in (1, 2, 3, 4):
+            with pytest.raises(DomainError, match="disc model"):
+                ref_trace_algebra_full(fam, n, cap)
+        return
+    out = fam.trace_algebra_full(n)
+    for cap in (1, 2, 3, 4):
+        verdict, rounds = ref_trace_algebra_full(fam, n, cap)
+        assert out["verdict"] == verdict
+        if cap == 1:
+            assert out["rounds"] == rounds
 
 
 def test_trace_algebra_one_monomial_span_reports_one_round():

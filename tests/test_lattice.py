@@ -40,6 +40,7 @@ from loccon.padic import (
     PadicNumber,
     PrecisionError,
 )
+from loccon.specfile import _parse_word
 from tests.test_padic import SHAPES
 
 Z3 = PadicContext(3, precision=14)
@@ -597,16 +598,17 @@ def _int_letters(rep):
     return out
 
 
-def ref_semisimplify_dim2(rep):
+def _report_words(rep, ss):
+    """The words of a semisimplification report, parsed back."""
+    return [_parse_word(text.split(), rep.group, None) for text in ss["words"]]
+
+
+def ref_semisimplify_dim2(rep, words):
     """Factor records of a 2-dim Z_p rep mod p from integer matrices: an
     invariant F_p-line gives its character and the quotient character,
-    otherwise the trace of each word product."""
+    otherwise the trace of each word product, on the given words."""
     p = rep.context.p
     letters = _int_letters(rep)
-    if rep.group.kind == "finite":
-        words = list(rep.group.element_words().values())
-    else:
-        words = rep.group.words_up_to(4)
     for v in [(1, t) for t in range(p)] + [(0, 1)]:
         images = {let: (M[0][0] * v[0] + M[0][1] * v[1],
                         M[1][0] * v[0] + M[1][1] * v[1])
@@ -658,7 +660,7 @@ def test_semisimplify_matches_integer_reference(case):
     for rep in _reference_reps(case):
         ss = semisimplify_mod_p(reduce_rep_mod(rep, 1))
         assert ss["complete"]
-        assert ss["factors"] == ref_semisimplify_dim2(rep)
+        assert ss["factors"] == ref_semisimplify_dim2(rep, _report_words(rep, ss))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -671,12 +673,11 @@ def test_semisimplify_permutation_rep_matches_fixed_points(n):
             for name, perm in perms.items()}
     rep = IntegralRep(symmetric_group(n), n, Z5,
                       {name: mat(Z5, M) for name, M in ints.items()})
-    letters = {}
-    for gi, name in enumerate(rep.group.generators):
-        letters[(gi, 1)] = ints[name]
-        letters[(gi, -1)] = [list(col) for col in zip(*ints[name])]
+    letters = {(gi, 1): ints[name]
+               for gi, name in enumerate(rep.group.generators)}
+    ss = semisimplify_mod_p(reduce_rep_mod(rep, 1))
     trivial, standard = [], []
-    for w in rep.group.element_words().values():
+    for w in _report_words(rep, ss):
         M = [[int(i == j) for j in range(n)] for i in range(n)]
         for let in w:
             L = letters[let]
@@ -684,10 +685,94 @@ def test_semisimplify_permutation_rep_matches_fixed_points(n):
                  for i in range(n)]
         trivial.append((1,))
         standard.append(((sum(M[i][i] for i in range(n)) - 1) % 5,))
-    ss = semisimplify_mod_p(reduce_rep_mod(rep, 1))
     assert ss["complete"]
     assert ss["factors"] == [{"dim": 1, "traces": tuple(trivial)},
                              {"dim": n - 1, "traces": tuple(standard)}]
+
+
+def _rank_mod_p(rows, p):
+    """Rank over F_p of integer rows, by plain Gaussian elimination."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _positive_word_products(letters, d, p, max_len):
+    """{word: integer product mod p} over every word of positive letters of
+    length <= max_len, the empty word included."""
+    out = {(): [[int(i == j) for j in range(d)] for i in range(d)]}
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [w + (let,) for w in frontier for let in letters]
+        for w in frontier:
+            A, B = out[w[:-1]], letters[w[-1]]
+            out[w] = [[sum(A[i][t] * B[t][j] for t in range(d)) % p
+                       for j in range(d)] for i in range(d)]
+    return out
+
+
+def _small_int_reps():
+    """Seeded Z_p reps of dimension <= 3 with integer generator matrices:
+    free-group reps (some with a common invariant line) and the S_3
+    standard and permutation reps."""
+    rng = random.Random(23)
+    reps = []
+    for p in (3, 5):
+        ctx = PadicContext(p, precision=6)
+        for d in (1, 2, 3):
+            for group in (FREE1, FREE2):
+                made = 0
+                while made < 3:
+                    ints = {name: [[rng.randrange(p) for _ in range(d)]
+                                   for _ in range(d)] for name in group.generators}
+                    if made == 2 and d > 1:  # a common invariant line
+                        for M in ints.values():
+                            for i in range(1, d):
+                                M[i][0] = 0
+                    try:
+                        reps.append((ints, IntegralRep(
+                            group, d, ctx, {g: mat(ctx, M) for g, M in ints.items()})))
+                    except DomainError:
+                        continue
+                    made += 1
+    s3 = {"s": [[0, 1], [1, 0]], "c": [[0, -1], [1, -1]]}
+    perm = {"s": [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+            "c": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}
+    for ints in (s3, perm):
+        d = len(ints["s"])
+        reps.append((ints, IntegralRep(symmetric_group(3), d, Z5,
+                                       {g: mat(Z5, M) for g, M in ints.items()})))
+    return reps
+
+
+def test_spin_words_span_what_all_short_positive_words_span():
+    """The report's words number the F_p-dimension of the span of all
+    products of positive letters of length < d^2, found by brute force;
+    they are among those words and independent, so they span it.  Burnside
+    holds exactly when there are d^2 of them."""
+    for ints, rep in _small_int_reps():
+        d, p = rep.dim, rep.context.p
+        letters = {(gi, 1): ints[name]
+                   for gi, name in enumerate(rep.group.generators)}
+        products = _positive_word_products(letters, d, p, d * d - 1)
+        ss = semisimplify_mod_p(reduce_rep_mod(rep, 1))
+        words = _report_words(rep, ss)
+        flat = [[x for row in products[w] for x in row] for w in words]
+        assert len(words) == _rank_mod_p(
+            [[x for row in M for x in row] for M in products.values()], p)
+        assert _rank_mod_p(flat, p) == len(words)
+        assert residually_absolutely_irreducible(rep) == (len(words) == d * d)
 
 
 def test_incomplete_semisimplification_names_unproven_dims():
