@@ -139,23 +139,11 @@ class ResidueDomain:
         return out
 
     def _sample_one(self, ext, thr, rng):
-        model = self.model
-        if model.relation is None:
-            coords = {}
-            for name in model.vars:
-                c = embed(self.center.coords[name], ext)
-                t = rng.randrange(thr, ext.precision)
-                if rng.random() < 0.5:
-                    t = thr  # favor the boundary
-                delta = ext.random_with_pi_valuation(t, rng) \
-                    if rng.random() > 0.05 else ext.zero()
-                coords[name] = c + delta
-        else:
-            coords = model.relation.sample(self.center, ext, thr, rng)
-            if coords is None:
-                return None
+        coords = self.model.relation.sample(self.center, ext, thr, rng)
+        if coords is None:
+            return None
         try:
-            return ModelPoint(model, coords)
+            return ModelPoint(self.model, coords)
         except DomainError:
             return None
 
@@ -172,18 +160,14 @@ class ResidueDomain:
 
 def describe(model, x, n, kind):
     """Build the residue domain U^(n) or V^(n) around a base point."""
+    require_at_least_one("depth n", n)
     if kind not in ("U", "V"):
         raise DomainError("kind must be 'U' or 'V'")
-    if n < 1:
-        raise DomainError("n must be >= 1")
     if not x.is_base_point():
         raise DomainError("residue domains are defined around base points only")
     e = model.base.e
     base_thr = Fraction(n - 1, e) if kind == "U" else Fraction(n, e)
-    if model.relation is not None:
-        form = model.relation.closed_form(x, base_thr)
-    else:
-        form = (model.vars[0], base_thr) if len(model.vars) == 1 else None
+    form = model.relation.closed_form(x, base_thr)
     closed = None if form is None else ClosedForm(*form, kind == "U")
     return ResidueDomain(model, x, n, kind, closed)
 

@@ -4,8 +4,6 @@ fullness test."""
 
 from __future__ import annotations
 
-import itertools
-
 from loccon.chainring import ChainSpan, determinant, spin
 from loccon.lattice import IntegralRep
 from loccon.padic import (DomainError, embed, gamma_exponent, relative_ramification,
@@ -117,18 +115,16 @@ class RepFamily(IntegralRep):
 
         The letters' entries generate it, and a zero, a constant or a
         repeat never grows the span, so each distinct non-constant entry
-        of a letter is used once.  Works on disc models only (monomial
-        basis up to the degree cap).  Returns "full" or "proper" together
+        of a letter is used once.  Works on disc models in open variables
+        only (``AlgebraModel.basis``).  Returns "full" or "proper" together
         with the number of product rounds.  Each round but the last grows
         the span, a submodule of (O_E/pi^n)^k of length at most n k, so
         there are at most n k + 1.
         """
         require_at_least_one("depth n", n)
         model = self.model
-        if model.relation is not None:
-            raise DomainError("trace-algebra test needs a disc model")
+        monos = model.basis()
         degree_budget = model.degree_cap
-        monos = _monomials_up_to(model, degree_budget)
         zero = model.base.zero()
 
         def vec(series):
@@ -153,12 +149,3 @@ class RepFamily(IntegralRep):
                         "modulus": n, "degree_budget": degree_budget}
         return {"verdict": "proper", "rounds": last + 1,
                 "modulus": n, "degree_budget": degree_budget}
-
-
-def _monomials_up_to(model, budget):
-    nv = len(model.vars)
-    out = []
-    for combo in itertools.product(range(budget + 1), repeat=nv):
-        if sum(combo) <= budget:
-            out.append(combo)
-    return sorted(out)

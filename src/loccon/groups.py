@@ -1,5 +1,6 @@
-"""Group presentations: free groups (dense models of topologically finitely
-generated profinite groups) and finite groups given by multiplication tables.
+"""Group presentations: free groups (``FreeGroup``, dense models of
+topologically finitely generated profinite groups) and finite groups given
+by multiplication tables (``FiniteGroup``).
 
 Words are tuples of (generator index, exponent sign).  Finite-group elements
 are integers 0..order-1 with generator words from a breadth-first search;
@@ -16,91 +17,20 @@ from loccon.padic import DomainError
 
 
 @dataclass(frozen=True)
-class GroupPresentation:
-    kind: str  # "free" | "finite"
+class _Group:
+    """The word utilities that free and finite groups share."""
+
     generators: tuple
-    table: tuple | None = None       # finite: table[i][j] = product
-    identity: int | tuple | None = None  # free: the empty word ()
-    gen_elements: tuple | None = None  # the element of each generator
 
-    def __post_init__(self):
-        if self.kind == "finite":
-            self._validate_table()
-        elif self.kind != "free":
-            raise DomainError("group kind must be 'free' or 'finite'")
-
-    def _validate_table(self):
-        t = self.table
-        n = len(t)
-        if any(len(row) != n for row in t):
-            raise DomainError("multiplication table must be square")
-        e = self.identity
-        if any(t[e][i] != i or t[i][e] != i for i in range(n)):
-            raise DomainError("identity element does not act as identity")
-        for i in range(n):
-            if not any(t[i][j] == e and t[j][i] == e for j in range(n)):
-                raise DomainError(f"element {i} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if t[t[a][b]][c] != t[a][t[b][c]]:
-                        raise DomainError("multiplication table is not associative")
-        if self.gen_elements is None or len(self.gen_elements) != len(self.generators):
-            raise DomainError("finite groups need one element index per generator")
-        if len(self._bfs_words()) != n:
-            raise DomainError("declared generators do not generate the group")
-
-    # -- elements ------------------------------------------------------------
-
-    @property
-    def order(self):
-        if self.kind != "finite":
-            raise DomainError("free groups have no order")
-        return len(self.table)
-
-    def multiply(self, a, b):
-        if self.kind == "free":
-            return self.reduce_word(a + b)
-        return self.table[a][b]
-
-    def inverse_element(self, a):
-        if self.kind == "free":
-            return self.invert_word(a)
-        e = self.identity
-        for b in range(self.order):
-            if self.table[a][b] == e:
-                return b
-        raise DomainError("no inverse found")
-
+    # here, not on each kind: a finite group's own would never read the cap
     def elements(self, cap=None):
-        """Every element of a finite group (``cap`` is ignored), or the
-        reduced words of length <= cap of a free group."""
-        if self.kind == "free":
-            return self.words_up_to(cap)
-        return range(self.order)
-
-    def _bfs_words(self):
-        """Word in the generators for each reachable element."""
-        e = self.identity
-        words = {e: ()}
-        frontier = [e]
-        gens = list(self.gen_elements)
-        inv = [self.inverse_element(g) for g in gens]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for gi, g in enumerate(gens):
-                    for sign, gel in ((1, g), (-1, inv[gi])):
-                        b = self.table[a][gel]
-                        if b not in words:
-                            words[b] = words[a] + ((gi, sign),)
-                            nxt.append(b)
-            frontier = nxt
-        return words
+        """Every element of a finite group (the cap ignored), or the reduced
+        words of length <= cap of a free group (``capped``)."""
+        return self.words_up_to(cap) if self.capped else range(self.order)
 
     def element_words(self, cap=None):
         """{element: word in the generators} over ``elements(cap)``."""
-        if self.kind == "free":
+        if self.capped:
             return {w: w for w in self.words_up_to(cap)}
         return self._bfs_words()
 
@@ -143,18 +73,114 @@ class GroupPresentation:
         return out
 
 
+@dataclass(frozen=True)
+class FreeGroup(_Group):
+    """A free group: reduced words, with no relations and no order."""
+
+    identity = ()
+    capped = True  # elements(cap) stops at the cap
+
+    @property
+    def gen_elements(self):
+        return tuple(((i, 1),) for i in range(len(self.generators)))
+
+    @property
+    def order(self):
+        raise DomainError("a free group has no order: this needs a finite group")
+
+    def multiply(self, a, b):
+        return self.reduce_word(a + b)
+
+    normal_form = _Group.reduce_word
+    inverse_element = _Group.invert_word
+
+    def relations(self):
+        return ()
+
+
+@dataclass(frozen=True)
+class FiniteGroup(_Group):
+    """A finite group: elements 0..order-1, ``table[i][j]`` their product,
+    ``gen_elements`` the element of each generator."""
+
+    table: tuple
+    identity: int
+    gen_elements: tuple
+    capped = False
+
+    def __post_init__(self):
+        t = self.table
+        n = len(t)
+        if any(len(row) != n for row in t):
+            raise DomainError("multiplication table must be square")
+        e = self.identity
+        if any(t[e][i] != i or t[i][e] != i for i in range(n)):
+            raise DomainError("identity element does not act as identity")
+        for i in range(n):
+            if not any(t[i][j] == e and t[j][i] == e for j in range(n)):
+                raise DomainError(f"element {i} has no inverse")
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    if t[t[a][b]][c] != t[a][t[b][c]]:
+                        raise DomainError("multiplication table is not associative")
+        if len(self.gen_elements) != len(self.generators):
+            raise DomainError("finite groups need one element index per generator")
+        if len(self._bfs_words()) != n:
+            raise DomainError("declared generators do not generate the group")
+
+    @property
+    def order(self):
+        return len(self.table)
+
+    def normal_form(self, x):
+        return x
+
+    def multiply(self, a, b):
+        return self.table[a][b]
+
+    def inverse_element(self, a):
+        return self.table[a].index(self.identity)
+
+    def relations(self):
+        """(w, gi, v) for each element x and generator gi: the word w of x
+        times generator gi is the word v of their product."""
+        words = self.element_words()
+        for x, w in words.items():
+            for gi, g in enumerate(self.gen_elements):
+                yield w, gi, words[self.table[x][g]]
+
+    def _bfs_words(self):
+        """Word in the generators for each reachable element."""
+        e = self.identity
+        words = {e: ()}
+        frontier = [e]
+        gens = list(self.gen_elements)
+        inv = [self.inverse_element(g) for g in gens]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for gi, g in enumerate(gens):
+                    for sign, gel in ((1, g), (-1, inv[gi])):
+                        b = self.table[a][gel]
+                        if b not in words:
+                            words[b] = words[a] + ((gi, sign),)
+                            nxt.append(b)
+            frontier = nxt
+        return words
+
+
 def free_group(r):
     if r < 1:
         raise DomainError(f"free groups need rank r >= 1, not r = {r}")
-    return GroupPresentation("free", tuple(f"g{i+1}" for i in range(r)), None,
-                             (), tuple(((i, 1),) for i in range(r)))
+    return FreeGroup(tuple(f"g{i+1}" for i in range(r)))
 
 
 def cyclic_group(n):
     if n < 1:
         raise DomainError(f"cyclic groups need n >= 1, not n = {n}")
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return GroupPresentation("finite", ("g",), table, 0, (1 % n,))
+    return FiniteGroup(("g",), table, 0, (1 % n,))
 
 
 def _perm_group(perms, gen_names, gen_perms):
@@ -166,8 +192,8 @@ def _perm_group(perms, gen_names, gen_perms):
               for j in range(n))
         for i in range(n))
     ident = index[tuple(range(len(perms[0])))]
-    return GroupPresentation("finite", gen_names, table, ident,
-                             tuple(index[p] for p in gen_perms))
+    return FiniteGroup(gen_names, table, ident,
+                       tuple(index[p] for p in gen_perms))
 
 
 def symmetric_group(n):

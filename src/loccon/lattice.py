@@ -99,16 +99,9 @@ class IntegralRep:
         return M
 
     def _relations_hold(self):
-        """M(w_x) M(g) == M(w_xg) for every element x and generator g of a
-        finite group; a free group has no relations."""
-        group = self.group
-        if group.kind == "free":
-            return True
-        words = group.element_words()
+        """M(w) M(g) == M(v) for every relation (w, g, v) of the group."""
         return all(mat_mul(self._product(w), self._product(((gi, 1),)))
-                   == self._product(words[group.multiply(x, g)])
-                   for x, w in words.items()
-                   for gi, g in enumerate(group.gen_elements))
+                   == self._product(v) for w, gi, v in self.group.relations())
 
     def matrix_of_word(self, word):
         return self._coerced(self._product(word))
@@ -188,7 +181,7 @@ def intertwiner_space(a, b):
     return nullspace_mod(rows, ctx, m)
 
 
-def iso_mod(a, b, search_cap=1 << 20, rand_budget=2000, seed=0):
+def iso_mod(a, b, seed=0):
     """Module isomorphism test over O_E/pi^m.
 
     The identity is tried first: it intertwines exactly when a(g) = b(g)
@@ -221,12 +214,13 @@ def iso_mod(a, b, search_cap=1 << 20, rand_budget=2000, seed=0):
                 X = F.axpy(c, X, g)
         return F.rank(X[i * d:(i + 1) * d] for i in range(d)) == d
 
-    exhaustive = q ** t <= search_cap
+    exhaustive = q ** t <= _ISO_SEARCH_CAP
     if exhaustive:
         combos = itertools.product(range(q), repeat=t)
     else:
         rng = random.Random(seed)
-        combos = ([rng.randrange(q) for _ in range(t)] for _ in range(rand_budget))
+        combos = ([rng.randrange(q) for _ in range(t)]
+                  for _ in range(_ISO_RAND_BUDGET))
     for combo in combos:
         if invertible(combo):
             X = _intertwiner(a, b, unit_gens, combo)
@@ -236,8 +230,8 @@ def iso_mod(a, b, search_cap=1 << 20, rand_budget=2000, seed=0):
                          "no invertible element in the mod-pi solution span "
                          "(exhaustive)")
     return IsoResult("inconclusive", None,
-                     f"randomized search exhausted ({rand_budget} trials) with a "
-                     "nonzero solution space")
+                     f"randomized search exhausted ({_ISO_RAND_BUDGET} trials) "
+                     "with a nonzero solution space")
 
 
 def _intertwiner(a, b, unit_gens, combo):
@@ -279,6 +273,8 @@ def _check_intertwines(a, b, X):
 
 # -- semisimplification mod pi ----------------------------------------------
 
+_ISO_SEARCH_CAP = 1 << 20  # iso_mod enumerates the mod-pi span while q^t fits
+_ISO_RAND_BUDGET = 2000  # else it draws this many combinations
 _LINE_BUDGET = 300000  # spin every line of F_q^d while this many fit
 _RAND_BUDGET = 200  # else this many random spins; a miss proves nothing
 

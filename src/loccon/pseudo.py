@@ -25,17 +25,12 @@ class PseudoRep2:
         self.group = group
         self.base = base
         self.half = base.from_int(2).inverse()
-        if group.kind == "finite":
-            self.values = {el: values[el] for el in group.elements()}
-        else:
-            self.values = {group.reduce_word(w): v for w, v in values.items()}
+        self.values = {group.normal_form(w): v for w, v in values.items()}
 
     # -- evaluation --------------------------------------------------------
 
     def value(self, x):
-        if self.group.kind == "finite":
-            return self.values[x]
-        w = self.group.reduce_word(x)
+        w = self.group.normal_form(x)
         if w not in self.values:
             raise DomainError(f"value not available for word of length {len(w)}")
         return self.values[w]
@@ -79,7 +74,7 @@ class PseudoRep2:
                 report["violations"].append({"axiom": "d=2 identity", "pair": str((g, h))})
         report["pairs_checked"] = checkable
         report["pairs_skipped"] = len(small) ** 2 - checkable
-        if group.kind == "free":
+        if group.capped:
             report["word_length"] = 2
         return report
 
@@ -90,9 +85,7 @@ class PseudoRep2:
         finite groups: the algebra kernel {y : T(xy) = 0 for all x}."""
         from loccon.chainring import nullspace_mod
         require_at_least_one("depth m", m)
-        if self.group.kind != "finite":
-            raise DomainError("kernels are computed for finite groups")
-        els = list(self.group.elements())
+        els = range(self.group.order)
         rows = []
         for x in els:
             rows.append([self.value(self.group.multiply(x, y)).reduce_mod(m)
@@ -102,9 +95,7 @@ class PseudoRep2:
     def group_kernel(self, m):
         """The paper's multiplicative condition on group elements:
         {g : T(xg) = T(x) for all x}, a subgroup."""
-        if self.group.kind != "finite":
-            raise DomainError("kernels are computed for finite groups")
-        els = list(self.group.elements())
+        els = range(self.group.order)
         out = []
         for g in els:
             if all(_eq_mod(self.value(self.group.multiply(x, g)),
@@ -121,8 +112,6 @@ class PseudoRep2:
         factor is unproven."""
         from loccon.lattice import composition_factors, with_trace_coords
         group = self.group
-        if group.kind != "finite":
-            raise DomainError("the exhaustive route needs a finite group")
         if group.order > 24:
             raise InconclusiveError("exhaustive route limited to |G| <= 24")
         F = self.base.residue_field

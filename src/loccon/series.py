@@ -1,14 +1,15 @@
 """Truncated elements of mixed algebras O_L<zeta>[[xi]] and constancy tests.
 
 An AlgebraModel fixes a base ring, named variables of two kinds (bounded:
-|.| <= 1, open: |.| < 1), an optional preset relation, and a degree cap for
-the open variables.  AdicSeries are finitely supported coefficient maps in
-normal form under the relation.  A ModelPoint is a point of a model, checked
-once when it is built.
+|.| <= 1, open: |.| < 1), a relation preset (disc, annulus or cover), and a
+degree cap for the open variables.  AdicSeries are finitely supported
+coefficient maps in normal form under the relation.  A ModelPoint is a point
+of a model, checked once when it is built.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,6 +23,45 @@ from loccon.padic import (
     relative_ramification,
     require_at_least_one,
 )
+
+
+@dataclass(frozen=True)
+class Disc:
+    """No relation: a disc or polydisc, with no rewrite rule."""
+
+    def recenter(self, series, center, scales):
+        """Substitute var -> x + pi^k var; k >= 1 makes the variable open."""
+        model = series.model
+        new_open, new_bounded = [], []
+        for v in model.vars:
+            if scales[v] >= 1 or model.is_open(v):
+                new_open.append(v)
+            else:
+                new_bounded.append(v)
+        out_model = AlgebraModel(model.base, tuple(new_bounded), tuple(new_open),
+                                 None, model.degree_cap)
+        subs = {}
+        for v in model.vars:
+            s = out_model.var(v).scale(model.base.pi_power(scales[v]))
+            subs[v] = s + out_model.constant(center[v])
+        return _eval_terms(model, series.terms, subs, out_model)
+
+    def sample(self, center, ext, thr, rng):
+        """Coordinates near the center point over ext, one by one."""
+        coords = {}
+        for name in center.model.vars:
+            c = embed(center.coords[name], ext)
+            t = rng.randrange(thr, ext.precision)
+            if rng.random() < 0.5:
+                t = thr  # favor the boundary
+            delta = ext.random_with_pi_valuation(t, rng) \
+                if rng.random() > 0.05 else ext.zero()
+            coords[name] = c + delta
+        return coords
+
+    def closed_form(self, x, base_thr):
+        """(variable, threshold) of a disc in one variable, or None."""
+        return (x.model.vars[0], base_thr) if len(x.model.vars) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -168,24 +208,26 @@ class Cover:
 class AlgebraModel:
     """Shape of a truncated mixed algebra over a p-adic base.
 
-    ``relation`` is ``None`` for a disc or polydisc, or an ``Annulus`` or
-    ``Cover`` preset; ``rule`` caches the preset's rewrite rule.
+    ``relation`` is a ``Disc`` (also given as ``None``), ``Annulus`` or
+    ``Cover`` preset; ``rule`` caches the annulus or cover rewrite rule.
     """
 
     base: object
     bounded_vars: tuple = ()
     open_vars: tuple = ()
-    relation: Annulus | Cover | None = None
+    relation: Disc | Annulus | Cover | None = None
     degree_cap: int = 8
     rule: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.bounded_vars) & set(self.open_vars):
             raise DomainError("a variable cannot be both bounded and open")
-        if self.relation is not None:
-            if not isinstance(self.relation, (Annulus, Cover)):
-                raise DomainError(f"unknown relation preset {self.relation!r}")
-            object.__setattr__(self, "rule", self.relation.rule(self))
+        relation = self.relation or Disc()
+        object.__setattr__(self, "relation", relation)
+        if isinstance(relation, (Annulus, Cover)):
+            object.__setattr__(self, "rule", relation.rule(self))
+        elif not isinstance(relation, Disc):
+            raise DomainError(f"unknown relation preset {relation!r}")
 
     @property
     def vars(self):
@@ -199,6 +241,21 @@ class AlgebraModel:
 
     def is_open(self, name):
         return name in self.open_vars
+
+    def basis(self):
+        """The monomials of total degree <= degree_cap, sorted: the basis of
+        a disc model's truncated algebra.  The cap bounds only open degrees,
+        so a bounded variable leaves no finite basis."""
+        if not isinstance(self.relation, Disc):
+            raise DomainError("trace-algebra test needs a disc model")
+        if self.bounded_vars:
+            raise DomainError("trace-algebra test needs a disc model in open "
+                              f"variables only, and {self.bounded_vars[0]!r} "
+                              "is bounded")
+        cap = self.degree_cap
+        return sorted(mono for mono in itertools.product(range(cap + 1),
+                                                         repeat=len(self.vars))
+                      if sum(mono) <= cap)
 
     def linear_cover(self):
         """(d, yvar, tvar, c) for a cover relation y^d = c*t with c a unit
@@ -456,25 +513,7 @@ class AdicSeries:
         for v, k in scales.items():
             if k < 0:
                 raise DomainError("scale exponents must be >= 0")
-        if model.relation is None:
-            return self._recenter_free(center, scales)
         return model.relation.recenter(self, center, scales)
-
-    def _recenter_free(self, center, scales):
-        model = self.model
-        new_open, new_bounded = [], []
-        for v in model.vars:
-            if scales[v] >= 1 or model.is_open(v):
-                new_open.append(v)
-            else:
-                new_bounded.append(v)
-        out_model = AlgebraModel(model.base, tuple(new_bounded), tuple(new_open),
-                                 None, model.degree_cap)
-        subs = {}
-        for v in model.vars:
-            s = out_model.var(v).scale(model.base.pi_power(scales[v]))
-            subs[v] = s + out_model.constant(center[v])
-        return _eval_terms(model, self.terms, subs, out_model)
 
 
 def constancy_audits(values, domain, n, extensions, samples_per_ext, seed=0):

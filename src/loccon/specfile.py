@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from loccon.padic import DomainError, PadicContext
 from loccon.series import AlgebraModel, Annulus, Cover
 from loccon.groups import (
-    GroupPresentation,
+    FiniteGroup,
+    FreeGroup,
     cyclic_group,
     dihedral_group,
     free_group,
@@ -387,9 +388,8 @@ def _load_group(block):
     gens_val, _ = _get(e, "generators", block)
     gen_el_val, _ = _get(e, "gen_elements", block)
     identity = _get_int(e, "identity", block, required=False, default=0)
-    return GroupPresentation(
-        kind="finite", generators=tuple(gens_val.split()), table=table,
-        identity=identity,
+    return FiniteGroup(
+        generators=tuple(gens_val.split()), table=table, identity=identity,
         gen_elements=tuple(int(c) for c in gen_el_val.split()))
 
 
@@ -455,7 +455,7 @@ def _load_pseudorep(spec, block):
     # explicit word -> value table on a free group
     gval, glineno = _get(e, "group", block)
     group = _group_ref(spec, gval, glineno)
-    if group.kind != "free":
+    if not isinstance(group, FreeGroup):
         raise SpecError("explicit value tables are supported for free groups",
                         block["line"])
     ctx_name, lineno = _get(e, "context", block)

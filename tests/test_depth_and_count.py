@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from loccon.domains import cover_compare
+from loccon.domains import cover_compare, describe
 from loccon.galois import crystalline_congruence_disc, semistable_congruence_bound
 from loccon.lattice import carayol_audit, reduce_rep_mod
 from loccon.padic import DomainError, gamma_exponent
@@ -58,6 +58,8 @@ CALLS = {
         ("samples", lambda v: cover_compare(COVER_DOM.model, COVER_DOM.center,
                                             2, COVER_DOM.model.base,
                                             samples=v)),
+    "describe": ("depth n", lambda v: describe(DOM.center.model, DOM.center,
+                                               v, "U")),
     "crystalline_congruence_disc":
         ("depth n", lambda v: crystalline_congruence_disc(2, 3, 1, v)),
     "semistable_congruence_bound":

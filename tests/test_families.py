@@ -6,11 +6,11 @@ import pytest
 
 from loccon.chainring import ChainSpan, spin
 from loccon.domains import ModelPoint, describe
-from loccon.families import RepFamily, _monomials_up_to
+from loccon.families import RepFamily
 from loccon.groups import cyclic_group, free_group
 from loccon.lattice import IntegralRep, ResidueRep
 from loccon.padic import DomainError, PadicContext
-from loccon.series import AlgebraModel, Annulus
+from loccon.series import AlgebraModel, Annulus, Disc
 from loccon.specfile import load_spec
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -272,9 +272,7 @@ def ref_trace_algebra_full(fam, n, word_cap):
     of every nonempty word of length <= word_cap is a generator, constants
     and repeats included."""
     model, ctx = fam.model, fam.model.base
-    if model.relation is not None:
-        raise DomainError("trace-algebra test needs a disc model")
-    monos = _monomials_up_to(model, model.degree_cap)
+    monos = model.basis()
     index = {m: i for i, m in enumerate(monos)}
 
     def vec(series):
@@ -331,7 +329,7 @@ def test_trace_algebra_matches_the_word_cap_reference(name, n):
     and the rounds equal its rounds at word_cap 1 (the letters).  A model
     with a relation is refused by both."""
     fam = REFERENCE_FAMILIES[name]()
-    if fam.model.relation is not None:
+    if not isinstance(fam.model.relation, Disc):
         with pytest.raises(DomainError, match="disc model"):
             fam.trace_algebra_full(n)
         for cap in (1, 2, 3, 4):
@@ -361,3 +359,18 @@ def test_trace_algebra_needs_disc_model():
     fam = RepFamily(FREE1, 1, ann, {"g1": [[ann.constant(1)]]})
     with pytest.raises(DomainError):
         fam.trace_algebra_full(1)
+
+
+def test_trace_algebra_refuses_a_bounded_variable():
+    """Z_5<z> is finite of degree 3 over the closure of Z_5[z + z^3], so the
+    algebra of g1 below is proper; the degree cap bounds only open degrees,
+    so no finite monomial basis spans Z_5<z>, and the test refuses the
+    model instead of reading z + z^3 as z."""
+    model = AlgebraModel(Z5, bounded_vars=("z",), degree_cap=2)
+    z, one = model.var("z"), model.constant(1)
+    fam = RepFamily(FREE1, 2, model, {"g1": [[one, z + z * z * z],
+                                             [model.zero(), one]]})
+    with pytest.raises(DomainError, match="disc model in open variables only"):
+        fam.trace_algebra_full(1)
+    with pytest.raises(DomainError, match="disc model"):
+        model.basis()

@@ -4,7 +4,7 @@ import pytest
 
 from loccon import groups
 from loccon.groups import (
-    GroupPresentation,
+    FiniteGroup,
     cyclic_group,
     dihedral_group,
     free_group,
@@ -76,17 +76,16 @@ def test_element_words_reproduce_elements():
 
 def test_bad_table_rejected():
     with pytest.raises(DomainError):
-        GroupPresentation(kind="finite", generators=("g",),
-                          table=((0, 1), (1, 1)), identity=0,
-                          gen_elements=(1,))
+        FiniteGroup(generators=("g",), table=((0, 1), (1, 1)), identity=0,
+                    gen_elements=(1,))
 
 
 def test_nongenerating_set_rejected():
     # the transposition alone does not generate S_3
     s3 = symmetric_group(3)
     with pytest.raises(DomainError):
-        GroupPresentation(kind="finite", generators=("s",), table=s3.table,
-                          identity=s3.identity, gen_elements=(s3.gen_elements[0],))
+        FiniteGroup(generators=("s",), table=s3.table, identity=s3.identity,
+                    gen_elements=(s3.gen_elements[0],))
 
 
 def test_free_word_reduction():

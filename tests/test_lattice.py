@@ -1074,9 +1074,11 @@ def _as_bytes(res):
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_iso_mod_matches_the_full_precision_loop_when_f_is_one(p):
+def test_iso_mod_matches_the_full_precision_loop_when_f_is_one(p, monkeypatch):
     """Same status, certificate and intertwiner coordinates as the loop
-    that built every candidate, exhaustive and randomized."""
+    that built every candidate, exhaustive and randomized (the search cap
+    and draw budget set on the module)."""
+    import loccon.lattice as lattice
     ctx = PadicContext(p, precision=8)
     cases = []
     for m in (1, 2, 3):
@@ -1090,7 +1092,11 @@ def test_iso_mod_matches_the_full_precision_loop_when_f_is_one(p):
     for a, b in cases:
         for kw in ({}, {"search_cap": 1, "seed": 3},
                    {"search_cap": 1, "rand_budget": 2, "seed": 1}):
-            got = iso_mod(a, b, **kw)
+            monkeypatch.setattr(lattice, "_ISO_SEARCH_CAP",
+                                kw.get("search_cap", 1 << 20))
+            monkeypatch.setattr(lattice, "_ISO_RAND_BUDGET",
+                                kw.get("rand_budget", 2000))
+            got = iso_mod(a, b, seed=kw.get("seed", 0))
             assert _as_bytes(got) == _as_bytes(reference_iso_mod(a, b, **kw))
             statuses.add(got.status)
     assert statuses == {"isomorphic", "not_isomorphic", "inconclusive"}

@@ -53,3 +53,24 @@ def test_every_parameter_is_used():
             unread += [f"{path.name}:{node.lineno} {a.arg}" for a in params
                        if a.arg not in ("self", "cls") and a.arg not in read]
     assert unread == []
+
+
+def test_kinds_are_decided_where_defined():
+    """A group's kind and a model's relation preset are asked of the types
+    that define them, so no module compares a ``kind`` attribute with
+    "free" or "finite" or tests a ``relation`` attribute with ``is None``
+    or ``is not None``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            attrs = {side.attr for side in sides if isinstance(side, ast.Attribute)}
+            consts = {side.value for side in sides if isinstance(side, ast.Constant)}
+            if "kind" in attrs and consts & {"free", "finite"}:
+                found.append(f"{path.name}:{node.lineno} kind")
+            if "relation" in attrs and None in consts and any(
+                    isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                found.append(f"{path.name}:{node.lineno} relation")
+    assert found == []

@@ -3,6 +3,7 @@
 import pytest
 
 from loccon import specfile as sf
+from loccon.groups import FreeGroup
 from loccon.padic import PadicContext
 from loccon.series import AlgebraModel, Annulus, Cover
 
@@ -94,7 +95,7 @@ def test_parse_basic_blocks():
     assert set(spec.contexts) == {"base", "ram2"}
     assert spec.models["ann"].relation == Annulus(2)
     assert isinstance(spec.models["cov"].relation, Cover)
-    assert spec.families["F"].group.kind == "free"
+    assert isinstance(spec.families["F"].group, FreeGroup)
     assert spec.groups["C3"].order == 3 and spec.groups["S3"].order == 6
     assert spec.reps["S"].group is spec.groups["S3"]
     assert spec.domains["D"].kind == "U" and spec.domains["D"].n == 2
