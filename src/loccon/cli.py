@@ -2,7 +2,7 @@
 
 Exit codes: 0 = pass/computed, 1 = mathematical falsification (with
 witness), 2 = inconclusive / budget exhausted, 3 = usage or spec error.
-Reports are byte-stable for a fixed (spec, seed, --single-thread) triple.
+Reports are byte-stable for a fixed (spec, seed) pair.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from fractions import Fraction
 from loccon.padic import (
     DomainError,
     InconclusiveError,
+    PadicContext,
     PadicElement,
     PadicNumber,
     PrecisionError,
@@ -143,8 +144,7 @@ def cmd_domain(args):
                      args)
     if args.op == "cover-compare":
         rep = cover_compare(dom.model, dom.center, dom.n,
-                            _ext(spec, dom, args), samples=args.samples,
-                            seed=args.seed)
+                            _ext(spec, dom, args))
         return _emit(rep, args)
     raise SpecError(f"unknown domain operation {args.op!r}")
 
@@ -279,14 +279,12 @@ def cmd_pseudorep(args):
 
 def _build_module(args):
     precision = args.precision or 20
-    if args.op == "build-sst" or getattr(args, "type", None) == "sst":
+    if args.type == "sst":
         ctx = galois.semistable_context(args.p, precision=precision)
         L = "inf" if args.L == "inf" else parse_element_token(args.L, ctx)
-        return galois.semistable_module(args.k, L, ctx=ctx), ctx
-    from loccon.padic import PadicContext
+        return galois.semistable_module(args.k, L, ctx=ctx)
     ctx = PadicContext(args.p, precision=precision)
-    ap = parse_element_token(args.ap, ctx)
-    return galois.crystalline_module(args.k, ap), ctx
+    return galois.crystalline_module(args.k, parse_element_token(args.ap, ctx))
 
 
 def _module_json(M):
@@ -306,12 +304,10 @@ def _character_json(c):
 
 
 def cmd_phimod(args):
-    if args.op in ("build-crys", "build-sst"):
-        M, _ = _build_module(args)
-        return _emit(_module_json(M), args)
+    if args.op == "build":
+        return _emit(_module_json(_build_module(args)), args)
     if args.op == "wadm":
-        M, _ = _build_module(args)
-        ok, cert = galois.weak_admissibility(M)
+        ok, cert = galois.weak_admissibility(_build_module(args))
         rep = {"verdict": "pass" if ok else "fail",
                "weakly_admissible": ok, "certificate": cert}
         return _emit(rep, args)
@@ -322,7 +318,6 @@ def cmd_phimod(args):
             d1, d2 = galois.semistable_parameters(args.k, ctx)
             info = {}
         else:
-            from loccon.padic import PadicContext
             ctx = PadicContext(args.p, precision=args.precision or 20)
             ap = parse_element_token(args.ap, ctx)
             d1, d2, info = galois.triangulation_parameters(args.k, ap)
@@ -345,9 +340,6 @@ def build_parser():
     ap.add_argument("--seed", type=int,
                     help="random seed (default: [params] seed, else 0)")
     ap.add_argument("--json", help="also write the report to this file")
-    ap.add_argument("--single-thread", action="store_true",
-                    help="force deterministic sequential execution (the "
-                         "default; accepted for compatibility)")
     ap.add_argument("--precision", type=int,
                     help="override context precision")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -394,7 +386,7 @@ def build_parser():
     q.add_argument("--samples", type=int)
 
     g = sub.add_parser("phimod")
-    g.add_argument("op", choices=["build-crys", "build-sst", "wadm", "params"])
+    g.add_argument("op", choices=["build", "wadm", "params"])
     g.add_argument("--type", choices=["crys", "sst"], default="crys")
     g.add_argument("--k", type=int, default=2)
     g.add_argument("--p", type=int, default=5)

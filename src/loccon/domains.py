@@ -23,7 +23,7 @@ from loccon.padic import (
     relative_ramification,
     require_at_least_one,
 )
-from loccon.series import AlgebraModel, Cover, ModelPoint, _eval_terms
+from loccon.series import Cover, ModelPoint, _eval_terms
 
 # sampling gives up after this many draws per requested point
 _SAMPLE_BUDGET = 20
@@ -215,59 +215,34 @@ def cover_fiber(model, ext, tval):
             ModelPoint(model, {yvar: -root, tvar: tval})]
 
 
-def cover_compare(model, center, n, ext, samples=100, seed=0):
-    """Pushforward containment and preimage-equality search for a cover.
+def cover_compare(model, center, n, ext):
+    """The preimage-equality certificate of a cover y^d = c*t, at depth n.
 
-    Checks that points of the upstairs U^(n)/V^(n) map into the downstairs
-    neighborhoods of the image point, and searches for the smallest tested
-    depth at which the preimage of the downstairs neighborhood equals the
-    upstairs one (reported as found/not found within the budget).
+    At a ramification center y0 = 0, v(t - t0) = d v(y - y0): the preimage
+    of the downstairs domain, d v(y) >= thr, is the upstairs one, v(y) >=
+    thr, exactly when ceil(thr / d) = thr.  The report gives this test at
+    the depths 1.._PREIMAGE_DEPTHS and the first depth n0 where both kinds
+    pass; away from the center nothing is certified (None).  The
+    pushforward needs no test: the downstairs domains compare v(t - t0)
+    with the upstairs threshold, which every upstairs point meets.
     """
     require_at_least_one("depth n", n)
-    require_at_least_one("samples", samples)
     d, yvar, tvar, _ = model.linear_cover()
-    base = model.base
-    down_model = AlgebraModel(base, (), (tvar,), None, model.degree_cap)
-    down_center = ModelPoint(down_model, {tvar: center.coords[tvar]})
-    report = {"n": n, "containment": {}, "verdict": "pass"}
-    for kind in ("U", "V"):
-        up = describe(model, center, n, kind)
-        down = describe(down_model, down_center, n, kind)
-        ok = 0
-        bad = []
-        # down.member reads an upstairs point's image, its tvar coordinate: a point
-        # of down_model, as an upstairs member has v(t - t0) >= 1 and v(t0) >= 1
-        for pt in up.sample(ext, samples, seed=seed):
-            if down.member(pt):
-                ok += 1
-            else:
-                bad.append(pt.to_json())
-                report["verdict"] = "fail"
-        report["containment"][kind] = {"checked": ok + len(bad), "failures": bad}
-    # preimage equality: exact threshold comparison using v(t - t0) = d v(y - y0)
-    # (valid at a ramification center y0 = 0)
-    eq = {}
-    n0 = None
-    e_rel = relative_ramification(base, ext)
+    e_rel = relative_ramification(model.base, ext)
     y0_is_zero = center.coords[yvar].pi_valuation() is None
+    per_n = {}
+    n0 = None
     for nn in range(1, _PREIMAGE_DEPTHS + 1):
         entry = {}
         for kind in ("U", "V"):
             thr = _pi_threshold(kind, nn, e_rel)
-            if y0_is_zero:
-                # upstairs: v(y) >= thr; preimage: d v(y) >= thr
-                pre_thr = math.ceil(thr / d)
-                entry[kind] = (pre_thr == thr)
-            else:
-                entry[kind] = None  # not certified away from ramification
-        eq[nn] = entry
-        if n0 is None and all(entry[k] for k in entry):
+            entry[kind] = math.ceil(thr / d) == thr if y0_is_zero else None
+        per_n[str(nn)] = entry
+        if n0 is None and all(entry.values()):
             n0 = nn
-    report["preimage_equality"] = {
-        "per_n": {str(k): v for k, v in eq.items()},
-        "n0": n0,
-        "certificate": (f"v({tvar} - t0) = {d} * v({yvar} - y0) at the "
-                        "ramification center" if y0_is_zero else None),
-        "budget": _PREIMAGE_DEPTHS,
-    }
-    return report
+    certificate = (f"v({tvar} - t0) = {d} * v({yvar} - y0) at the "
+                   "ramification center" if y0_is_zero else None)
+    return {"n": n, "verdict": "pass",
+            "preimage_equality": {"per_n": per_n, "n0": n0,
+                                  "certificate": certificate,
+                                  "budget": _PREIMAGE_DEPTHS}}

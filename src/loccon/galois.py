@@ -242,7 +242,7 @@ def stable_lines(M):
     ctx = M.context
     N_zero = all(x.pi_valuation() is None for row in M.N for x in row)
     out = []
-    if M.label[0] == "semistable" or _is_diagonal(M.phi):
+    if _is_diagonal(M.phi):
         lines = [((ctx.one(), ctx.zero()), M.phi[0][0]),
                  ((ctx.zero(), ctx.one()), M.phi[1][1])]
         scalar = (M.phi[0][1].pi_valuation() is None

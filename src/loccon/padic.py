@@ -149,6 +149,9 @@ class PadicContext:
         self.unram_poly = tuple(int(c) for c in unram_poly)
         self.eis_poly = tuple(tuple(int(c) for c in row) for row in eis_poly)
         self._check_unram()
+        if f == 1:
+            # W = Z_p reads no polynomial: any degree-1 choice is the same ring
+            self.unram_poly = (0, 1)
         self._check_eisenstein()
         # a module function, not a bound method: the context holds no cycle
         self._mul_coords = _mul_coords_zp if e == f == 1 else _mul_coords_general
@@ -337,8 +340,6 @@ class PadicContext:
 
 
 def _default_unram_poly(p, f):
-    if f == 1:
-        return [0, 1]  # placeholder: x, never used since W = Z_p
     # a zero constant term makes x a factor, so the search starts at 1
     for tail in itertools.product(range(1, p), *[range(p)] * (f - 1)):
         poly = list(tail) + [1]

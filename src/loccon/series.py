@@ -260,7 +260,7 @@ class AlgebraModel:
     def linear_cover(self):
         """(d, yvar, tvar, c) for a cover relation y^d = c*t with c a unit
         of the base: the only shape the cover closed forms (recentering,
-        sampling, pushforward comparison) are written for."""
+        sampling, preimage certificate) are written for."""
         rel = self.relation
         if not isinstance(rel, Cover):
             raise DomainError("not a cover model")

@@ -426,7 +426,7 @@ def test_criterion_9_finite_cover(criterion):
     center = ModelPoint(model, {"Y": base.zero(), "T": base.zero()})
     ok = True
     for n in (1, 2, 3):
-        rep = cover_compare(model, center, n, base, samples=500, seed=n)
+        rep = cover_compare(model, center, n, base)
         ok = ok and rep["verdict"] == "pass"
         ok = ok and rep["preimage_equality"]["n0"] == 1
         ok = ok and "v(T - t0) = 2 * v(Y - y0)" in \
@@ -453,7 +453,7 @@ def test_criterion_9_finite_cover(criterion):
             congruent = (k - 1) % 3 ** (n - 1) == 0
             if member != congruent:
                 ok = False
-    criterion(9, "Y^2 = -T pushforward, n0 = 1 certificate, weight "
+    criterion(9, "Y^2 = -T preimage certificate, n0 = 1, weight "
                  "congruences", ok)
     assert ok
 

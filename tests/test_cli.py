@@ -434,7 +434,7 @@ def test_depth_below_one_is_usage_error(capsys, tmp_path, spec, argv, depth):
     (FAMILY_SPEC, ["family", "audit", "--samples", "-3"], "-3"),
     (FAMILY_SPEC, ["pseudorep", "audit", "--samples", "0"], "0"),
     (FAMILY_SPEC, ["domain", "sample", "--samples", "0"], "0"),
-    (COVER_SPEC, ["domain", "cover-compare", "--samples", "0"], "0"),
+    (FAMILY_SPEC, ["domain", "sample", "--samples", "-2"], "-2"),
     ("[params] samples = 0", ["family", "audit"], "0"),
     ("[params] samples = -1", ["pseudorep", "audit"], "-1"),
 ])
@@ -458,7 +458,8 @@ def test_sample_count_below_one_is_usage_error(capsys, tmp_path, spec, argv,
 def test_sample_count_is_read_only_by_the_commands_that_sample(capsys,
                                                               tmp_path):
     """A [params] samples below 1 leaves the commands that draw no points
-    alone; the domain commands read the key like the other two."""
+    alone (family trace-algebra, domain cover-compare); domain sample reads
+    the key like the two audits."""
     path = tmp_path / "samples.spec"
     path.write_text(pathlib.Path(FAMILY_SPEC).read_text()
                     .replace("samples = 20", "samples = 0"))
@@ -468,9 +469,11 @@ def test_sample_count_is_read_only_by_the_commands_that_sample(capsys,
     assert code == 3 and captured.out == ""
     assert json.loads(captured.err)["error"] == \
         "samples must be at least 1, got 0"
-    code, out = run(capsys, "--spec", COVER_SPEC, "domain", "cover-compare")
-    assert code == 0
-    assert [out["containment"][kind]["checked"] for kind in "UV"] == [100, 100]
+    cover = tmp_path / "cover.spec"
+    cover.write_text(pathlib.Path(COVER_SPEC).read_text()
+                     .replace("samples = 100", "samples = 0"))
+    code, out = run(capsys, "--spec", str(cover), "domain", "cover-compare")
+    assert code == 0 and out["preimage_equality"]["n0"] == 1
 
 
 def test_precision_error_is_an_inconclusive_report(capsys, tmp_path):
@@ -652,11 +655,16 @@ def test_bad_subcommand_is_usage_error(capsys):
 def test_report_bytes_are_stable(capsys):
     a = main(["--spec", FAMILY_SPEC, "--seed", "9", "family", "audit"])
     out1 = capsys.readouterr().out
-    b = main(["--spec", FAMILY_SPEC, "--seed", "9", "--single-thread",
-              "family", "audit"])
+    b = main(["--spec", FAMILY_SPEC, "--seed", "9", "family", "audit"])
     out2 = capsys.readouterr().out
     assert a == b == 0
     assert out1 == out2
+
+
+def test_single_thread_flag_is_gone(capsys):
+    """loccon runs in one thread with no option to say so."""
+    assert main(["--single-thread", "bounds", "gamma"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 # The README examples, the annulus spec and cover sampling, each run with
@@ -699,7 +707,7 @@ GOLDEN = {
     ("1", 4): (0, "79ee36a222919f5509e4dd17b0fe7b3d7bcd4b6a099c58a39db61c9bddeabbdb"),
     ("1", 5): (1, "518dc1d0409339d4a9718bd484663b194e0284cff6fcf61a26a226524ec5d607"),
     ("1", 6): (1, "711a06a85237ff1b687c2d2e03d59842022d2be5e7afdbc5a56434ecf7f06a75"),
-    ("1", 7): (0, "ad1f34646a4ce4abc758e19287318c2be7417a68de01adb4b1c1ab639a92089f"),
+    ("1", 7): (0, "10dfade578d8db250f80db952931ec11cf9ea583a60d5d1d3bc62ab1993f4a9a"),
     ("1", 8): (0, "c6ac5f6b5d6f1a2ccdb013b49fbc8d7ccf3a965bf52418e80de0b637b7decdcd"),
     ("1", 9): (0, "34adb49030fea8a020cfa20c510a7e611eb5cff9681f9b53f8748450fcfa32a1"),
     ("1", 10): (0, "491e71fd0b4a3aea3b9d431376bfcf4cdbcf4ba200b3c8dcaae433b84b632f36"),
@@ -722,7 +730,7 @@ GOLDEN = {
     ("1001", 4): (0, "79ee36a222919f5509e4dd17b0fe7b3d7bcd4b6a099c58a39db61c9bddeabbdb"),
     ("1001", 5): (1, "518dc1d0409339d4a9718bd484663b194e0284cff6fcf61a26a226524ec5d607"),
     ("1001", 6): (1, "711a06a85237ff1b687c2d2e03d59842022d2be5e7afdbc5a56434ecf7f06a75"),
-    ("1001", 7): (0, "ad1f34646a4ce4abc758e19287318c2be7417a68de01adb4b1c1ab639a92089f"),
+    ("1001", 7): (0, "10dfade578d8db250f80db952931ec11cf9ea583a60d5d1d3bc62ab1993f4a9a"),
     ("1001", 8): (0, "c6ac5f6b5d6f1a2ccdb013b49fbc8d7ccf3a965bf52418e80de0b637b7decdcd"),
     ("1001", 9): (0, "34adb49030fea8a020cfa20c510a7e611eb5cff9681f9b53f8748450fcfa32a1"),
     ("1001", 10): (0, "491e71fd0b4a3aea3b9d431376bfcf4cdbcf4ba200b3c8dcaae433b84b632f36"),
@@ -769,3 +777,54 @@ def test_printed_spec_gives_the_golden_report(tmp_path, seed, index):
     printed.write_text(print_spec(load_spec(argv[at])), encoding="utf-8")
     argv[at] = str(printed)
     assert _golden_run(["--seed", seed] + argv) == GOLDEN[seed, index]
+
+
+# sha256 of stdout + stderr of the phimod module builds, taken from the
+# separate build-crys and build-sst ops that "build --type" replaces
+PHIMOD_BUILDS = [
+    (["--k", "2", "--p", "5", "--ap", "5"],
+     "72561a0a3b8f70a4cf3c979eda718fa5fdaa1963b94aa3ec193ccc6e45cde38f"),
+    (["--type", "crys", "--k", "4", "--p", "3", "--ap", "3"],
+     "c9aa71389bd8a297b78e60d5b2c1e8f507c63c7d9b85f8b616329feae98c58e3"),
+    (["--type", "crys", "--k", "3", "--p", "5", "--ap", "0"],
+     "58310b7a74c1695da2dd11bf40c806626ac8bcb45e0e849b4acdf46c25bb7a80"),
+    (["--type", "sst", "--k", "4", "--p", "3"],
+     "3ae49dfecd670ddb0e445e42585d9f1f2c7116517b4aa6ac2ee7beee885a1dc7"),
+    (["--type", "sst", "--k", "4", "--p", "5", "--L", "inf"],
+     "457928a481c5792511309c6addb52b787f747963d8a2f90d4376e3b3f31a76c7"),
+    (["--type", "sst", "--k", "6", "--p", "5", "--L", "7"],
+     "5ea804c05c26596a3e55c5b609852715ad177895b42e52c475e30c46e25b7ae2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PHIMOD_BUILDS)
+def test_phimod_build_reads_the_type(argv, digest):
+    assert _golden_run(["phimod", "build"] + argv) == (0, digest)
+
+
+@pytest.mark.parametrize("op,argv", [
+    ("build-crys", ["--k", "2", "--p", "5", "--ap", "5"]),
+    ("build-sst", ["--k", "4", "--p", "3"]),
+])
+def test_phimod_build_ops_by_type_name_are_gone(capsys, op, argv):
+    assert main(["phimod", op] + argv) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_cover_compare_report_does_not_depend_on_the_seed():
+    argv = ["--spec", COVER_SPEC, "domain", "cover-compare"]
+    assert _golden_run(["--seed", "1"] + argv) == \
+        _golden_run(["--seed", "1001"] + argv)
+
+
+def test_cover_compare_off_center_on_bounded_variables(capsys, tmp_path):
+    """Y^2 = T over Z_3 with Y and T bounded, centered at (1, 1): a point
+    off the ramification center, where nothing is certified."""
+    spec = tmp_path / "bounded.spec"
+    spec.write_text(COVER_TEMPLATE.format(p=3, rhs="1*T")
+                    .replace("open = Y T", "bounded = Y T")
+                    .replace("Y : 0 , T : 0", "Y : 1 , T : 1"))
+    code, rep = run(capsys, "--spec", str(spec), "domain", "cover-compare")
+    assert code == 0 and rep["verdict"] == "pass"
+    assert rep["preimage_equality"]["n0"] is None
+    assert rep["preimage_equality"]["certificate"] is None

@@ -52,12 +52,7 @@ CALLS = {
         ("samples", lambda v: constancy_audits(ENTRY, DOM, 2, EXTS, v)),
     "cover_compare-n":
         ("depth n", lambda v: cover_compare(COVER_DOM.model, COVER_DOM.center,
-                                            v, COVER_DOM.model.base,
-                                            samples=4)),
-    "cover_compare-samples":
-        ("samples", lambda v: cover_compare(COVER_DOM.model, COVER_DOM.center,
-                                            2, COVER_DOM.model.base,
-                                            samples=v)),
+                                            v, COVER_DOM.model.base)),
     "describe": ("depth n", lambda v: describe(DOM.center.model, DOM.center,
                                                v, "U")),
     "crystalline_congruence_disc":

@@ -273,9 +273,69 @@ def test_cover_fiber():
 
 def test_cover_compare_certificate():
     center = ModelPoint(COVER, {"Y": Z3.zero(), "T": Z3.zero()})
-    rep = cover_compare(COVER, center, 2, Z3, samples=40, seed=0)
+    rep = cover_compare(COVER, center, 2, Z3)
     assert rep["verdict"] == "pass"
     assert rep["preimage_equality"]["n0"] == 1
     assert rep["preimage_equality"]["per_n"]["1"] == {"U": True, "V": True}
     assert rep["preimage_equality"]["per_n"]["2"]["U"] is False
     assert "v(T - t0) = 2 * v(Y - y0)" in rep["preimage_equality"]["certificate"]
+
+
+def _preimage_reference(d, e_rel, at_center):
+    """(per_n, n0) written from v(t - t0) = d v(y - y0).  At depth m the
+    upstairs domain is v(y - y0) >= thr, with thr = (m - 1) e_rel + 1 for U
+    and m e_rel for V in pi_E-units, and the preimage of the downstairs one
+    is d v(y - y0) >= thr.  The preimage holds the upstairs domain, and
+    equals it when no valuation v < thr has d v >= thr.  Away from the
+    center nothing is certified."""
+    per_n, n0 = {}, None
+    for m in range(1, 5):
+        thresholds = {"U": (m - 1) * e_rel + 1, "V": m * e_rel}
+        entry = {kind: not any(d * v >= thr for v in range(thr))
+                 if at_center else None
+                 for kind, thr in thresholds.items()}
+        per_n[str(m)] = entry
+        if n0 is None and entry["U"] and entry["V"]:
+            n0 = m
+    return per_n, n0
+
+
+# (p, e of the model's base, c in Y^2 = c*T, e of the comparison context):
+# over Z_p the comparison context is Z_p or an e = 2 or e = 3 extension, and
+# a ramified base is compared over itself
+PREIMAGE_CASES = [(3, 1, -1, 1), (3, 1, -1, 2), (3, 1, -1, 3),
+                  (5, 1, 2, 1), (5, 1, 2, 2), (5, 1, 2, 3),
+                  (5, 2, 1, 2), (3, 3, -1, 3)]
+
+
+@pytest.mark.parametrize("at_center", [True, False])
+@pytest.mark.parametrize("p,base_e,c,ext_e", PREIMAGE_CASES)
+def test_cover_compare_matches_the_preimage_reference(p, base_e, c, ext_e,
+                                                      at_center):
+    base = PadicContext(p, e=base_e, precision=14)
+    ext = base if ext_e == base_e else PadicContext(p, e=ext_e, precision=14)
+    model = AlgebraModel(base, open_vars=("Y", "T"),
+                         relation=Cover(2, "Y", {(0, 1): c}), degree_cap=6)
+    y0 = base.zero() if at_center else base.pi_power(1)
+    center = ModelPoint(model, {"Y": y0,
+                                "T": y0 * y0 * base.from_int(c).inverse()})
+    per_n, n0 = _preimage_reference(2, ext_e // base_e, at_center)
+    # the certificate settles depth 1 only where the extension is unramified
+    assert n0 == (1 if at_center and ext_e == base_e else None)
+    for n in (1, 2):
+        rep = cover_compare(model, center, n, ext)
+        assert rep == {
+            "n": n, "verdict": "pass",
+            "preimage_equality": {
+                "per_n": per_n, "n0": n0, "budget": 4,
+                "certificate": "v(T - t0) = 2 * v(Y - y0) at the "
+                               "ramification center" if at_center else None}}
+
+
+def test_cover_compare_draws_no_random_number(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cover_compare drew a random number")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    center = ModelPoint(COVER, {"Y": Z3.zero(), "T": Z3.zero()})
+    assert cover_compare(COVER, center, 2, Z3)["preimage_equality"]["n0"] == 1

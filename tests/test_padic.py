@@ -29,6 +29,7 @@ from loccon.padic import (
     is_extension,
     relative_ramification,
 )
+from loccon.specfile import parse_spec
 
 Z5 = PadicContext(5, precision=12)
 RAM2 = PadicContext(5, e=2, precision=12)
@@ -58,6 +59,19 @@ def test_rejects_reducible_unram_poly():
     # x^2 - 1 = (x-1)(x+1) mod 5
     with pytest.raises(DomainError):
         PadicContext(5, f=2, unram_poly=[-1, 0, 1])
+
+
+def test_an_f1_context_ignores_its_unram_poly():
+    """W = Z_p reads no unramified polynomial, so every degree-1 choice
+    names the same ring: equal, hashed alike and mixed in arithmetic.  A
+    polynomial that is not monic of degree 1 is still refused."""
+    plain, other = PadicContext(5), PadicContext(5, unram_poly=[3, 1])
+    assert plain == other and hash(plain) == hash(other)
+    assert (plain.one() + other.one()).coords == (2,)
+    spec = parse_spec("[context base]\np = 5\nunram_poly = 3 1\n")
+    assert spec.sole("contexts") == plain
+    with pytest.raises(DomainError):
+        PadicContext(5, unram_poly=[3, 2])
 
 
 def _trial_division_irreducible(poly, p):
