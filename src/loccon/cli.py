@@ -104,7 +104,6 @@ def cmd_bounds(args):
         return _emit(
             {"bound": galois.semistable_congruence_bound(args.k, args.p, args.n)},
             args)
-    raise SpecError(f"unknown bounds operation {args.op!r}")
 
 
 # -- domain -----------------------------------------------------------------
@@ -146,7 +145,6 @@ def cmd_domain(args):
         rep = cover_compare(dom.model, dom.center, dom.n,
                             _ext(spec, dom, args))
         return _emit(rep, args)
-    raise SpecError(f"unknown domain operation {args.op!r}")
 
 
 # -- family -----------------------------------------------------------------
@@ -186,7 +184,6 @@ def cmd_family(args):
                      args)
     if args.op == "trace-algebra":
         return _emit(fam.trace_algebra_full(n), args)
-    raise SpecError(f"unknown family operation {args.op!r}")
 
 
 # -- lattice ----------------------------------------------------------------
@@ -247,7 +244,6 @@ def cmd_lattice(args):
         a, b = _two_reps(spec, args)
         rep = carayol_audit(a, b, args.n, seed=args.seed)
         return _emit(rep, args)
-    raise SpecError(f"unknown lattice operation {args.op!r}")
 
 
 # -- pseudorep --------------------------------------------------------------
@@ -271,7 +267,6 @@ def cmd_pseudorep(args):
         rep = ps.constancy_audit(dom, args.n, spec.extensions(),
                                  args.samples, seed=args.seed)
         return _emit(rep, args)
-    raise SpecError(f"unknown pseudorep operation {args.op!r}")
 
 
 # -- phimod -----------------------------------------------------------------
@@ -324,7 +319,6 @@ def cmd_phimod(args):
         rep = {"delta1": _character_json(d1), "delta2": _character_json(d2)}
         rep.update(info)
         return _emit(rep, args)
-    raise SpecError(f"unknown phimod operation {args.op!r}")
 
 
 # -- argument plumbing ------------------------------------------------------

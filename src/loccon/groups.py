@@ -113,6 +113,9 @@ class FiniteGroup(_Group):
         n = len(t)
         if any(len(row) != n for row in t):
             raise DomainError("multiplication table must be square")
+        for x in itertools.chain(*t, (self.identity,), self.gen_elements):
+            if not 0 <= x < n:
+                raise DomainError(f"element index {x} is outside 0..{n - 1}")
         e = self.identity
         if any(t[e][i] != i or t[i][e] != i for i in range(n)):
             raise DomainError("identity element does not act as identity")

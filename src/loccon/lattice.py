@@ -13,13 +13,14 @@ from loccon.chainring import (
     ChainSpan,
     identity_matrix,
     mat_inverse,
+    mat_is_zero_mod,
     mat_mul,
     mat_reduce_mod,
     mat_trace,
     nullspace_mod,
     spin,
 )
-from loccon.padic import (DomainError, InconclusiveError, PadicNumber, PrecisionError,
+from loccon.padic import (DomainError, InconclusiveError, PadicNumber,
                           require_at_least_one)
 
 
@@ -38,8 +39,6 @@ class IntegralRep:
     to every output) and, for families, the unit test.  Word products are
     memoized by prefix in ``_words``.
     """
-
-    _lift = None  # a representation whose memo and letters this one shares
 
     def __init__(self, group, dim, context, gen_images):
         self.group = group
@@ -60,9 +59,6 @@ class IntegralRep:
             if not self._is_unit(M):
                 raise DomainError(f"generator {name!r} has non-unit determinant")
             self.gen_images[name] = M
-        if self._lift is not None:  # the lift has passed the relations check
-            self._words = self._lift._words
-            return
         self._words = {(): self._coerced(identity_matrix(context, dim))}
         if not self._relations_hold():
             raise DomainError("matrices violate the group relations")
@@ -78,8 +74,6 @@ class IntegralRep:
         return F.rank(_residues(F, M)) == self.dim
 
     def _letter(self, let):
-        if self._lift is not None:
-            return self._lift._letter(let)
         M = self.gen_images[self.group.generators[let[0]]]
         return M if let[1] == 1 else mat_inverse(M)
 
@@ -111,17 +105,11 @@ class IntegralRep:
 
 
 class ResidueRep(IntegralRep):
-    """Generator matrices over the chain ring O_E/pi^m.
+    """Generator matrices over the chain ring O_E/pi^m, each entry known to
+    exactly m digits; word products are reduced mod pi^m on output."""
 
-    Word products are kept unreduced and reduced mod pi^m on output.  With
-    ``lift`` (an IntegralRep reducing to this one) they are the lift's own
-    memoized full-precision products, so a word is multiplied out once for
-    the lift and all its reductions; no reduced matrix enters that memo.
-    """
-
-    def __init__(self, group, dim, context, modulus, gen_images, lift=None):
+    def __init__(self, group, dim, context, modulus, gen_images):
         self.modulus = modulus
-        self._lift = lift
         super().__init__(group, dim, context, gen_images)
 
     def _coerce(self, x):
@@ -134,14 +122,10 @@ class ResidueRep(IntegralRep):
 
 
 def reduce_rep_mod(rep, m):
-    """Entrywise reduction of an IntegralRep (functorial in products); the
-    reduction reads its word products from ``rep``'s memo."""
+    """Entrywise reduction of an IntegralRep (functorial in products); an
+    entry known to fewer than m digits raises ``PrecisionError``."""
     require_at_least_one("depth m", m)
-    if m > min(x.known_precision for M in rep.gen_images.values()
-               for row in M for x in row):
-        raise PrecisionError("not enough precision for this reduction")
-    return ResidueRep(rep.group, rep.dim, rep.context, m, rep.gen_images,
-                      lift=rep)
+    return ResidueRep(rep.group, rep.dim, rep.context, m, rep.gen_images)
 
 
 # -- isomorphism over chain rings -------------------------------------------
@@ -185,9 +169,10 @@ def iso_mod(a, b, seed=0):
     """Module isomorphism test over O_E/pi^m.
 
     The identity is tried first: it intertwines exactly when a(g) = b(g)
-    mod pi^m for every generator g, the common case of a family audit's
-    samples, and then no solution module is solved.  Otherwise an
-    invertible intertwiner exists iff some residue-field combination of the
+    mod pi^m for every generator g, which ``==`` decides on entries known
+    to m digits.  That is the common case of a family audit's samples, and
+    then no solution module is solved.  Otherwise an invertible
+    intertwiner exists iff some residue-field combination of the
     solution-space generators is invertible mod pi, so the search over the
     mod-pi span is a complete decision procedure when it is enumerable.
     Candidates sum_k c_k G_k are tested over F_q, so only the winner is
@@ -195,8 +180,8 @@ def iso_mod(a, b, seed=0):
     """
     _check_comparable(a, b)
     d = a.dim
-    X = mat_reduce_mod(identity_matrix(a.context, d), a.modulus)
-    if _intertwines(a, b, X):
+    if all(a.gen_images[g] == b.gen_images[g] for g in a.group.generators):
+        X = mat_reduce_mod(identity_matrix(a.context, d), a.modulus)
         return IsoResult("isomorphic", X, "explicit intertwiner")
     gens = intertwiner_space(a, b)
     unit_gens = [g for g, s in gens if s == 0]
@@ -251,24 +236,14 @@ def _intertwiner(a, b, unit_gens, combo):
     return X
 
 
-def _intertwines(a, b, X):
-    """Whether X a(g) = b(g) X mod pi^m for every generator g."""
-    m = a.modulus
+def _check_intertwines(a, b, X):
+    """Raise unless X a(g) = b(g) X mod pi^m for every generator g."""
     for name in a.group.generators:
         L = mat_mul(X, a.gen_images[name])
         R = mat_mul(b.gen_images[name], X)
-        for r1, r2 in zip(L, R):
-            for x, y in zip(r1, r2):
-                v = (x - y).pi_valuation()
-                if v is not None and v < m:
-                    return False
-    return True
-
-
-def _check_intertwines(a, b, X):
-    """Raise unless X intertwines a and b."""
-    if not _intertwines(a, b, X):
-        raise RuntimeError("intertwiner verification failed")
+        if not mat_is_zero_mod([[x - y for x, y in zip(r1, r2)]
+                                for r1, r2 in zip(L, R)], a.modulus):
+            raise RuntimeError("intertwiner verification failed")
 
 
 # -- semisimplification mod pi ----------------------------------------------
@@ -344,15 +319,15 @@ def with_trace_coords(F, factors):
 
 def semisimplify_mod_p(r, seed=0):
     """Composition factors of a residue representation (modulus 1), from
-    the residues of the generators and their inverses, each labeled by its
-    traces on the ``residue_spin`` words, reported as "words"."""
+    the residues of the generators, each labeled by its traces on the
+    ``residue_spin`` words, reported as "words".  No inverse letter is
+    needed: over F_q each G^-1 is a polynomial in G, so a subspace stable
+    under G is stable under G^-1, and the words use +1 letters only."""
     if r.modulus != 1:
         raise DomainError("semisimplification is defined at modulus 1")
     F = r.context.residue_field
-    letters = {}
-    for gi, name in enumerate(r.group.generators):
-        G = _residues(F, r.gen_images[name])
-        letters[(gi, 1)], letters[(gi, -1)] = G, F.inverse(G)
+    letters = {(gi, 1): _residues(F, r.gen_images[name])
+               for gi, name in enumerate(r.group.generators)}
     words = list(residue_spin(r))
     ss = composition_factors(F, letters, r.dim, words, seed)
     ss["factors"] = with_trace_coords(F, ss["factors"])

@@ -63,6 +63,14 @@ _INT_RE = re.compile(r"-?\d+$")
 _VAR_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
 
 
+def _int(text, what, line=None):
+    """``text`` as an integer; anything else is a spec error at ``line``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecError(f"{what} must be an integer, got {text!r}", line) from None
+
+
 def parse_element_token(tok, ctx, line=None):
     tok = tok.strip()
     m = _INT_RE.match(tok)
@@ -70,7 +78,8 @@ def parse_element_token(tok, ctx, line=None):
         return ctx.from_int(int(tok))
     m = _COORDS_RE.match(tok)
     if m:
-        coords = [int(c) for c in m.group(1).split(",") if c.strip()]
+        coords = [_int(c, "a coords entry", line)
+                  for c in m.group(1).split(",") if c.strip()]
         if len(coords) != ctx.degree:
             raise SpecError(f"coords(...) needs {ctx.degree} entries", line)
         return ctx.from_coords(coords)
@@ -80,7 +89,7 @@ def parse_element_token(tok, ctx, line=None):
         k = int(m.group(1))
         if k < 0:
             raise SpecError("pi^k tokens need k >= 0 for integral elements", line)
-        u = 1 if len(parts) == 1 else int(parts[1])
+        u = 1 if len(parts) == 1 else _int(parts[1], f"u in {tok!r}", line)
         return ctx.from_int(u) * ctx.pi_power(k)
     raise SpecError(f"cannot parse element token {tok!r}", line)
 
@@ -219,6 +228,8 @@ def parse_spec(text, precision_override=None):
         if not eq or not key.strip():
             raise SpecError("expected 'key = value'", lineno,
                             col=len(line) + 1)
+        if not val.strip():
+            raise SpecError(f"empty value for key {key.strip()!r}", lineno)
         current["entries"].append((key.strip(), val.strip(), lineno))
     spec = SpecFile()
     order = {"context": 0, "model": 1, "group": 2, "family": 3, "rep": 4,
@@ -280,10 +291,7 @@ def _get_int(entries, key, block, required=True, default=None):
     val, lineno = _get(entries, key, block, required, default)
     if val is default and not required:
         return default
-    try:
-        return int(val)
-    except (TypeError, ValueError):
-        raise SpecError(f"{key} must be an integer, got {val!r}", lineno)
+    return _int(val, key, lineno)
 
 
 def _resolve(table, name, what, lineno):
@@ -326,11 +334,12 @@ def _load_context(block):
     unram = None
     if "unram_poly" in e:
         _, val, lineno = e["unram_poly"]
-        unram = [int(c) for c in val.split()]
+        unram = [_int(c, "unram_poly", lineno) for c in val.split()]
     eis = None
     if "eis_poly" in e:
         _, val, lineno = e["eis_poly"]
-        eis = [[int(c) for c in row.split()] for row in val.split(";")]
+        eis = [[_int(c, "eis_poly", lineno) for c in row.split()]
+               for row in val.split(";")]
     return PadicContext(p, f=f, e=ram, unram_poly=unram, eis_poly=eis,
                         precision=prec)
 
@@ -351,12 +360,12 @@ def _load_model(spec, block):
         if parts[0] == "annulus":
             if len(parts) != 2:
                 raise SpecError("relation annulus needs 'annulus m'", lineno)
-            relation = Annulus(int(parts[1]))
+            relation = Annulus(_int(parts[1], "annulus m", lineno))
         elif parts[0] == "cover":
             if len(parts) != 3 or ":" not in parts[2]:
                 raise SpecError("relation cover needs 'cover d yvar : literal'",
                                 lineno)
-            d = int(parts[1])
+            d = _int(parts[1], "cover d", lineno)
             yvar, lit = parts[2].split(":", 1)
             plain = AlgebraModel(ctx, bounded_vars=bounded, open_vars=open_vars,
                                  degree_cap=cap)
@@ -383,14 +392,15 @@ def _load_group(block):
     if parts[0] != "finite":
         raise SpecError(f"unknown group kind {parts[0]!r}", lineno)
     tab_val, tab_line = _get(e, "table", block)
-    table = tuple(tuple(int(c) for c in row.split())
+    table = tuple(tuple(_int(c, "table", tab_line) for c in row.split())
                   for row in tab_val.split(";"))
     gens_val, _ = _get(e, "generators", block)
-    gen_el_val, _ = _get(e, "gen_elements", block)
+    gen_el_val, gen_el_line = _get(e, "gen_elements", block)
     identity = _get_int(e, "identity", block, required=False, default=0)
     return FiniteGroup(
         generators=tuple(gens_val.split()), table=table, identity=identity,
-        gen_elements=tuple(int(c) for c in gen_el_val.split()))
+        gen_elements=tuple(_int(c, "gen_elements", gen_el_line)
+                           for c in gen_el_val.split()))
 
 
 def _builtin_group(parts, lineno):
@@ -508,13 +518,8 @@ _INT_PARAMS = ("seed", "n", "samples")  # read by the commands as ints
 
 def _load_params(spec, block):
     for key, val, lineno in block["entries"]:
-        try:
-            spec.params[key] = int(val)
-        except ValueError:
-            if key in _INT_PARAMS:
-                raise SpecError(f"{key} must be an integer, got {val!r}",
-                                lineno) from None
-            spec.params[key] = tuple(val.split()) if " " in val else val
+        spec.params[key] = (_int(val, key, lineno) if key in _INT_PARAMS else
+                            tuple(val.split()) if " " in val else val)
 
 
 # -- printing ---------------------------------------------------------------

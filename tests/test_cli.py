@@ -395,6 +395,75 @@ def test_non_integer_spec_seed_is_usage_error(capsys, tmp_path):
         assert f"{key} must be an integer" in json.loads(captured.err)["error"]
 
 
+_GROUP_BLOCK = ("[group G]\nkind = finite\ntable = {}\ngenerators = g\n"
+                "gen_elements = {}\n\n")
+
+
+@pytest.mark.parametrize("spec,old,new,bad", [
+    (ISO_SPEC, "f = 1", "f = 1\nunram_poly = x", "unram_poly = x"),
+    (ISO_SPEC, "e = 1", "e = 1\neis_poly = x", "eis_poly = x"),
+    (COVER_SPEC, "relation = cover 2 Y : -1*T", "relation =", "relation ="),
+    (ANNULUS_SPEC, "relation = annulus 2", "relation = annulus x",
+     "relation = annulus x"),
+    (COVER_SPEC, "relation = cover 2 Y : -1*T", "relation = cover x Y : 1*T",
+     "relation = cover x Y : 1*T"),
+    (S3_SPEC, "[pseudorep P]", "[group G]\nkind =\n\n[pseudorep P]", "kind ="),
+    (S3_SPEC, "[pseudorep P]", _GROUP_BLOCK.format("x", "0") + "[pseudorep P]",
+     "table = x"),
+    (S3_SPEC, "[pseudorep P]", _GROUP_BLOCK.format("0", "x") + "[pseudorep P]",
+     "gen_elements = x"),
+    (ISO_SPEC, "group = free 1", "group =", "group ="),
+    (ISO_SPEC, "matrix g1 = 6 , 0 ; 0 , -4", "matrix g1 = 6 , pi^1*x ; 0 , -4",
+     "matrix g1 = 6 , pi^1*x ; 0 , -4"),
+    (None, "phimod wadm --k 2 --p 5 --ap pi^1*x", None, None),
+    (None, "phimod build --type sst --k 4 --p 3 --L pi^1*x", None, None),
+    (FAMILY_SPEC, "domain member --point T:pi^1*x", None, None),
+], ids=["unram_poly", "eis_poly", "empty-relation", "annulus-m", "cover-d",
+        "empty-group-kind", "table", "gen_elements", "empty-rep-group",
+        "spec-token", "ap-token", "L-token", "point-token"])
+def test_malformed_value_is_usage_error(capsys, tmp_path, spec, old, new, bad):
+    """A value that is not an integer where one is read, an empty value and
+    a pi^k*u token whose u is not an integer each exit 3 with a one-line
+    JSON error, not a traceback; a spec error names its line."""
+    if new is None:
+        argv = old.split()
+        if spec is not None:
+            argv = ["--spec", spec] + argv
+    else:
+        text = pathlib.Path(spec).read_text()
+        assert old in text
+        text = text.replace(old, new, 1)
+        path = tmp_path / "malformed.spec"
+        path.write_text(text)
+        argv = ["--spec", str(path), "domain", "describe"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    if new is None:
+        assert "pi^1*x" in error
+    else:
+        line = text.split("\n").index(bad) + 1
+        assert error.startswith(f"line {line}: ")
+
+
+def test_params_read_only_seed_n_and_samples_as_integers(capsys, tmp_path):
+    """[params] extensions = 2 names the declared [context 2]."""
+    text = pathlib.Path(FAMILY_SPEC).read_text()
+    for old, new in [("[context ram2]", "[context 2]\np = 5\ne = 2\n"
+                      "precision = 16\n\n[context ram2]"),
+                     ("extensions = base ram2 ram3", "extensions = 2")]:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "numbered.spec"
+    path.write_text(text)
+    spec = load_spec(str(path))
+    assert spec.extensions() == [spec.contexts["2"]]
+    code, rep = run(capsys, "--spec", str(path), "family", "audit",
+                    "--samples", "2")
+    assert code == 0 and rep["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("spec,argv,depth", [
     (FAMILY_SPEC, ["family", "check-strict", "--n", "0"], "n = 0"),
     (FAMILY_SPEC, ["family", "audit", "--n", "0"], "n = 0"),

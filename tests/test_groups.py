@@ -80,6 +80,26 @@ def test_bad_table_rejected():
                     gen_elements=(1,))
 
 
+C2_TABLE = ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("table,identity,gen_elements,bad", [
+    (C2_TABLE, 9, (1,), 9),
+    (C2_TABLE, 0, (9,), 9),
+    (C2_TABLE, 0, (-1,), -1),
+    (((0, 1, 2), (1, 2, 0), (2, 0, 7)), 0, (1,), 7),
+    (((0, 1, 2), (1, 2, 0), (2, 0, -1)), 0, (1,), -1),
+], ids=["identity-9", "gen-9", "gen-minus-1", "entry-7", "entry-minus-1"])
+def test_element_index_outside_the_table_rejected(table, identity,
+                                                  gen_elements, bad):
+    """Every table entry, the identity and each generator element is an
+    index 0..n-1; a negative one is not read from the end of a row."""
+    with pytest.raises(DomainError,
+                       match=rf"element index {bad} is outside 0\.\.{len(table) - 1}"):
+        FiniteGroup(generators=("g",), table=table, identity=identity,
+                    gen_elements=gen_elements)
+
+
 def test_nongenerating_set_rejected():
     # the transposition alone does not generate S_3
     s3 = symmetric_group(3)

@@ -143,6 +143,16 @@ def test_semisimplify_irreducible_is_single_factor():
     assert [f["dim"] for f in ss["factors"]] == [2]
 
 
+def test_semisimplify_reads_only_the_generators_residues(monkeypatch):
+    """Over F_q a subspace stable under G is stable under G^-1, so the
+    composition factors are found from the (gi, 1) letters alone."""
+    found = _counting(monkeypatch, "composition_factors")
+    ss = semisimplify_mod_p(reduce_rep_mod(s3_standard_rep(Z5), 1))
+    assert [f["dim"] for f in ss["factors"]] == [2]
+    (_, letters, *_), = found
+    assert sorted(letters) == [(0, 1), (1, 1)]
+
+
 def test_residual_absolute_irreducibility():
     assert residually_absolutely_irreducible(s3_standard_rep(Z5))
     uni = IntegralRep(FREE1, 2, Z5, {"g1": mat(Z5, [[1, 1], [0, 1]])})
@@ -562,26 +572,37 @@ def test_reductions_leave_the_lift_at_full_precision():
 
 
 def test_residue_word_products_reduce_the_lifts():
-    """A reduction, a reduction of a reduction and a lift-free ResidueRep
-    give the lift's word products and traces reduced mod pi^m, coordinate
-    for coordinate, inverse letters included.  The reductions run first:
-    the lift's memo must still hold only full-precision products."""
-    rep = sample_res_irred(Z5, random.Random(3))
-    words = rep.group.words_up_to(3)
-    got = [(m, w, r.matrix_of_word(w), r.trace_of_word(w))
-           for m in (1, 2, 3)
-           for r in (reduce_rep_mod(reduce_rep_mod(rep, 3), m),
-                     reduce_rep_mod(rep, m),
-                     ResidueRep(rep.group, 2, Z5, m, rep.gen_images))
-           for w in words]
-    assert all(x.known_precision == Z5.precision
-               for M in rep._words.values() for row in M for x in row)
-    for m, w, M, t in got:
-        assert [[(x.coords, x.known_precision) for x in row] for row in M] == \
-            [[(x.reduce_mod(m).coords, m) for x in row]
-             for row in rep.matrix_of_word(w)]
-        assert (t.coords, t.known_precision) == \
-            (rep.trace_of_word(w).reduce_mod(m).coords, m)
+    """A reduction, a reduction of a reduction and a ResidueRep built from
+    the lift's matrices give the lift's word products and traces reduced mod
+    pi^m, coordinate for coordinate, inverse letters included; on S_3 each
+    reduction passes the relations check.  The reductions run first: the
+    lift's memo must still hold only full-precision products."""
+    for rep in (sample_res_irred(Z5, random.Random(3)), s3_standard_rep(Z5),
+                s3_standard_rep(PadicContext(5, e=2, precision=14))):
+        Z = rep.context
+        words = rep.group.words_up_to(3)
+        got = [(m, w, r.matrix_of_word(w), r.trace_of_word(w))
+               for m in (1, 2, 3)
+               for r in (reduce_rep_mod(reduce_rep_mod(rep, 3), m),
+                         reduce_rep_mod(rep, m),
+                         ResidueRep(rep.group, 2, Z, m, rep.gen_images))
+               for w in words]
+        assert all(x.known_precision == Z.precision
+                   for M in rep._words.values() for row in M for x in row)
+        for m, w, M, t in got:
+            assert [[(x.coords, x.known_precision) for x in row] for row in M] == \
+                [[(x.reduce_mod(m).coords, m) for x in row]
+                 for row in rep.matrix_of_word(w)]
+            assert (t.coords, t.known_precision) == \
+                (rep.trace_of_word(w).reduce_mod(m).coords, m)
+
+
+def test_reduction_past_the_known_digits_is_a_precision_error():
+    """An entry known to 12 digits has no residue mod pi^13."""
+    rep = s3_standard_rep(PadicContext(5, precision=12))
+    reduce_rep_mod(rep, 12)
+    with pytest.raises(PrecisionError, match="only 12 digits known"):
+        reduce_rep_mod(rep, 13)
 
 
 def _int_letters(rep):
@@ -790,7 +811,7 @@ def test_incomplete_semisimplification_names_unproven_dims():
 
 def test_reductions_leave_no_reference_cycle():
     """With the cyclic collector off, reference counting alone must free a
-    rep, its reductions and the word products they share."""
+    rep, its reductions and their word products."""
     rng = random.Random(5)
     gc.disable()
     try:
@@ -964,15 +985,16 @@ def _two_generator_pair(ctx, m, conjugate_by):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_iso_mod_returns_the_identity_for_a_congruent_pair(monkeypatch, m):
-    """A pair that agrees mod pi^m is isomorphic by X = I, found by one
-    intertwining test of I and without solving for the intertwiner module."""
-    solved = _counting(monkeypatch, "intertwiner_space")
-    tested = _counting(monkeypatch, "_intertwines")
+    """A pair that agrees mod pi^m is isomorphic by X = I, read off the
+    generators with no matrix product and without solving for the
+    intertwiner module."""
     a, b = _two_generator_pair(Z5, m, [[1, 0], [0, 1]])
+    solved = _counting(monkeypatch, "intertwiner_space")
+    multiplied = _counting(monkeypatch, "mat_mul")
     res = iso_mod(a, b)
     assert (res.status, res.certificate) == ("isomorphic", "explicit intertwiner")
     assert res.intertwiner == mat_reduce_mod(mat(Z5, [[1, 0], [0, 1]]), m)
-    assert solved == [] and [X for _, _, X in tested] == [res.intertwiner]
+    assert solved == [] and multiplied == []
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
