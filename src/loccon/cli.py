@@ -24,7 +24,7 @@ from loccon.padic import (
     require_at_least_one,
 )
 from loccon import galois, specfile
-from loccon.domains import ModelPoint, cover_compare
+from loccon.domains import cover_compare
 from loccon.lattice import (
     carayol_audit,
     iso_mod,
@@ -114,24 +114,14 @@ def _ext(spec, dom, args):
     return spec.sole("contexts", args.ext) if args.ext else dom.model.base
 
 
-def _domain_point(spec, dom, args):
-    ext = _ext(spec, dom, args)
-    coords = {}
-    for part in (args.point or "").split(","):
-        if ":" not in part:
-            raise SpecError("--point entries look like 'var : token'")
-        var, tok = part.split(":", 1)
-        coords[var.strip()] = parse_element_token(tok, ext)
-    return ModelPoint(dom.model, coords)
-
-
 def cmd_domain(args):
     spec = _spec(args)
     dom = spec.sole("domains", args.name)
     if args.op == "describe":
         return _emit(dom.to_json(), args)
     if args.op == "member":
-        pt = _domain_point(spec, dom, args)
+        pt = specfile.parse_point(args.point or "", dom.model,
+                                  _ext(spec, dom, args), "--point")
         try:
             inside = dom.member(pt)
         except PrecisionError as exc:
@@ -212,9 +202,8 @@ def cmd_lattice(args):
     spec = _spec(args)
     if args.op == "stabilize":
         rep = spec.sole("reps", args.left)
-        images = {g: [[PadicNumber(x) for x in row] for row in M]
-                  for g, M in rep.gen_images.items()}
-        lat, cert = stable_lattice(rep.group, rep.dim, rep.context, images)
+        lat, cert = stable_lattice(rep.group, rep.dim, rep.context,
+                                   rep.gen_images)
         return _emit({"verdict": "pass", "certificate": cert,
                       "matrices": {g: M for g, M in lat.gen_images.items()}},
                      args)
@@ -272,13 +261,20 @@ def cmd_pseudorep(args):
 # -- phimod -----------------------------------------------------------------
 
 
-def _build_module(args):
+def _phimod_context(args):
+    """The coefficient context of ``--type`` at ``--p``, precision 20 unless
+    ``--precision`` is given."""
     precision = args.precision or 20
     if args.type == "sst":
-        ctx = galois.semistable_context(args.p, precision=precision)
+        return galois.semistable_context(args.p, precision=precision)
+    return PadicContext(args.p, precision=precision)
+
+
+def _build_module(args):
+    ctx = _phimod_context(args)
+    if args.type == "sst":
         L = "inf" if args.L == "inf" else parse_element_token(args.L, ctx)
         return galois.semistable_module(args.k, L, ctx=ctx)
-    ctx = PadicContext(args.p, precision=precision)
     return galois.crystalline_module(args.k, parse_element_token(args.ap, ctx))
 
 
@@ -307,13 +303,11 @@ def cmd_phimod(args):
                "weakly_admissible": ok, "certificate": cert}
         return _emit(rep, args)
     if args.op == "params":
+        ctx = _phimod_context(args)
         if args.type == "sst":
-            ctx = galois.semistable_context(args.p,
-                                            precision=args.precision or 20)
             d1, d2 = galois.semistable_parameters(args.k, ctx)
             info = {}
         else:
-            ctx = PadicContext(args.p, precision=args.precision or 20)
             ap = parse_element_token(args.ap, ctx)
             d1, d2, info = galois.triangulation_parameters(args.k, ap)
         rep = {"delta1": _character_json(d1), "delta2": _character_json(d2)}

@@ -33,9 +33,10 @@ class DomainError(ValueError):
 
 
 def require_at_least_one(what, value):
-    """Refuse a depth (an exponent of pi) or a sample count below 1, where a
-    check mod pi^0 or over no point would pass vacuously.  ``what`` names
-    the value in the error: "depth n", "depth m" or "samples"."""
+    """Refuse a depth (an exponent of pi), a sample count or a word-length
+    cap below 1, where a check mod pi^0, over no point or over the empty
+    word alone would pass vacuously.  ``what`` names the value in the error:
+    "depth n", "depth m", "samples" or "word_cap"."""
     if value < 1:
         raise DomainError(f"{what} must be at least 1, got {value}")
 

@@ -171,7 +171,8 @@ class PseudoRep2:
 
 def from_rep_trace(rep, word_cap=4):
     """T(w) = trace of the word matrix, for d = 2 representations or
-    families."""
+    families, for the words of length <= ``word_cap`` (at least 1)."""
+    require_at_least_one("word_cap", word_cap)
     if rep.dim != 2:
         raise DomainError("pseudorepresentations are implemented for d = 2")
     values = {el: rep.trace_of_word(w)

@@ -601,6 +601,10 @@ def _point_context(model, point):
 
 
 def _check_point(model, point, ext):
+    for name in point:
+        if name not in model.vars:
+            raise DomainError(f"point names {name!r}, which is not a variable "
+                              "of the model")
     for name in model.vars:
         if name not in point:
             raise DomainError(f"point is missing coordinate {name!r}")

@@ -2,10 +2,14 @@
 pseudorepresentations, domains and audit parameters, in a line-oriented
 key-value syntax with location-carrying diagnostics.
 
-Series literals are sums of terms ``coeff*var^a*var^b`` where ``coeff`` is a
-decimal integer, a ``pi^k`` / ``pi^k*u`` token, or a ``coords(c0,c1,...)``
-coordinate vector.  A ``SpecFile`` keeps the blocks it was parsed from, and
-``print_spec`` writes them back, so ``parse_spec(print_spec(s)) == s``.
+Each kind of literal has one reader: ``parse_element_token`` for an element
+token (a decimal integer, ``pi^k`` / ``pi^k*u``, or ``coords(c0,c1,...)``),
+``parse_series_literal`` for a sum of terms ``coeff*var^a*var^b`` (each
+factor a model variable or an element token), ``parse_point`` for a point
+``var : token, ...`` and ``_ints`` for a list of integers.  Matrix rows and
+points split at the commas outside ``coords(...)``.  A ``SpecFile`` keeps
+the blocks it was parsed from, and ``print_spec`` writes them back, so
+``parse_spec(print_spec(s)) == s``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 
 from loccon.padic import DomainError, PadicContext
-from loccon.series import AlgebraModel, Annulus, Cover
+from loccon.series import AlgebraModel, Annulus, Cover, ModelPoint
 from loccon.groups import (
     FiniteGroup,
     FreeGroup,
@@ -61,6 +65,8 @@ _COORDS_RE = re.compile(r"coords\(([-0-9,\s]*)\)$")
 _PI_RE = re.compile(r"pi\^(-?\d+)$")
 _INT_RE = re.compile(r"-?\d+$")
 _VAR_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
+# a comma outside coords(...): separates matrix entries and point parts
+_LIST_SEP_RE = re.compile(r",(?![^()]*\))")
 
 
 def _int(text, what, line=None):
@@ -69,6 +75,11 @@ def _int(text, what, line=None):
         return int(text)
     except ValueError:
         raise SpecError(f"{what} must be an integer, got {text!r}", line) from None
+
+
+def _ints(text, what, line=None):
+    """The whitespace-separated integers of ``text``."""
+    return [_int(c, what, line) for c in text.split()]
 
 
 def parse_element_token(tok, ctx, line=None):
@@ -88,7 +99,8 @@ def parse_element_token(tok, ctx, line=None):
     if m and len(parts) <= 2:
         k = int(m.group(1))
         if k < 0:
-            raise SpecError("pi^k tokens need k >= 0 for integral elements", line)
+            raise SpecError("pi^k tokens need k >= 0 for integral elements, "
+                            f"got {tok!r}", line)
         u = 1 if len(parts) == 1 else _int(parts[1], f"u in {tok!r}", line)
         return ctx.from_int(u) * ctx.pi_power(k)
     raise SpecError(f"cannot parse element token {tok!r}", line)
@@ -111,37 +123,46 @@ def series_literal(series):
 
 
 def parse_series_literal(text, model, line=None):
+    """A sum of terms, each a ``*``-product of factors: a factor that names a
+    variable of ``model`` (``T``, ``T^2``) is a variable, any other an
+    element token (so ``pi^k`` is a coefficient)."""
     ctx = model.base
     terms = {}
-    text = text.strip()
-    if text == "0":
-        return model.zero()
     for term in text.split("+"):
         term = term.strip()
         if not term:
             raise SpecError("empty term in series literal", line)
         mono = [0] * len(model.vars)
         coeff = ctx.one()
-        factors = [f.strip() for f in term.split("*")]
-        i = 0
-        while i < len(factors):
-            f = factors[i]
-            if _INT_RE.match(f):
-                coeff = coeff * ctx.from_int(int(f))
-            elif _PI_RE.match(f):
-                k = int(_PI_RE.match(f).group(1))
-                coeff = coeff * ctx.pi_power(k)
-            elif _COORDS_RE.match(f):
-                coeff = coeff * parse_element_token(f, ctx, line)
-            else:
-                m = _VAR_RE.match(f)
-                if not m or m.group(1) not in model.vars:
-                    raise SpecError(f"unknown factor {f!r} in series literal", line)
+        for f in term.split("*"):
+            f = f.strip()
+            m = _VAR_RE.match(f)
+            if m and m.group(1) in model.vars and not _PI_RE.match(f):
                 mono[model.var_index(m.group(1))] += int(m.group(2) or 1)
-            i += 1
+            else:
+                coeff = coeff * parse_element_token(f, ctx, line)
         key = tuple(mono)
         terms[key] = terms.get(key, ctx.zero()) + coeff
     return model.series(terms)
+
+
+def parse_point(text, model, ctx, what, line=None):
+    """The point ``var : token, ...`` of ``model`` with coordinates over
+    ``ctx``.  Each variable of the model is named exactly once; an error
+    names ``what`` (the key or option that gave the text) and ``line``."""
+    coords = {}
+    for part in _LIST_SEP_RE.split(text):
+        var, colon, tok = part.partition(":")
+        var = var.strip()
+        if not colon:
+            raise SpecError(f"{what} entries look like 'var : token'", line)
+        if var in coords:
+            raise SpecError(f"{what} names variable {var!r} twice", line)
+        coords[var] = parse_element_token(tok, ctx, line)
+    try:
+        return ModelPoint(model, coords)
+    except DomainError as exc:
+        raise SpecError(f"{what}: {exc}", line) from exc
 
 
 # -- spec files --------------------------------------------------------------
@@ -175,16 +196,14 @@ class SpecFile:
                             f"(found {len(table)})")
         return next(iter(table.values()))
 
-    def extensions(self, default=None):
+    def extensions(self):
         """The contexts that ``[params] extensions`` names (one name or
-        several).  Without that key: [default], or the base of the only
-        model, else the only context."""
+        several).  Without that key: the base of the only model, else the
+        only context."""
         names = self.params.get("extensions")
         if names is None:
-            if default is None:
-                default = (self.sole("models").base if self.models
-                           else self.sole("contexts"))
-            return [default]
+            return [self.sole("models").base if self.models
+                    else self.sole("contexts")]
         if isinstance(names, str):
             names = (names,)
         for name in names:
@@ -334,12 +353,11 @@ def _load_context(block):
     unram = None
     if "unram_poly" in e:
         _, val, lineno = e["unram_poly"]
-        unram = [_int(c, "unram_poly", lineno) for c in val.split()]
+        unram = _ints(val, "unram_poly", lineno)
     eis = None
     if "eis_poly" in e:
         _, val, lineno = e["eis_poly"]
-        eis = [[_int(c, "eis_poly", lineno) for c in row.split()]
-               for row in val.split(";")]
+        eis = [_ints(row, "eis_poly", lineno) for row in val.split(";")]
     return PadicContext(p, f=f, e=ram, unram_poly=unram, eis_poly=eis,
                         precision=prec)
 
@@ -392,15 +410,14 @@ def _load_group(block):
     if parts[0] != "finite":
         raise SpecError(f"unknown group kind {parts[0]!r}", lineno)
     tab_val, tab_line = _get(e, "table", block)
-    table = tuple(tuple(_int(c, "table", tab_line) for c in row.split())
+    table = tuple(tuple(_ints(row, "table", tab_line))
                   for row in tab_val.split(";"))
     gens_val, _ = _get(e, "generators", block)
     gen_el_val, gen_el_line = _get(e, "gen_elements", block)
     identity = _get_int(e, "identity", block, required=False, default=0)
     return FiniteGroup(
         generators=tuple(gens_val.split()), table=table, identity=identity,
-        gen_elements=tuple(_int(c, "gen_elements", gen_el_line)
-                           for c in gen_el_val.split()))
+        gen_elements=tuple(_ints(gen_el_val, "gen_elements", gen_el_line)))
 
 
 def _builtin_group(parts, lineno):
@@ -445,7 +462,8 @@ def _load_rep(spec, block):
             raise SpecError("matrix keys look like 'matrix <generator>'", lineno)
         if parts[1] in images:
             raise SpecError(f"duplicate key {key!r}", lineno)
-        images[parts[1]] = [[parse(cell, ring, lineno) for cell in row.split(",")]
+        images[parts[1]] = [[parse(cell, ring, lineno)
+                             for cell in _LIST_SEP_RE.split(row)]
                             for row in val.split(";")]
     return (RepFamily if family else IntegralRep)(group, dim, ring, images)
 
@@ -492,7 +510,7 @@ def _parse_word(tokens, group, lineno):
 
 
 def _load_domain(spec, block):
-    from loccon.domains import ModelPoint, describe
+    from loccon.domains import describe
     e = _entries_dict(block)
     model_name, lineno = _get(e, "model", block)
     model = _resolve(spec.models, model_name, "model", lineno)
@@ -503,13 +521,7 @@ def _load_domain(spec, block):
                         klineno)
     n = _get_int(e, "n", block)
     cval, clineno = _get(e, "center", block)
-    coords = {}
-    for part in cval.split(","):
-        if ":" not in part:
-            raise SpecError("center entries look like 'var : token'", clineno)
-        var, tok = part.split(":", 1)
-        coords[var.strip()] = parse_element_token(tok, model.base, clineno)
-    center = ModelPoint(model, coords)
+    center = parse_point(cval, model, model.base, "center", clineno)
     return describe(model, center, n, kind)
 
 

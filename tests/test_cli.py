@@ -71,6 +71,10 @@ def test_domain_member_verdicts(capsys):
     code, rep = run(capsys, "--spec", FAMILY_SPEC, "domain", "member",
                     "--point", "T : pi^1*3", "--ext", "ram2")
     assert code == 0 and rep["member"] is False
+    # a coords(...) token's comma does not split the point: 5 pi, v = 3
+    code, rep = run(capsys, "--spec", FAMILY_SPEC, "domain", "member",
+                    "--point", "T:coords(0,5)", "--ext", "ram2")
+    assert code == 0 and rep["member"] is True
 
 
 def test_domain_sample_deterministic(capsys):
@@ -418,13 +422,20 @@ _GROUP_BLOCK = ("[group G]\nkind = finite\ntable = {}\ngenerators = g\n"
     (None, "phimod wadm --k 2 --p 5 --ap pi^1*x", None, None),
     (None, "phimod build --type sst --k 4 --p 3 --L pi^1*x", None, None),
     (FAMILY_SPEC, "domain member --point T:pi^1*x", None, None),
+    (FAMILY_SPEC, "center = T : 0", "center = T : 0 , T : 5",
+     "center = T : 0 , T : 5"),
+    (FAMILY_SPEC, "center = T : 0", "center = T : 0 , X : 3",
+     "center = T : 0 , X : 3"),
+    (FAMILY_SPEC, "word_cap = 3", "word_cap = 0", "[pseudorep P]"),
 ], ids=["unram_poly", "eis_poly", "empty-relation", "annulus-m", "cover-d",
         "empty-group-kind", "table", "gen_elements", "empty-rep-group",
-        "spec-token", "ap-token", "L-token", "point-token"])
+        "spec-token", "ap-token", "L-token", "point-token",
+        "center-repeated-var", "center-undeclared-var", "word_cap"])
 def test_malformed_value_is_usage_error(capsys, tmp_path, spec, old, new, bad):
-    """A value that is not an integer where one is read, an empty value and
-    a pi^k*u token whose u is not an integer each exit 3 with a one-line
-    JSON error, not a traceback; a spec error names its line."""
+    """A value that is not an integer where one is read, an empty value, a
+    pi^k*u token whose u is not an integer, a center that names a variable
+    twice or one its model lacks, and a word_cap below 1 each exit 3 with a
+    one-line JSON error, not a traceback; a spec error names its line."""
     if new is None:
         argv = old.split()
         if spec is not None:
@@ -638,11 +649,16 @@ def test_unproven_factor_exits_2(capsys, tmp_path):
     ("unramified_family", ["family", "audit", "--name", "x"],
      "no family block named 'x'"),
     ("iso_pair", ["family", "audit"], "exactly one family block"),
+    ("unramified_family", ["domain", "member", "--point", "T:0,T:5"],
+     "--point names variable 'T' twice"),
+    ("unramified_family", ["domain", "member", "--point", "T : 25, X : 3"],
+     "--point: point names 'X', which is not a variable of the model"),
 ])
 def test_unknown_block_name_or_bad_point_is_usage_error(capsys, spec, argv,
                                                         needle):
     """A name that no block of the spec declares, or a --point part without
-    ':', exits 3 with a one-line JSON error naming it, not a traceback."""
+    ':', or a --point that names a variable twice or one its model lacks,
+    exits 3 with a one-line JSON error naming it, not a traceback."""
     code = main(["--spec", str(SPECS / f"{spec}.spec")] + argv)
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""

@@ -1,6 +1,7 @@
-"""A depth (an exponent of pi) or a sample count below 1 is refused by the
-library itself, with one wording, before any other check: a check mod pi^0
-or over no point would pass vacuously."""
+"""A depth (an exponent of pi), a sample count or a word-length cap below 1
+is refused by the library itself, with one wording, before any other check:
+a check mod pi^0, over no point or over the empty word alone would pass
+vacuously."""
 
 import pathlib
 
@@ -10,6 +11,7 @@ from loccon.domains import cover_compare, describe
 from loccon.galois import crystalline_congruence_disc, semistable_congruence_bound
 from loccon.lattice import carayol_audit, reduce_rep_mod
 from loccon.padic import DomainError, gamma_exponent
+from loccon.pseudo import from_rep_trace
 from loccon.series import constancy_audits
 from loccon.specfile import load_spec
 
@@ -63,6 +65,7 @@ CALLS = {
         ("depth n", lambda v: FAM.pointwise_constancy_audit(DOM, v, EXTS, 4)),
     "pointwise_constancy_audit-samples":
         ("samples", lambda v: FAM.pointwise_constancy_audit(DOM, 2, EXTS, v)),
+    "from_rep_trace": ("word_cap", lambda v: from_rep_trace(FAM, v)),
 }
 
 

@@ -142,6 +142,55 @@ def test_unknown_variable_rejected_with_location():
         sf.parse_series_literal("1*X", model)
 
 
+def test_series_factor_pi_negative_power_names_the_token():
+    """A series factor that is not a variable is read as an element token,
+    so a negative pi power is refused with the token in the message."""
+    model = AlgebraModel(Z5, open_vars=("T",), degree_cap=4)
+    with pytest.raises(sf.SpecError, match=r"'pi\^-1'"):
+        sf.parse_series_literal("pi^-1*T", model)
+
+
+# f = 2: coords(c0,c1) entries hold a comma, which must not split a row
+COORDS_SPEC = """[context u]
+p = 5
+f = 2
+
+[model disc]
+context = u
+open = T
+degree_cap = 4
+
+[rep R]
+context = u
+group = free 1
+dim = 2
+matrix g1 = coords(1,1) , coords(0,1) ; 0 , 1
+
+[family F]
+model = disc
+group = free 1
+dim = 2
+matrix g1 = 1 + coords(0,1)*T , 0 ; 0 , 1
+
+[domain D]
+model = disc
+kind = U
+n = 1
+center = T : coords(5,0)
+"""
+
+
+def test_coords_entries_in_matrices_and_points():
+    spec = sf.parse_spec(COORDS_SPEC)
+    u = spec.contexts["u"]
+    row = spec.reps["R"].gen_images["g1"][0]
+    assert row == [u.from_coords([1, 1]), u.from_coords([0, 1])]
+    entry = spec.families["F"].gen_images["g1"][0][0]
+    assert entry.terms[(1,)] == u.from_coords([0, 1])
+    assert spec.domains["D"].center.coords["T"] == u.from_int(5)
+    assert sf.parse_spec(sf.print_spec(spec)) == spec
+
+
 REP_BLOCK = "[context c]\np = 5\n[rep R]\ncontext = c\n"
 
 
@@ -163,6 +212,10 @@ REP_BLOCK = "[context c]\np = 5\n[rep R]\ncontext = c\n"
      "line 3: invalid [rep] block: matrix for 'h', which is not a generator"),
     (REP_BLOCK + "group = free 1\ndim = 1\nmatrix g1 = 1\nmatrix g1 = 2",
      "line 8: duplicate key 'matrix g1'"),
+    (COORDS_SPEC.replace("T : coords(5,0)", "T : coords(5,0) , T : 0"),
+     "line 26: center names variable 'T' twice"),
+    (COORDS_SPEC.replace("T : coords(5,0)", "T : coords(5,0) , X : 3"),
+     "line 26: center: point names 'X', which is not a variable of the model"),
 ])
 def test_diagnostics_carry_locations(text, needle):
     with pytest.raises(sf.SpecError) as err:
