@@ -855,6 +855,22 @@ def gamma_injectivity_exhaustive(ctx_L, ctx_E, n):
     return True, None
 
 
+def _transfer_sides(diff, n, e_rel, m):
+    """The two sides of the transfer for d = a - b, an element of O_L seen
+    in O_E: (lhs == rhs, lhs, rhs) with lhs "d in pi_E^m O_E" and rhs
+    "d in pi_L^n O_L".  Raises PrecisionError when d is 0 to fewer than m
+    known digits, so neither side can be read."""
+    v = diff.pi_valuation()
+    if v is None and diff.known_precision < m:
+        raise PrecisionError(
+            f"a - b is 0 to the {diff.known_precision} known digits; "
+            f"deciding it mod pi_E^{m} needs {m}")
+    lhs = v is None or v >= m
+    # d comes from O_L, so v_piL = v_piE / e_rel
+    rhs = v is None or v >= n * e_rel
+    return lhs == rhs, lhs, rhs
+
+
 def congruence_transfer_holds(alpha, beta, ctx_L, n):
     """Two-way check: a-b in pi_E^m O_E  <=>  a-b in pi_L^n O_L, m = gamma.
 
@@ -862,39 +878,40 @@ def congruence_transfer_holds(alpha, beta, ctx_L, n):
     Returns (equivalence_ok, lhs, rhs).  Raises PrecisionError when alpha-beta
     is 0 to fewer than m known digits, so neither side can be read.
     """
-    ctx_E = alpha.context
-    e_rel = relative_ramification(ctx_L, ctx_E)
-    m = gamma_exponent(e_rel, n)
-    diff = alpha - beta
-    v = diff.pi_valuation()
-    if v is None and diff.known_precision < m:
-        raise PrecisionError(
-            f"a - b is 0 to the {diff.known_precision} known digits; "
-            f"deciding it mod pi_E^{m} needs {m}")
-    lhs = v is None or v >= m
-    # alpha - beta comes from O_L, so v_piL = v_piE / e_rel
-    rhs = v is None or v >= n * e_rel
-    return lhs == rhs, lhs, rhs
+    e_rel = relative_ramification(ctx_L, alpha.context)
+    return _transfer_sides(alpha - beta, n, e_rel, gamma_exponent(e_rel, n))
 
 
 def congruence_equiv_audit(ctx_L, ctx_E, n, samples=1000, seed=0):
-    """Sampled audit of the two-way congruence transfer at exponent gamma."""
+    """Sampled audit of the two-way congruence transfer at exponent gamma.
+
+    Each sample draws beta in O_E, then delta in O_L, one randrange per
+    coordinate as ``random_element`` draws them.  alpha = beta + delta gives
+    alpha - beta = delta in O_E whatever beta is, so beta's draws only keep
+    the sequence, and the one element built per sample is the embedded delta
+    (L's coordinates are the omega-row of pi^0 in E), for its valuation.
+    """
+    require_at_least_one("depth n", n)
+    require_at_least_one("samples", samples)
     e_rel = relative_ramification(ctx_L, ctx_E)
     m = gamma_exponent(e_rel, n)
     if n * e_rel + 1 > ctx_E.precision:
         raise PrecisionError("context precision too small for this depth")
-    rng = random.Random(seed)
+    M, M_L = ctx_E.coeff_modulus, ctx_L.coeff_modulus
+    deg_E, deg_L = ctx_E.degree, ctx_L.degree
+    pad = (0,) * (deg_E - deg_L)
+    # beta knows all of E's digits, the embedded delta what embed gives it
+    known = min(ctx_E.precision, embed(ctx_L.zero(), ctx_E).known_precision)
+    draw = random.Random(seed).randrange
     failures = []
     for _ in range(samples):
-        beta = ctx_E.random_element(rng)
-        delta_L = ctx_L.random_element(rng)
-        alpha = beta + embed(delta_L, ctx_E)
-        ok, lhs, rhs = congruence_transfer_holds(alpha, beta, ctx_L, n)
+        for _ in range(deg_E):
+            draw(M)
+        delta = [draw(M_L) for _ in range(deg_L)]
+        diff = _element(ctx_E, tuple([c % M for c in delta]) + pad, known)
+        ok, lhs, rhs = _transfer_sides(diff, n, e_rel, m)
         if not ok:
-            failures.append({
-                "delta_coords": list(delta_L.coords),
-                "lhs": lhs, "rhs": rhs,
-            })
+            failures.append({"delta_coords": delta, "lhs": lhs, "rhs": rhs})
     return {
         "p": ctx_L.p, "e_rel": e_rel, "n": n, "gamma": m,
         "samples": samples, "failures": failures,

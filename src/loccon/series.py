@@ -222,6 +222,9 @@ class AlgebraModel:
     def __post_init__(self):
         if set(self.bounded_vars) & set(self.open_vars):
             raise DomainError("a variable cannot be both bounded and open")
+        if "pi" in self.vars:
+            # series literals read pi^k as the uniformizer
+            raise DomainError("a variable cannot be named pi, the uniformizer")
         relation = self.relation or Disc()
         object.__setattr__(self, "relation", relation)
         if isinstance(relation, (Annulus, Cover)):

@@ -427,15 +427,19 @@ _GROUP_BLOCK = ("[group G]\nkind = finite\ntable = {}\ngenerators = g\n"
     (FAMILY_SPEC, "center = T : 0", "center = T : 0 , X : 3",
      "center = T : 0 , X : 3"),
     (FAMILY_SPEC, "word_cap = 3", "word_cap = 0", "[pseudorep P]"),
+    (FAMILY_SPEC, "open = T", "open = pi", "[model disc]"),
+    (FAMILY_SPEC, "open = T", "bounded = T pi", "[model disc]"),
 ], ids=["unram_poly", "eis_poly", "empty-relation", "annulus-m", "cover-d",
         "empty-group-kind", "table", "gen_elements", "empty-rep-group",
         "spec-token", "ap-token", "L-token", "point-token",
-        "center-repeated-var", "center-undeclared-var", "word_cap"])
+        "center-repeated-var", "center-undeclared-var", "word_cap",
+        "open-var-pi", "bounded-var-pi"])
 def test_malformed_value_is_usage_error(capsys, tmp_path, spec, old, new, bad):
     """A value that is not an integer where one is read, an empty value, a
     pi^k*u token whose u is not an integer, a center that names a variable
-    twice or one its model lacks, and a word_cap below 1 each exit 3 with a
-    one-line JSON error, not a traceback; a spec error names its line."""
+    twice or one its model lacks, a word_cap below 1 and a model variable
+    named pi each exit 3 with a one-line JSON error, not a traceback; a spec
+    error names its line."""
     if new is None:
         argv = old.split()
         if spec is not None:

@@ -10,7 +10,7 @@ import pytest
 from loccon.domains import cover_compare, describe
 from loccon.galois import crystalline_congruence_disc, semistable_congruence_bound
 from loccon.lattice import carayol_audit, reduce_rep_mod
-from loccon.padic import DomainError, gamma_exponent
+from loccon.padic import DomainError, PadicContext, congruence_equiv_audit, gamma_exponent
 from loccon.pseudo import from_rep_trace
 from loccon.series import constancy_audits
 from loccon.specfile import load_spec
@@ -26,6 +26,11 @@ COVER = load_spec(str(SPECS / "cover.spec"))
 # before it refuses the values
 S3 = load_spec(str(SPECS / "s3_standard.spec")).sole("pseudoreps")
 
+# Z_5 does not extend this ramified context, and at precision 4 it is too
+# coarse for depth 3 over Z_5: congruence_equiv_audit must refuse the depth
+# or count before either
+Z5, RAM2 = PadicContext(5), PadicContext(5, e=2, precision=4)
+
 FAM = FAMILY.sole("families")
 DOM = FAMILY.sole("domains")
 EXTS = FAMILY.extensions()
@@ -36,6 +41,10 @@ ENTRY = {"g1": FAM.gen_images["g1"][0][0]}
 # (what the error names, call with the value under test)
 CALLS = {
     "gamma_exponent": ("depth n", lambda v: gamma_exponent(1, v)),
+    "congruence_equiv_audit-n":
+        ("depth n", lambda v: congruence_equiv_audit(RAM2, Z5, v, samples=4)),
+    "congruence_equiv_audit-samples":
+        ("samples", lambda v: congruence_equiv_audit(Z5, RAM2, 3, samples=v)),
     "strict_constancy_check":
         ("depth n", lambda v: FAM.strict_constancy_check(DOM.center, v)),
     "trace_algebra_full": ("depth n", lambda v: FAM.trace_algebra_full(v)),

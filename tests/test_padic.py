@@ -1057,3 +1057,119 @@ def test_gamma_injectivity_on_equal_contexts_ignores_the_target_precision():
     E = PadicContext(5, precision=4)
     assert ref_gamma_injectivity(Z5, E, 6) == (True, None)
     assert gamma_injectivity_exhaustive(Z5, E, 6) == (True, None)
+
+
+# -- the congruence audit on coordinate tuples -------------------------------
+
+
+def ref_congruence_equiv_audit(ctx_L, ctx_E, n, samples, seed):
+    """The element loop: draw beta and delta as elements, embed delta, add,
+    subtract and read the transfer off the difference."""
+    e_rel = relative_ramification(ctx_L, ctx_E)
+    m = padic.gamma_exponent(e_rel, n)
+    if n * e_rel + 1 > ctx_E.precision:
+        raise PrecisionError("context precision too small for this depth")
+    rng = random.Random(seed)
+    failures = []
+    for _ in range(samples):
+        beta = ctx_E.random_element(rng)
+        delta_L = ctx_L.random_element(rng)
+        diff = (beta + embed(delta_L, ctx_E)) - beta
+        v = diff.pi_valuation()
+        if v is None and diff.known_precision < m:
+            raise PrecisionError(
+                f"a - b is 0 to the {diff.known_precision} known digits; "
+                f"deciding it mod pi_E^{m} needs {m}")
+        lhs = v is None or v >= m
+        rhs = v is None or v >= n * e_rel
+        if lhs != rhs:
+            failures.append({"delta_coords": list(delta_L.coords),
+                             "lhs": lhs, "rhs": rhs})
+    return {
+        "p": ctx_L.p, "e_rel": e_rel, "n": n, "gamma": m,
+        "samples": samples, "failures": failures,
+        "verdict": "pass" if not failures else "fail",
+    }
+
+
+def _audit_outcome(audit, L, E, n, seed, samples=60):
+    """The report, or the type and message of what the audit raised."""
+    try:
+        return audit(L, E, n, samples=samples, seed=seed)
+    except InconclusiveError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_congruence_audit_matches_the_element_reference(n):
+    for L, E in _gamma_pairs():
+        for seed in range(3):
+            got = congruence_equiv_audit(L, E, n, samples=60, seed=seed)
+            assert got == ref_congruence_equiv_audit(L, E, n, 60, seed)
+            assert got["verdict"] == "pass" and got["samples"] == 60
+
+
+@pytest.mark.parametrize("L,E,n", [
+    (Z5, Z5, 2), (Z5, RAM2, 2), (Z5, UNRAM2, 1),
+    (UNRAM2, PadicContext(5, f=2, e=3, precision=12), 2), (MIXED, MIXED, 2),
+    (PadicContext(2), PadicContext(2, e=3, eis_poly=_eisenstein(2, 1, 3)), 3),
+])
+def test_congruence_audit_reports_the_reference_witnesses(monkeypatch, L, E, n):
+    """At exponent gamma - 1 the transfer fails on a difference of
+    valuation gamma - 1: both loops draw the same samples, so they report
+    the same delta coordinates in the same order."""
+    gamma = padic.gamma_exponent
+    monkeypatch.setattr(padic, "gamma_exponent", lambda e_rel, n: gamma(e_rel, n) - 1)
+    for seed in range(3):
+        got = congruence_equiv_audit(L, E, n, samples=200, seed=seed)
+        assert got == ref_congruence_equiv_audit(L, E, n, 200, seed)
+        assert got["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("prec_L,prec_E,n", [
+    (20, 9, 4), (20, 9, 8), (6, 12, 5), (6, 12, 7), (3, 12, 11),
+])
+def test_congruence_audit_between_equal_contexts_of_other_precision(prec_L, prec_E, n):
+    """L == E with its own precision: the difference knows min(N_E, N_L)
+    digits (e_rel = 1), and the L-coordinates are drawn mod L's modulus."""
+    for shape in ({"p": 5}, {"p": 3, "f": 2}):
+        L = PadicContext(precision=prec_L, **shape)
+        E = PadicContext(precision=prec_E, **shape)
+        assert L == E and L.coeff_modulus != E.coeff_modulus
+        for seed in range(4):
+            assert (_audit_outcome(congruence_equiv_audit, L, E, n, seed)
+                    == _audit_outcome(ref_congruence_equiv_audit, L, E, n, seed))
+
+
+@pytest.mark.parametrize("E", [RAM2, PadicContext(5, f=2, e=3, precision=12)])
+def test_congruence_audit_from_a_one_digit_source_raises_what_the_reference_raises(E):
+    """A source at precision 1 gives the difference e_rel known digits, fewer
+    than gamma at n = 2: a difference divisible by p cannot be read."""
+    L = PadicContext(5, f=E.f, precision=1)
+    for seed in range(3):
+        got = _audit_outcome(congruence_equiv_audit, L, E, 2, seed, samples=300)
+        want = _audit_outcome(ref_congruence_equiv_audit, L, E, 2, seed, samples=300)
+        assert got == want
+        assert got[0] is PrecisionError
+        assert got[1] == (f"a - b is 0 to the {E.e} known digits; "
+                          f"deciding it mod pi_E^{E.e + 1} needs {E.e + 1}")
+
+
+def test_congruence_audit_builds_one_element_per_sample(monkeypatch):
+    """The difference of each sample, and once per audit between unequal
+    contexts the image of L's zero, from which embed gives the precision;
+    each element knows at most its context's digits."""
+    built = []
+    element = padic._element
+
+    def counting(*args):
+        built.append(args[:3])
+        return element(*args)
+
+    monkeypatch.setattr(padic, "_element", counting)
+    for L, E in [(Z5, RAM2), (UNRAM2, PadicContext(5, f=2, e=3, precision=12)),
+                 (MIXED, MIXED), (PadicContext(5, precision=20), PadicContext(5, precision=9))]:
+        built.clear()
+        assert congruence_equiv_audit(L, E, 2, samples=300, seed=1)["verdict"] == "pass"
+        assert len(built) == 300 + (L != E)
+        assert all(ctx is E and known <= E.precision for ctx, _, known in built)

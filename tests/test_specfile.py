@@ -4,7 +4,7 @@ import pytest
 
 from loccon import specfile as sf
 from loccon.groups import FreeGroup
-from loccon.padic import PadicContext
+from loccon.padic import DomainError, PadicContext
 from loccon.series import AlgebraModel, Annulus, Cover
 
 Z5 = PadicContext(5, precision=12)
@@ -221,6 +221,22 @@ def test_diagnostics_carry_locations(text, needle):
     with pytest.raises(sf.SpecError) as err:
         sf.parse_spec(text)
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["open", "bounded"])
+def test_a_model_variable_named_pi_is_refused(key):
+    """pi^2 in a literal is the uniformizer squared, so a variable named pi
+    would make the family cell 1 + pi^2 the constant 26 and print back as
+    a constant: the model refuses the name, in a spec and in the library."""
+    text = ("[context base]\np = 5\n[model m]\ncontext = base\n"
+            f"{key} = T pi\n[family F]\nmodel = m\ngroup = free 1\n"
+            "dim = 1\nmatrix g1 = 1 + pi^2\n")
+    with pytest.raises(sf.SpecError) as err:
+        sf.parse_spec(text)
+    assert str(err.value) == ("line 3: invalid [model] block: a variable "
+                              "cannot be named pi, the uniformizer")
+    with pytest.raises(DomainError, match="cannot be named pi"):
+        AlgebraModel(PadicContext(5), **{f"{key}_vars": ("T", "pi")})
 
 
 def test_unresolved_family_model_reference():
