@@ -7,7 +7,6 @@ from loccon.padic import (
     PadicElement,
     PadicNumber,
     PrecisionError,
-    Valuation,
     congruence_equiv_audit,
     embed,
     gamma_exponent,
@@ -19,6 +18,7 @@ from loccon.series import AdicSeries, AlgebraModel, ModelPoint
 from loccon.domains import ResidueDomain, describe
 from loccon.families import RepFamily
 from loccon.lattice import IntegralRep, ResidueRep, iso_mod, stable_lattice
+from loccon.specfile import print_spec
 
 __all__ = [
     "AdicSeries",
@@ -34,7 +34,6 @@ __all__ = [
     "RepFamily",
     "ResidueDomain",
     "ResidueRep",
-    "Valuation",
     "congruence_equiv_audit",
     "describe",
     "embed",
@@ -42,6 +41,7 @@ __all__ = [
     "gamma_injectivity_exhaustive",
     "is_extension",
     "iso_mod",
+    "print_spec",
     "relative_ramification",
     "stable_lattice",
 ]

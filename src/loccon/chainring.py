@@ -210,10 +210,6 @@ class ChainSpan:
         return (len(self.rows) == self.k
                 and all(a == 0 for a, _ in self.rows.values()))
 
-    def contains(self, vec):
-        red = self.reduce(vec)
-        return all(_val(x, self.m) >= self.m for x in red)
-
 
 def spin(grows, start, successors):
     """Breadth-first span closure: yield the items of ``start`` that grow

@@ -390,21 +390,22 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
+    # an unreadable spec or --json file (OSError) is a usage error, also
+    # when it is met writing the report of an inconclusive verdict
     try:
-        args.spec = _load(args)
-        _resolve_params(args)
-        # read at each call, not kept in the cached parser, so that a wrapper
-        # installed on a module attribute (the benchmark's tracer) is called
-        command = {"bounds": cmd_bounds, "domain": cmd_domain,
-                   "family": cmd_family, "lattice": cmd_lattice,
-                   "pseudorep": cmd_pseudorep, "phimod": cmd_phimod}
-        return command[args.command](args)
-    except (SpecError, FileNotFoundError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 3
-    except InconclusiveError as exc:
-        return _emit({"verdict": "inconclusive", "reason": str(exc)}, args)
-    except DomainError as exc:
+        try:
+            args.spec = _load(args)
+            _resolve_params(args)
+            # read at each call, not kept in the cached parser, so that a
+            # wrapper installed on a module attribute (the benchmark's
+            # tracer) is called
+            command = {"bounds": cmd_bounds, "domain": cmd_domain,
+                       "family": cmd_family, "lattice": cmd_lattice,
+                       "pseudorep": cmd_pseudorep, "phimod": cmd_phimod}
+            return command[args.command](args)
+        except InconclusiveError as exc:
+            return _emit({"verdict": "inconclusive", "reason": str(exc)}, args)
+    except (DomainError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
 

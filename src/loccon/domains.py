@@ -23,7 +23,7 @@ from loccon.padic import (
     relative_ramification,
     require_at_least_one,
 )
-from loccon.series import Cover, ModelPoint, _eval_terms
+from loccon.series import ModelPoint
 
 # sampling gives up after this many draws per requested point
 _SAMPLE_BUDGET = 20
@@ -170,49 +170,6 @@ def describe(model, x, n, kind):
     form = model.relation.closed_form(x, base_thr)
     closed = None if form is None else ClosedForm(*form, kind == "U")
     return ResidueDomain(model, x, n, kind, closed)
-
-
-def sqrt_in_context(a, ext):
-    """A square root of a in ext, or None; p odd, exact valuations only."""
-    if ext.p == 2:
-        raise DomainError("square roots are implemented for odd p only")
-    v = a.pi_valuation()
-    if v is None:
-        return ext.zero()
-    if v % 2:
-        return None
-    u = a.shift_down(v)
-    F = ext.residue_field
-    y0 = F.sqrt(F.of(u))
-    if y0 is None:
-        return None
-    y = F.lift(y0)
-    # Newton: y <- (y + u/y)/2
-    inv2 = ext.from_int(2).inverse()
-    acc = 1
-    while acc < ext.precision:
-        y = (y + u * y.inverse()) * inv2
-        acc *= 2
-    return y * ext.pi_power(v // 2)
-
-
-def cover_fiber(model, ext, tval):
-    """Roots y of y^d = g(t) over ext for the cover preset, d = 2 only."""
-    rel = model.relation
-    if not isinstance(rel, Cover):
-        raise DomainError("not a cover model")
-    if rel.d != 2:
-        raise DomainError("fiber solving implemented for degree-2 covers only")
-    yvar = rel.yvar
-    tvar = [v for v in model.vars if v != yvar][0]
-    _, rhs = model.rule
-    root = sqrt_in_context(_eval_terms(model, rhs, {tvar: tval}, ext), ext)
-    if root is None:
-        return []
-    if root.pi_valuation() is None:
-        return [ModelPoint(model, {yvar: root, tvar: tval})]
-    return [ModelPoint(model, {yvar: root, tvar: tval}),
-            ModelPoint(model, {yvar: -root, tvar: tval})]
 
 
 def cover_compare(model, center, n, ext):

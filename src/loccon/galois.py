@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from loccon.chainring import mat_mul
-from loccon.domains import sqrt_in_context
 from loccon.padic import (DomainError, PadicContext, PadicNumber, embed,
                           require_at_least_one, require_prime)
 
@@ -218,14 +217,6 @@ def semistable_module(k, L_inv, ctx=None):
 # -- weak admissibility -----------------------------------------------------
 
 
-def newton_slopes_quadratic(v_b, v_c):
-    """Newton-polygon slopes of T^2 - bT + c from the valuations of b, c;
-    v_b may be None (b indistinguishable from 0)."""
-    if v_b is not None and 2 * v_b <= v_c:
-        return sorted([v_b, v_c - v_b])
-    return [v_c / 2, v_c / 2]
-
-
 def _lines_equal(l1, l2):
     d = l1[0] * l2[1] - l1[1] * l2[0]
     return d.pi_valuation() is None
@@ -314,6 +305,30 @@ def weak_admissibility(M):
 
 
 # -- quadratic roots --------------------------------------------------------
+
+
+def sqrt_in_context(a, ext):
+    """A square root of a in ext, or None; p odd, exact valuations only."""
+    if ext.p == 2:
+        raise DomainError("square roots are implemented for odd p only")
+    v = a.pi_valuation()
+    if v is None:
+        return ext.zero()
+    if v % 2:
+        return None
+    u = a.shift_down(v)
+    F = ext.residue_field
+    y0 = F.sqrt(F.of(u))
+    if y0 is None:
+        return None
+    y = F.lift(y0)
+    # Newton: y <- (y + u/y)/2
+    inv2 = ext.from_int(2).inverse()
+    acc = 1
+    while acc < ext.precision:
+        y = (y + u * y.inverse()) * inv2
+        acc *= 2
+    return y * ext.pi_power(v // 2)
 
 
 def solve_quadratic_monic(ctx, b, c):

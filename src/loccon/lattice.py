@@ -21,7 +21,7 @@ from loccon.chainring import (
     spin,
 )
 from loccon.padic import (DomainError, InconclusiveError, PadicNumber,
-                          require_at_least_one)
+                          PrecisionError, require_at_least_one)
 
 
 def _residues(F, M):
@@ -378,8 +378,10 @@ def stable_lattice(group, dim, context, gen_images):
 
     ``gen_images`` maps generators to matrices of PadicNumber (possibly
     non-integral).  Returns (IntegralRep, certificate C) with C^{-1} rho C
-    integral, or raises InconclusiveError("unbounded ...") when the orbit
-    lattice outgrows the working precision.
+    integral.  When the orbit lattice outgrows the working precision it
+    raises InconclusiveError("unbounded ...") for a free group, and
+    PrecisionError naming the denominator for a finite group, whose orbit
+    is finite, so its lattice exists.
 
     The lattice L is the O_E-span of the orbit of O_E^d under the letters
     (each generator and its inverse), built by one spin from the unit
@@ -409,6 +411,9 @@ def stable_lattice(group, dim, context, gen_images):
         vals = [x.pi_valuation() for x in v]
         k = max([0] + [-a for a in vals if a is not None])
         if 2 * k + 1 >= ctx.precision:
+            if not group.capped:
+                raise PrecisionError(f"orbit denominator pi^-{k} needs precision "
+                                     f"above {2 * k + 1}, have {ctx.precision}")
             raise InconclusiveError("unbounded: orbit lattice keeps growing "
                                     "(no stable lattice at working precision)")
         if k > D:

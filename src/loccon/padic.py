@@ -15,8 +15,6 @@ import itertools
 import operator
 import random
 import weakref
-from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, gcd, isqrt
 
 
@@ -517,16 +515,6 @@ class PadicElement:
         v = self.pi_valuation()
         return self.known_precision if v is None else v
 
-    def valuation(self):
-        """Valuation object in v_p units (denominator divides e)."""
-        if self.known_precision < 1:
-            raise PrecisionError("no known digits")
-        v = self.pi_valuation()
-        e = self.context.e
-        if v is None:
-            return Valuation(None, Fraction(self.known_precision, e))
-        return Valuation(Fraction(v, e), Fraction(v, e))
-
     def is_unit(self):
         return self.pi_valuation() == 0
 
@@ -765,23 +753,6 @@ class ResidueField:
         return [self.reduce(basis, e + [0] * d)[d:] for e in eye]
 
 
-@dataclass(frozen=True)
-class Valuation:
-    """v_p of an element: exact value, or a flagged lower bound at precision."""
-
-    value: Fraction | None
-    lower_bound: Fraction
-
-    @property
-    def is_exact(self):
-        return self.value is not None
-
-    def __repr__(self):
-        if self.is_exact:
-            return f"v_p = {self.value}"
-        return f"v_p >= {self.lower_bound} (indistinguishable from 0)"
-
-
 # -- gamma calculus --------------------------------------------------------
 
 
@@ -983,12 +954,6 @@ class PadicNumber:
         if v is None:
             return None
         return v - self.denom_pow
-
-    def vp(self):
-        v = self.pi_valuation()
-        if v is None:
-            return None
-        return Fraction(v, self.context.e)
 
     def is_integral(self):
         v = self.pi_valuation()

@@ -92,17 +92,6 @@ class PseudoRep2:
                          for y in els])
         return nullspace_mod(rows, self.base, m)
 
-    def group_kernel(self, m):
-        """The paper's multiplicative condition on group elements:
-        {g : T(xg) = T(x) for all x}, a subgroup."""
-        els = range(self.group.order)
-        out = []
-        for g in els:
-            if all(_eq_mod(self.value(self.group.multiply(x, g)),
-                           self.value(x), m) for x in els):
-                out.append(g)
-        return out
-
     # -- multiplicity-freeness --------------------------------------------
 
     def residually_multiplicity_free(self, seed=0):
@@ -178,12 +167,6 @@ def from_rep_trace(rep, word_cap=4):
     values = {el: rep.trace_of_word(w)
               for el, w in rep.group.element_words(word_cap).items()}
     return PseudoRep2(rep.group, values, rep.context)
-
-
-def _eq_mod(a, b, m):
-    diff = a - b
-    v = diff.pi_valuation()
-    return v is None or v >= m
 
 
 def _decompose_trace(tbar, dims, traces, F):

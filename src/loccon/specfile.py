@@ -279,8 +279,12 @@ def _override_precision(block, precision):
 
 
 def load_spec(path, precision_override=None):
-    with open(path, encoding="utf-8") as fh:
-        return parse_spec(fh.read(), precision_override)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"spec file {path} is not UTF-8 text: {exc.reason}") from None
+    return parse_spec(text, precision_override)
 
 
 def _entries_dict(block, multi=()):

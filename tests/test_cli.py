@@ -586,17 +586,23 @@ rep = R
 """
 
 
-def _unstable_orbit():
+def _unstable_orbit(free):
     """stable_lattice on diag(1/pi, 1), whose orbit lattice keeps growing.
 
-    Spec reps are integral, so their orbit is stable at once; the growth row
-    swaps in this generator to reach the limit through the CLI."""
+    Spec reps are integral, so their orbit is stable at once; the growth rows
+    swap in this generator to reach the limit through the CLI, on the free
+    group on the spec group's generators ("unbounded") or on the spec's
+    finite group itself, whose orbit lattice would exist (a precision
+    limit)."""
     from loccon import lattice
+    from loccon.groups import FreeGroup
     from loccon.padic import PadicNumber
 
     def run(group, dim, ctx, images):
         zero, one = PadicNumber(ctx.zero()), PadicNumber(ctx.one())
         M = [[PadicNumber(ctx.one(), denom_pow=1), zero], [zero, one]]
+        if free:
+            group = FreeGroup(group.generators)
         return lattice.stable_lattice(group, dim, ctx,
                                       {name: M for name in images})
     return run
@@ -605,7 +611,9 @@ def _unstable_orbit():
 @pytest.mark.parametrize("limit,argv,patch", [
     ("|G| <= 24", ["pseudorep", "mf"], None),
     ("orbit lattice keeps growing", ["lattice", "stabilize"],
-     _unstable_orbit()),
+     _unstable_orbit(free=True)),
+    ("orbit denominator pi^-", ["lattice", "stabilize"],
+     _unstable_orbit(free=False)),
 ])
 def test_budget_and_precondition_limits_exit_2(capsys, tmp_path, monkeypatch,
                                                limit, argv, patch):
@@ -733,6 +741,28 @@ def test_missing_spec_is_usage_error(capsys):
     code = main(["--spec", "/nonexistent.spec", "domain", "describe"])
     capsys.readouterr()
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--spec", "{dir}", "domain", "describe"],
+    ["--spec", "{latin1}", "domain", "describe"],
+    ["--json", "{dir}", "bounds", "gamma"],
+    ["--spec", FAMILY_SPEC, "--precision", "2", "--json", "{dir}",
+     "domain", "sample"],
+], ids=["spec-is-a-directory", "spec-not-utf8", "json-is-a-directory",
+        "json-is-a-directory-inconclusive"])
+def test_unreadable_input_is_usage_error(capsys, tmp_path, argv):
+    """A spec that cannot be read as UTF-8 text, or a --json file that cannot
+    be written (also after an inconclusive verdict), exits 3 with one JSON
+    error line, not 1 (a falsification) with a traceback."""
+    latin1 = tmp_path / "latin1.spec"
+    latin1.write_bytes(pathlib.Path(FAMILY_SPEC).read_bytes()
+                       + "# résumé\n".encode("latin-1"))
+    code = main([a.format(dir=tmp_path, latin1=latin1) for a in argv])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3 and len(err) == 1
+    message = json.loads(err[0])["error"]
+    assert ("not UTF-8" if "latin1" in argv[1] else "Is a directory") in message
 
 
 def test_bad_subcommand_is_usage_error(capsys):

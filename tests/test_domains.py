@@ -9,11 +9,10 @@ import pytest
 from loccon.domains import (
     ModelPoint,
     cover_compare,
-    cover_fiber,
     describe,
     ideal_generators,
-    sqrt_in_context,
 )
+from loccon.galois import sqrt_in_context
 from loccon.padic import (
     DomainError,
     PadicContext,
@@ -261,14 +260,6 @@ def test_sqrt_in_context_picks_the_first_root_in_little_endian_digit_order():
                               if (y * y - u).pi_valuation() != 0)
         differ += (first_in_order - roots[0]).pi_valuation() == 0
     assert (squares, differ) == (12, 4)
-
-
-def test_cover_fiber():
-    pts = cover_fiber(COVER, Z3, Z3.from_int(-9))
-    assert len(pts) == 2
-    for pt in pts:
-        y = pt.coords["Y"]
-        assert (y * y - Z3.from_int(9)).pi_valuation() is None
 
 
 def test_cover_compare_certificate():

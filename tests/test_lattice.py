@@ -41,6 +41,7 @@ from loccon.padic import (
     PrecisionError,
 )
 from loccon.specfile import _parse_word
+from tests.test_chainring import span_contains
 from tests.test_padic import SHAPES
 
 Z3 = PadicContext(3, precision=14)
@@ -230,6 +231,34 @@ def test_four_cycle_orbit_succeeds_or_runs_out_of_precision():
             run()
 
 
+def _conjugated_three_cycle(ctx, cycle):
+    """A 3-cycle permutation matrix conjugated as D P D^-1 with D = diag(1,
+    pi^2, pi^4): entry (i, j) of P becomes pi^(2i - 2j)."""
+    def entry(a):
+        if a >= 0:
+            return PadicNumber(ctx.pi_power(a))
+        return PadicNumber(ctx.one(), denom_pow=-a)
+    return [[entry(2 * i - 2 * j) if cycle[i] == j else PadicNumber(ctx.zero())
+             for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize("cycle", [(2, 0, 1), (1, 2, 0)], ids=["up", "down"])
+def test_finite_orbit_out_of_digits_is_a_precision_error(cycle):
+    """A finite group's orbit lattice exists, so below 13 digits the
+    conjugated 3-cycle over Z_3 runs out of precision (never "unbounded",
+    whatever the denominator reached) and from 13 digits it has its
+    lattice."""
+    for precision in range(5, 17):
+        ctx = PadicContext(3, precision=precision)
+        run = partial(stable_lattice, cyclic_group(3), 3, ctx,
+                      {"g": _conjugated_three_cycle(ctx, cycle)})
+        if precision < 13:
+            with pytest.raises(PrecisionError):
+                run()
+        else:
+            run()
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_unbounded_orbit_is_inconclusive_at_every_precision(p):
     """diag(1/p, 1) has no stable lattice: whatever the precision, the
@@ -273,7 +302,7 @@ def reference_stable_lattice(group, dim, context, gen_images, rounds_budget=40):
         # it is stable once the new basis lies in the old lattice
         span, scaled, _ = _reference_scaled_span(basis + new_basis, d, ctx, d)
         basis = new_basis
-        if all(span.contains(v) for v in scaled[d:]):
+        if all(span_contains(span, v) for v in scaled[d:]):
             break
     else:
         raise InconclusiveError("unbounded: orbit did not stabilize within budget")

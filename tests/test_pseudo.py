@@ -129,12 +129,6 @@ def test_irreducible_trace_kernel_corank():
     assert len(gens) == ps.group.order - 4
 
 
-def test_group_kernel_of_doubled_trivial_is_everything():
-    g = cyclic_group(6)
-    ps = doubled_trivial(g, Z5)
-    assert ps.group_kernel(1) == list(g.elements())
-
-
 # -- multiplicity-freeness ---------------------------------------------------
 
 
@@ -292,7 +286,7 @@ def test_unproven_factor_is_inconclusive():
 
 
 def test_family_trace_constancy_audit():
-    from loccon.domains import ModelPoint, describe
+    from loccon.domains import describe
     from tests.test_families import DISC, ORIGIN, unramified_family
     ps = from_rep_trace(unramified_family(), word_cap=2)
     dom = describe(DISC, ORIGIN, 2, "U")

@@ -3,7 +3,10 @@
 import ast
 from pathlib import Path
 
+import loccon
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "loccon"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def test_every_import_is_used():
@@ -74,3 +77,45 @@ def test_kinds_are_decided_where_defined():
                     isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
                 found.append(f"{path.name}:{node.lineno} relation")
     assert found == []
+
+
+def _references(tree):
+    """(name, node, is_attribute) for each loaded name, attribute access and
+    ``from ... import`` name in the tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, node, False))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node, True))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(alias.name, node, False) for alias in node.names]
+    return found
+
+
+def test_every_function_has_a_caller():
+    """Each top-level function and public method is referenced in the
+    package outside its own definition, exported in ``loccon.__all__`` or
+    used by the acceptance tests, so no library code is reached only from
+    its unit tests.  A method counts only through attribute access, so a
+    local variable of the same name does not keep it."""
+    defs, refs = [], _references(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        refs += _references(tree)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{path.stem}.{node.name}", node, False))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m, True) for m in node.body
+                         if isinstance(m, ast.FunctionDef)
+                         and not m.name.startswith("_")]
+    uncalled = []
+    for label, node, is_method in defs:
+        own = {id(n) for n in ast.walk(node)}
+        if node.name in loccon.__all__ or any(
+                name == node.name and (is_attribute or not is_method)
+                and id(ref) not in own for name, ref, is_attribute in refs):
+            continue
+        uncalled.append(label)
+    assert uncalled == []
