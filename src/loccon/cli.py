@@ -253,8 +253,7 @@ def cmd_pseudorep(args):
         return _emit(rep, args)
     if args.op == "audit":
         dom = spec.sole("domains")
-        rep = ps.constancy_audit(dom, args.n, spec.extensions(),
-                                 args.samples, seed=args.seed)
+        rep = ps.constancy_audit(dom, args.n, spec.extensions())
         return _emit(rep, args)
 
 
@@ -371,7 +370,6 @@ def build_parser():
     q.add_argument("--name")
     q.add_argument("--m", type=int, default=1)
     q.add_argument("--n", type=int)
-    q.add_argument("--samples", type=int)
 
     g = sub.add_parser("phimod")
     g.add_argument("op", choices=["build", "wadm", "params"])

@@ -87,29 +87,6 @@ class Character:
     def context(self):
         return self.value_at_p.context
 
-    def evaluate(self, y):
-        ctx = self.context
-        if isinstance(y, int):
-            if y == 0:
-                raise DomainError("character evaluated at 0")
-            sign = -1 if y < 0 else 1
-            y, yv = abs(y), 0
-            while y % ctx.p == 0:
-                y //= ctx.p
-                yv += 1
-            unit = PadicNumber(ctx.from_int(sign * y))
-        else:
-            if not isinstance(y, PadicNumber):
-                y = PadicNumber(y)
-            vpi = y.pi_valuation()
-            if vpi is None:
-                raise DomainError("character evaluated at 0")
-            if vpi % ctx.e:
-                raise DomainError("characters are evaluated on Q_p-rational values")
-            yv = vpi // ctx.e
-            unit = y * PadicNumber(ctx.from_int(ctx.p)) ** -yv
-        return unit ** self.weight * self.value_at_p ** yv
-
     def is_regular(self):
         """Non-regular exactly when (weight, value) is (i, p^i) or
         (1-i, p^{-i}) for some i >= 0: the weight fixes i, to i = weight

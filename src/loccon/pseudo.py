@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from loccon.padic import DomainError, InconclusiveError, require_at_least_one
-from loccon.series import AdicSeries, constancy_audits
+from loccon.series import AdicSeries, constancy_certificate
 
 
 class PseudoRep2:
@@ -144,18 +144,15 @@ class PseudoRep2:
 
     # -- constancy over algebras ------------------------------------------
 
-    def constancy_audit(self, domain, n, extensions, samples_per_ext, seed=0):
-        """Run the function-level constancy audits on each available value,
-        all read at one draw of points per extension."""
+    def constancy_audit(self, domain, n, extensions):
+        """The closed-form constancy certificate of the values on the
+        domain (``series.constancy_certificate``)."""
         require_at_least_one("depth n", n)
-        require_at_least_one("samples", samples_per_ext)
         if not all(isinstance(val, AdicSeries) for val in self.values.values()):
             raise DomainError("constancy audits need series-valued T")
-        reports = constancy_audits(
+        return constancy_certificate(
             {str(key): val for key, val in self.values.items()},
-            domain, n, extensions, samples_per_ext, seed)
-        failed = any(r["verdict"] == "fail" for r in reports.values())
-        return {"verdict": "fail" if failed else "pass", "per_value": reports}
+            domain, n, extensions)
 
 
 def from_rep_trace(rep, word_cap=4):

@@ -492,12 +492,6 @@ class AdicSeries:
                 return ConstancyResult(False, _mono_str(self.model, mono), None, prec)
         return ConstancyResult(True, None, self.constant_term().reduce_mod(n), prec)
 
-    def pointwise_constancy_audit(self, domain, n, extensions, samples_per_ext,
-                                  seed=0):
-        """The report of ``constancy_audits`` for this one series."""
-        return constancy_audits({None: self}, domain, n, extensions,
-                                 samples_per_ext, seed)[None]
-
     # -- recentering -------------------------------------------------------
 
     def recenter_rescale(self, center, scales):
@@ -519,41 +513,55 @@ class AdicSeries:
         return model.relation.recenter(self, center, scales)
 
 
-def constancy_audits(values, domain, n, extensions, samples_per_ext, seed=0):
-    """Per key of ``values``, a sampled check that the series' values over
-    each extension E agree with its value at the domain's center mod
-    pi_E^{gamma(n)}.  ``domain`` provides .center (a ModelPoint) and
-    .sample(ext, count, seed); the points over the extension of index i
-    are drawn once, with seed + i, and read by every series."""
+def constancy_certificate(values, domain, n, extensions):
+    """Closed-form proof that each integral series of ``values`` (keyed by
+    name) is constant mod pi_E^{gamma(n)} on ``domain`` over each extension
+    E; no point is drawn and nothing is evaluated.
+
+    For points x, y of the domain, f(y) - f(x) lies in the ideal of the
+    y_v - x_v, whose valuations reach the domain's ``pi_threshold`` thr.
+    At every point of the domain a value is known to min(coefficient
+    precision * e_rel, (D+1) * min over open v of min(v_E(x_v), thr),
+    E.precision) digits, the bound ``evaluate`` guarantees.  The verdict
+    is pass when thr and every value's digits reach gamma, else
+    inconclusive with a reason naming the extension, the value and the
+    digits it lacks.  An audit deeper than its domain (thr < gamma) is
+    outside the argument, and inconclusive."""
     require_at_least_one("depth n", n)
-    require_at_least_one("samples", samples_per_ext)
     model = domain.center.model
-    reports = {key: {"n": n, "verdict": "pass", "witnesses": [],
-                     "extensions": []} for key in values}
+    if any(s.model != model for s in values.values()):
+        # the digits read the domain model's open variables and degree cap
+        raise DomainError("a constancy certificate needs series over the "
+                          "domain's model")
+    report = {"n": n, "verdict": "pass", "extensions": [],
+              "certificate": "f(y) - f(x) lies in the ideal (y_v - x_v), "
+                             "so v(f(y) - f(x)) >= threshold on the domain"}
     for idx, ext in enumerate(extensions):
         e_rel = relative_ramification(model.base, ext)
         g = gamma_exponent(e_rel, n)
-        center = ModelPoint(model, {v: embed(c, ext)
-                                    for v, c in domain.center.coords.items()})
-        refs = {key: s.evaluate(center).reduce_mod(g) for key, s in values.items()}
-        pts = domain.sample(ext, samples_per_ext, seed=seed + idx)
-        for key, s in values.items():
-            report, ref = reports[key], refs[key]
-            entry = {"e_rel": e_rel, "gamma": g, "samples": len(pts),
-                     "failures": 0}
-            for pt in pts:
-                val = s.evaluate(pt).reduce_mod(g)
-                if val.coords != ref.coords:
-                    entry["failures"] += 1
-                    report["verdict"] = "fail"
-                    report["witnesses"].append({
-                        "extension_index": idx,
-                        "point": pt.to_json(),
-                        "value": list(val.coords),
-                        "center_value": list(ref.coords),
-                    })
-            report["extensions"].append(entry)
-    return reports
+        thr = domain.pi_threshold(e_rel)
+        cap = ext.precision
+        for v in model.open_vars:
+            vx = embed(domain.center.coords[v], ext).pi_valuation()
+            vy = thr if vx is None else min(vx, thr)  # v_E(y_v) on the domain
+            cap = min(cap, (model.degree_cap + 1) * vy)
+        known = {key: min(cap, s.coefficient_precision() * e_rel)
+                 for key, s in values.items()}
+        digits = min(known.values())
+        report["extensions"].append({"e_rel": e_rel, "gamma": g,
+                                     "threshold": thr, "digits": digits})
+        if report["verdict"] != "pass" or min(thr, digits) >= g:
+            continue
+        if thr < g:
+            reason = (f"over extension {idx} the domain's threshold pi^{thr} "
+                      f"is {g - thr} digits short of gamma = {g}: the audit is "
+                      "deeper than its domain")
+        else:
+            low = min(known, key=known.get)
+            reason = (f"over extension {idx} value {low} is known to "
+                      f"{digits} digits, {g - digits} short of gamma = {g}")
+        report.update(verdict="inconclusive", reason=reason)
+    return report
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,10 @@ from loccon.padic import (
     gamma_injectivity_exhaustive,
 )
 from loccon.pseudo import PseudoRep2, from_rep_trace
-from loccon.series import AlgebraModel, Annulus, Cover
+from loccon.series import AlgebraModel, Annulus, Cover, constancy_certificate
 
 from tests.test_lattice import perturbed_conjugate, sample_res_irred
+from tests.test_series import sampled_constancy
 
 
 def base_tower(p, f, e_rel, precision=12):
@@ -119,9 +120,10 @@ def test_criterion_2_function_constancy(criterion):
             dom = describe(model, center, n, "U")
             for s in corpus:
                 total += 1
-                rep = s.pointwise_constancy_audit(dom, n, exts, 2,
-                                                  seed=rng.randrange(10 ** 6))
-                if rep["verdict"] != "pass":
+                rep = constancy_certificate({"f": s}, dom, n, exts)
+                sampled = sampled_constancy({"f": s}, dom, n, exts, 2,
+                                            seed=rng.randrange(10 ** 6))
+                if rep["verdict"] != "pass" or sampled["f"]:
                     failures += 1
                     continue
                 rc = s.recenter_rescale(dict(center_coords),

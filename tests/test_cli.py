@@ -221,6 +221,26 @@ def test_pseudorep_check(capsys):
     assert rep["word_length"] == 2
 
 
+def test_pseudorep_audit_draws_no_point(capsys, monkeypatch):
+    """pseudorep audit is a closed-form certificate: it never samples the
+    domain, takes no --samples, and an audit deeper than the domain U^(2)
+    is inconclusive (exit 2)."""
+    from loccon.domains import ResidueDomain
+    calls = []
+    monkeypatch.setattr(ResidueDomain, "sample",
+                        lambda self, *args, **kwargs: calls.append(args))
+    code, rep = run(capsys, "--spec", FAMILY_SPEC, "pseudorep", "audit")
+    assert code == 0 and rep["verdict"] == "pass"
+    code, rep = run(capsys, "--spec", FAMILY_SPEC, "pseudorep", "audit",
+                    "--n", "4")
+    assert code == 2 and rep["verdict"] == "inconclusive"
+    assert "deeper than its domain" in rep["reason"]
+    assert calls == []
+    assert main(["--spec", FAMILY_SPEC, "pseudorep", "audit",
+                 "--samples", "5"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_cover_compare(capsys):
     code, rep = run(capsys, "--spec", COVER_SPEC, "domain", "cover-compare",
                     "--samples", "30")
@@ -516,11 +536,9 @@ def test_depth_below_one_is_usage_error(capsys, tmp_path, spec, argv, depth):
 @pytest.mark.parametrize("spec,argv,count", [
     (FAMILY_SPEC, ["family", "audit", "--samples", "0"], "0"),
     (FAMILY_SPEC, ["family", "audit", "--samples", "-3"], "-3"),
-    (FAMILY_SPEC, ["pseudorep", "audit", "--samples", "0"], "0"),
     (FAMILY_SPEC, ["domain", "sample", "--samples", "0"], "0"),
     (FAMILY_SPEC, ["domain", "sample", "--samples", "-2"], "-2"),
     ("[params] samples = 0", ["family", "audit"], "0"),
-    ("[params] samples = -1", ["pseudorep", "audit"], "-1"),
 ])
 def test_sample_count_below_one_is_usage_error(capsys, tmp_path, spec, argv,
                                                count):
@@ -542,12 +560,13 @@ def test_sample_count_below_one_is_usage_error(capsys, tmp_path, spec, argv,
 def test_sample_count_is_read_only_by_the_commands_that_sample(capsys,
                                                               tmp_path):
     """A [params] samples below 1 leaves the commands that draw no points
-    alone (family trace-algebra, domain cover-compare); domain sample reads
-    the key like the two audits."""
+    alone (family trace-algebra, pseudorep audit, domain cover-compare);
+    domain sample reads the key like family audit."""
     path = tmp_path / "samples.spec"
     path.write_text(pathlib.Path(FAMILY_SPEC).read_text()
                     .replace("samples = 20", "samples = 0"))
     assert run(capsys, "--spec", str(path), "family", "trace-algebra")[0] == 0
+    assert run(capsys, "--spec", str(path), "pseudorep", "audit")[0] == 0
     code = main(["--spec", str(path), "domain", "sample"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
@@ -839,7 +858,7 @@ GOLDEN = {
     ("1", 17): (0, "bd718f2097e40ddcbdeeec0af54f3d257d6209fa988b6b91c8533be438290c69"),
     ("1", 18): (0, "f1bbef60155a2c40fd1b141048513a300f4240f926a9946190169d3fad76d8e8"),
     ("1", 19): (0, "6d2a26764f959c10f62f4e79fb9d7fa50b68c77ef16712cb3c3bddd213658594"),
-    ("1", 20): (0, "333a3835310555e09fe2a299f3e703a6c814a0e7a58931cd7581bb17a7b77965"),
+    ("1", 20): (0, "2a81e39b64a454243542cb37896f9b5d696bc2f83624289a7397b97dc2c618b5"),
     ("1", 21): (0, "7d82864bad53dc1560c78c1bf84dfd527527737394c9b08682e996a97d3152d1"),
     ("1", 22): (0, "5a215c8a3fa25539592459dff9f171cfbde89df90b7019d8231907935904b73f"),
     ("1001", 0): (0, "b487ae5455b48d867efc748c331ff3c695b705f25c909dd5e08931db1456243d"),
@@ -862,7 +881,7 @@ GOLDEN = {
     ("1001", 17): (0, "25faacb0e4205eeceb0f9b2d3263c23bc898f6aa6ee476268c763b385a29e5fe"),
     ("1001", 18): (0, "f1bbef60155a2c40fd1b141048513a300f4240f926a9946190169d3fad76d8e8"),
     ("1001", 19): (0, "6d2a26764f959c10f62f4e79fb9d7fa50b68c77ef16712cb3c3bddd213658594"),
-    ("1001", 20): (0, "333a3835310555e09fe2a299f3e703a6c814a0e7a58931cd7581bb17a7b77965"),
+    ("1001", 20): (0, "2a81e39b64a454243542cb37896f9b5d696bc2f83624289a7397b97dc2c618b5"),
     ("1001", 21): (0, "7d82864bad53dc1560c78c1bf84dfd527527737394c9b08682e996a97d3152d1"),
     ("1001", 22): (0, "5a215c8a3fa25539592459dff9f171cfbde89df90b7019d8231907935904b73f"),
 }

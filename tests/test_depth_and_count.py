@@ -12,7 +12,7 @@ from loccon.galois import crystalline_congruence_disc, semistable_congruence_bou
 from loccon.lattice import carayol_audit, reduce_rep_mod
 from loccon.padic import DomainError, PadicContext, congruence_equiv_audit, gamma_exponent
 from loccon.pseudo import from_rep_trace
-from loccon.series import constancy_audits
+from loccon.series import constancy_certificate
 from loccon.specfile import load_spec
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -22,8 +22,8 @@ FAMILY = load_spec(str(SPECS / "unramified_family.spec"))
 # reports the failed precondition
 ISO = load_spec(str(SPECS / "iso_pair.spec"))
 COVER = load_spec(str(SPECS / "cover.spec"))
-# values in O, not series: constancy_audit must refuse the depth or count
-# before it refuses the values
+# values in O, not series: constancy_audit must refuse the depth before it
+# refuses the values
 S3 = load_spec(str(SPECS / "s3_standard.spec")).sole("pseudoreps")
 
 # Z_5 does not extend this ramified context, and at precision 4 it is too
@@ -53,14 +53,10 @@ CALLS = {
     "PseudoRep2.kernel":
         ("depth m", lambda v: FAMILY.sole("pseudoreps").kernel(v)),
     "PseudoRep2.constancy_audit-n":
-        ("depth n", lambda v: S3.constancy_audit(DOM, v, EXTS, 4)),
-    "PseudoRep2.constancy_audit-samples":
-        ("samples", lambda v: S3.constancy_audit(DOM, 2, EXTS, v)),
+        ("depth n", lambda v: S3.constancy_audit(DOM, v, EXTS)),
     "ResidueDomain.sample": ("samples", lambda v: DOM.sample(EXTS[0], v)),
-    "constancy_audits-n":
-        ("depth n", lambda v: constancy_audits(ENTRY, DOM, v, EXTS, 4)),
-    "constancy_audits-samples":
-        ("samples", lambda v: constancy_audits(ENTRY, DOM, 2, EXTS, v)),
+    "constancy_certificate-n":
+        ("depth n", lambda v: constancy_certificate(ENTRY, DOM, v, EXTS)),
     "cover_compare-n":
         ("depth n", lambda v: cover_compare(COVER_DOM.model, COVER_DOM.center,
                                             v, COVER_DOM.model.base)),

@@ -173,19 +173,6 @@ def test_semistable_parameters():
 # -- characters and regularity ----------------------------------------------
 
 
-def test_character_evaluation():
-    chi = galois.Character(2, PadicNumber(Z5.from_int(3)))
-    val = chi.evaluate(50)  # 50 = 2 * 25: unit part 2, v_p = 2
-    expect = PadicNumber(Z5.from_int(4 * 9))
-    assert (val - expect).num.pi_valuation() is None
-
-
-def test_character_rejects_zero():
-    chi = galois.Character(0, PadicNumber(Z5.one()))
-    with pytest.raises(DomainError):
-        chi.evaluate(0)
-
-
 def test_regularity_flags_match_enumeration():
     p_num = PadicNumber(Z5.from_int(5))
     one = PadicNumber(Z5.one())

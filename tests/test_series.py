@@ -6,8 +6,10 @@ import pytest
 
 from loccon import series as series_module
 from loccon.domains import describe, ModelPoint
-from loccon.padic import DomainError, PadicContext, PadicNumber, PrecisionError, embed
-from loccon.series import AdicSeries, AlgebraModel, Annulus, Cover, Disc
+from loccon.padic import (DomainError, PadicContext, PadicNumber, PrecisionError,
+                          embed, gamma_exponent, relative_ramification)
+from loccon.series import (AdicSeries, AlgebraModel, Annulus, Cover, Disc,
+                           constancy_certificate)
 
 Z5 = PadicContext(5, precision=12)
 Z3 = PadicContext(3, precision=12)
@@ -292,12 +294,85 @@ def test_is_constant_mod_needs_precision():
         s.is_constant_mod(10)
 
 
+def sampled_constancy(values, domain, n, extensions, samples_per_ext, seed=0):
+    """Reference for ``constancy_certificate``: per key of ``values``, the
+    witnesses among one draw of domain points per extension E (seed + its
+    index), points whose value differs from the center's mod pi_E^{gamma(n)}.
+    Raises PrecisionError where a value is known to fewer digits."""
+    model = domain.center.model
+    witnesses = {key: [] for key in values}
+    for idx, ext in enumerate(extensions):
+        g = gamma_exponent(relative_ramification(model.base, ext), n)
+        center = ModelPoint(model, {v: embed(c, ext)
+                                    for v, c in domain.center.coords.items()})
+        pts = domain.sample(ext, samples_per_ext, seed=seed + idx)
+        assert pts
+        for key, s in values.items():
+            ref = s.evaluate(center).reduce_mod(g)
+            witnesses[key] += [(idx, pt.to_json()) for pt in pts
+                               if s.evaluate(pt).reduce_mod(g).coords != ref.coords]
+    return witnesses
+
+
+RAM3 = PadicContext(5, e=3, precision=12)
+
+
 def test_pointwise_audit_identity_function_passes():
+    """T is constant mod pi_E^gamma(2) on U^(2) around 0: the certificate
+    passes with the threshold equal to gamma, and no sampled point of the
+    domain differs from the center there."""
     dom = describe(DISC, ModelPoint(DISC, {"T": Z5.zero()}), 2, "U")
-    ram3 = PadicContext(5, e=3, precision=12)
-    rep = AdicSeries(DISC, {(1,): Z5.one()}).pointwise_constancy_audit(
-        dom, 2, [Z5, ram3], 15, seed=0)
-    assert rep["verdict"] == "pass"
+    values = {"T": DISC.var("T")}
+    rep = constancy_certificate(values, dom, 2, [Z5, RAM3])
+    assert rep["verdict"] == "pass" and "reason" not in rep
+    assert [(x["gamma"], x["threshold"]) for x in rep["extensions"]] == \
+        [(2, 2), (4, 4)]
+    assert sampled_constancy(values, dom, 2, [Z5, RAM3], 15) == {"T": []}
+
+
+def test_certificate_deeper_than_its_domain_is_inconclusive():
+    """At depth 3 on U^(2) the threshold is below gamma: T does move mod
+    pi^gamma(3) on the domain (the sampler finds points), and the
+    certificate says inconclusive, naming the extension and the digits."""
+    dom = describe(DISC, ModelPoint(DISC, {"T": Z5.zero()}), 2, "U")
+    values = {"T": DISC.var("T")}
+    rep = constancy_certificate(values, dom, 3, [Z5, RAM3])
+    assert rep["verdict"] == "inconclusive"
+    assert rep["reason"] == ("over extension 0 the domain's threshold pi^2 is "
+                             "1 digits short of gamma = 3: the audit is "
+                             "deeper than its domain")
+    assert sampled_constancy(values, dom, 3, [Z5, RAM3], 15)["T"]
+
+
+def test_certificate_refuses_a_series_of_another_model():
+    """The digits bound reads the domain model's degree cap: a series over
+    another model, even one with the same variable, is refused."""
+    dom = describe(DISC, ModelPoint(DISC, {"T": Z5.zero()}), 2, "U")
+    other = AlgebraModel(Z5, open_vars=("T",), degree_cap=2)
+    with pytest.raises(DomainError, match="domain's model"):
+        constancy_certificate({"T": other.var("T")}, dom, 2, [Z5])
+
+
+@pytest.mark.parametrize("series,center,cap,digits", [
+    # a coefficient known to one digit
+    (lambda m: m.series({(1,): Z5.one().reduce_mod(1)}), 0, 8, 1),
+    # (D+1) * v(y) = 2 * 1 at the points T = 5 + O(pi^3) of U^(3)
+    (lambda m: m.var("T"), 5, 1, 2),
+])
+def test_certificate_reads_the_known_digits(series, center, cap, digits):
+    """A value known to fewer than gamma digits on the domain is
+    inconclusive, naming the value and the digits it lacks; the sampler
+    cannot read those values mod pi^gamma either."""
+    model = AlgebraModel(Z5, open_vars=("T",), degree_cap=cap)
+    dom = describe(model, ModelPoint(model, {"T": Z5.from_int(center)}), 3, "U")
+    values = {"f": series(model)}
+    rep = constancy_certificate(values, dom, 3, [Z5])
+    assert rep["verdict"] == "inconclusive"
+    assert rep["extensions"][0]["digits"] == digits
+    assert rep["reason"] == (f"over extension 0 value f is known to {digits} "
+                             f"digits, {3 - digits} short of gamma = 3")
+    with pytest.raises(PrecisionError):
+        sampled_constancy(values, dom, 3, [Z5], 4)
 
 
 # -- recentering -------------------------------------------------------------
