@@ -45,6 +45,12 @@ def require_prime(p):
         raise DomainError(f"p={p} is not prime")
 
 
+def _check_same(ctx, other):
+    """Refuse arithmetic between two contexts that are not equal."""
+    if ctx is not other and ctx != other:
+        raise DomainError("mixed contexts; embed explicitly first")
+
+
 def _poly_addmul(acc, off, a, b):
     """Add the integer polynomial a * b into acc from index off on."""
     for i, x in enumerate(a):
@@ -431,16 +437,12 @@ class PadicElement:
 
     # -- ring operations --------------------------------------------------
 
-    def _check_same(self, other):
-        if self.context is not other.context and self.context != other.context:
-            raise DomainError("mixed contexts; embed explicitly first")
-
     def __add__(self, other):
         ctx = self.context
         if isinstance(other, int):
             other = ctx.from_int(other)
         if other.context is not ctx:
-            self._check_same(other)
+            _check_same(ctx, other.context)
         M = ctx.coeff_modulus
         ka, kb = self.known_precision, other.known_precision
         return _element(ctx, tuple([(a + b) % M for a, b in zip(self.coords, other.coords)]),
@@ -458,7 +460,7 @@ class PadicElement:
         if isinstance(other, int):
             other = ctx.from_int(other)
         if other.context is not ctx:
-            self._check_same(other)
+            _check_same(ctx, other.context)
         M = ctx.coeff_modulus
         ka, kb = self.known_precision, other.known_precision
         return _element(ctx, tuple([(a - b) % M for a, b in zip(self.coords, other.coords)]),
@@ -477,7 +479,7 @@ class PadicElement:
         if isinstance(other, int):
             other = ctx.from_int(other)
         if other.context is not ctx:
-            self._check_same(other)
+            _check_same(ctx, other.context)
         coords = ctx._mul_coords(ctx, self.coords, other.coords)
         va, vb = self.pi_valuation(), other.pi_valuation()
         ka, kb = self.known_precision, other.known_precision
@@ -615,7 +617,7 @@ class ResidueField:
     Products are taken over Z in omega and reduced by the unramified
     polynomial; for f = 1 each operation is one integer operation mod p, and
     extension fields with q <= 64 keep their sums and products in q^2-entry
-    tables.
+    tables, indexed a*q + b, each entry filled on first use.
 
     Linear algebra keeps an echelon basis as a dict {pivot column: row},
     each row 1 at its pivot and 0 at the pivots of the rows inserted before
@@ -629,10 +631,9 @@ class ResidueField:
         self.one = self.p ** (self.f - 1)  # c_0 = 1, the rest 0
         self._unram_poly = ctx.unram_poly
         self._add_table = self._mul_table = None
-        if self.f > 1 and self.q <= 64:  # filled by the polynomial arithmetic
-            pairs = [divmod(i, self.q) for i in range(self.q ** 2)]
-            self._add_table = [self.add(a, b) for a, b in pairs]
-            self._mul_table = [self.mul(a, b) for a, b in pairs]
+        if self.f > 1 and self.q <= 64:
+            self._add_table = [None] * self.q ** 2
+            self._mul_table = [None] * self.q ** 2
 
     def _coeffs(self, a):
         c = [0] * self.f
@@ -662,8 +663,20 @@ class ResidueField:
     def add(self, a, b):
         if self.f == 1:
             return (a + b) % self.p
-        if self._add_table:
-            return self._add_table[a * self.q + b]
+        return self._entry(self._add_table, self._poly_add, a, b)
+
+    def _entry(self, table, op, a, b):
+        """op(a, b), read from its table when there is one; an entry left
+        empty is filled by op on first use."""
+        if table is None:
+            return op(a, b)
+        i = a * self.q + b
+        out = table[i]
+        if out is None:
+            out = table[i] = op(a, b)
+        return out
+
+    def _poly_add(self, a, b):
         return self._index(map(operator.add, self._coeffs(a), self._coeffs(b)))
 
     def sub(self, a, b):
@@ -672,8 +685,9 @@ class ResidueField:
     def mul(self, a, b):
         if self.f == 1:
             return a * b % self.p
-        if self._mul_table:
-            return self._mul_table[a * self.q + b]
+        return self._entry(self._mul_table, self._poly_mul, a, b)
+
+    def _poly_mul(self, a, b):
         acc = [0] * (2 * self.f - 1)
         _poly_addmul(acc, 0, self._coeffs(a), self._coeffs(b))
         return self._index(_poly_rem(acc, self._unram_poly))

@@ -10,6 +10,7 @@ of a model, checked once when it is built.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from loccon.padic import (
     DomainError,
     PadicElement,
     PrecisionError,
+    _check_same,
+    _element,
     embed,
     gamma_exponent,
     power,
@@ -333,11 +336,25 @@ def _mono_str(model, mono):
     return "*".join(parts) if parts else "1"
 
 
+def _series(model, terms):
+    """An AdicSeries from terms already in normal form, over the model's
+    base context and with no zero coefficient, unchecked."""
+    s = object.__new__(AdicSeries)
+    s.model = model
+    s.terms = terms
+    return s
+
+
 class AdicSeries:
     """Finitely supported coefficient map in normal form.
 
     Normal form: open-variable total degree <= degree_cap; no monomial mixes
-    the two annulus variables; cover-variable degree < d.
+    the two annulus variables; cover-variable degree < d; no coefficient is
+    0 to the coefficient modulus.  Every coefficient lies in the model's
+    base context (or one equal to it), checked when the series is built.
+    Sums, negations and scalings stay in normal form, so they skip the
+    check; a product is one convolution on coordinate tuples through the
+    base context's kernel.
     """
 
     __slots__ = ("model", "terms")
@@ -350,22 +367,19 @@ class AdicSeries:
 
     def _coerce(self, other):
         if isinstance(other, AdicSeries):
-            if other.model != self.model:
+            if other.model is not self.model and other.model != self.model:
                 raise DomainError("mixed algebra models")
             return other
         return self.model.constant(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out[mono] + c if mono in out else c
-        return AdicSeries(self.model, out)
+        return _series(self.model, _sum_terms(self.model.base, self.terms,
+                                              self._coerce(other).terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AdicSeries(self.model, {m: -c for m, c in self.terms.items()})
+        return _series(self.model, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -374,14 +388,47 @@ class AdicSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        out = {}
+        """Each pair of terms adds its coordinate product into one integer
+        accumulator per monomial, reduced mod the coefficient modulus once.
+        A pair knows min(N, ka + vb, kb + va) digits (v the valuation, or
+        the known precision of a coefficient that is 0 to it), the rule of
+        ``PadicElement.__mul__``, and a monomial the least over its pairs.
+        Without a rewrite rule a pair above the degree cap is skipped before
+        it is multiplied, and the result is in normal form; an annulus or
+        cover rewrite can lower the degree, so it runs on the sums, zeros
+        included."""
+        model = self.model
+        ctx = model.base
+        kernel, N = ctx._mul_coords, ctx.precision
+        nb = len(model.bounded_vars)  # the open variables come last
+        cap = model.degree_cap if model.rule is None else None
+        right = [(m2, sum(m2[nb:]), c2.coords, c2.known_precision,
+                  c2.pi_valuation_lower())
+                 for m2, c2 in self._coerce(other).terms.items()]
+        acc = {}  # monomial -> (coordinate sums, known precision)
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                prod = c1 * c2
-                out[m] = out[m] + prod if m in out else prod
-        return AdicSeries(self.model, out)
+            a, ka, va = c1.coords, c1.known_precision, c1.pi_valuation_lower()
+            d1 = sum(m1[nb:])
+            for m2, d2, b, kb, vb in right:
+                if cap is not None and d1 + d2 > cap:
+                    continue
+                m = tuple(map(operator.add, m1, m2))
+                k = min(N, ka + vb, kb + va)
+                coords = kernel(ctx, a, b)
+                hit = acc.get(m)
+                if hit is None:
+                    acc[m] = coords, k
+                else:
+                    acc[m] = (tuple(map(operator.add, hit[0], coords)),
+                              hit[1] if hit[1] < k else k)
+        M = ctx.coeff_modulus
+        terms = {}
+        for m, (coords, k) in acc.items():
+            coords = tuple([c % M for c in coords])
+            # a zero the rewrite moves still bounds the precision it lands on
+            if cap is None or any(coords):
+                terms[m] = _element(ctx, coords, k)
+        return AdicSeries(model, terms) if cap is None else _series(model, terms)
 
     __rmul__ = __mul__
 
@@ -390,7 +437,12 @@ class AdicSeries:
 
     def scale(self, c):
         c = self.model._coerce(c)
-        return AdicSeries(self.model, {m: coeff * c for m, coeff in self.terms.items()})
+        terms = {}
+        for m, coeff in self.terms.items():
+            x = coeff * c
+            if any(x.coords):
+                terms[m] = x
+        return _series(self.model, terms)
 
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), self.model.base.zero())
@@ -575,9 +627,33 @@ class ConstancyResult:
         return self.constant
 
 
+def _sum_terms(ctx, left, right):
+    """The coefficient map left + right of two maps in normal form over
+    ``ctx``, dropping the coefficients that cancel."""
+    M = ctx.coeff_modulus
+    out = dict(left)
+    for mono, c in right.items():
+        a = out.get(mono)
+        if a is None:
+            out[mono] = c
+            continue
+        coords = tuple([(x + y) % M for x, y in zip(a.coords, c.coords)])
+        if any(coords):
+            ka, kb = a.known_precision, c.known_precision
+            out[mono] = _element(ctx, coords, ka if ka < kb else kb)
+        else:
+            del out[mono]
+    return out
+
+
 def _normalize(model, terms):
+    """Terms in normal form: rewritten by the model's rule, truncated at the
+    degree cap and without zero coefficients.  A coefficient of a context
+    other than the model's base is refused."""
     work = {}
     for mono, c in terms.items():
+        if c.context is not model.base:
+            _check_same(model.base, c.context)
         work[tuple(mono)] = work[tuple(mono)] + c if tuple(mono) in work else c
     if model.rule is not None:
         lhs, rhs = model.rule

@@ -727,6 +727,42 @@ def test_residue_field_indexes_residues_in_enumeration_order(shape):
     assert [a for a in range(F.q) if F.sqrt(a) is not None] == sorted(squares)
 
 
+@pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 6)],
+                         ids=["F4", "F8", "F9", "F25", "F64"])
+def test_residue_field_tables_fill_on_first_use_with_the_polynomial_values(p, f):
+    """A field with q <= 64 starts with empty tables.  Every entry filled by
+    its first sum or product is the sum or product of the omega-polynomials
+    (digits of the int, c_0 most significant) reduced by the unramified
+    polynomial, and the entry is read back unchanged."""
+    ctx = PadicContext(p, f=f, precision=2)
+    F, g, q = ctx.residue_field, ctx.unram_poly, p ** f
+    assert F._add_table == [None] * q * q and F._mul_table == [None] * q * q
+
+    def digits(a):
+        return [a // p ** (f - 1 - j) % p for j in range(f)]
+
+    def index(c):
+        return sum(x % p * p ** (f - 1 - j) for j, x in enumerate(c))
+
+    def poly_mul(a, b):
+        prod = [0] * (2 * f - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for top in range(2 * f - 2, f - 1, -1):  # g is monic of degree f
+            lead = prod[top]
+            for k in range(f + 1):
+                prod[top - f + k] -= lead * g[k]
+        return index(prod[:f])
+
+    for _ in range(2):  # the first pass fills the tables, the second reads
+        for a in range(q):
+            for b in range(q):
+                assert F.add(a, b) == index(map(sum, zip(digits(a), digits(b))))
+                assert F.mul(a, b) == poly_mul(a, b)
+        assert None not in F._add_table and None not in F._mul_table
+
+
 def test_a_context_and_its_residue_field_leave_no_cycle():
     """The residue field and the validated-pair cache, a context's own pair
     included, hold contexts by weak reference."""

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loccon import series as series_module
 from loccon.domains import describe, ModelPoint
 from loccon.padic import (DomainError, PadicContext, PadicNumber, PrecisionError,
-                          embed, gamma_exponent, relative_ramification)
+                          embed, gamma_exponent, power, relative_ramification)
 from loccon.series import (AdicSeries, AlgebraModel, Annulus, Cover, Disc,
                            constancy_certificate)
 
@@ -762,3 +764,234 @@ def test_series_power_matches_naive_products(base, bounded, open_vars, preset,
             got = s ** n
             _assert_same_terms(got.terms, expect.terms, digits)
             _assert_sound(got, s2 ** n)
+
+
+# -- the coordinate-tuple arithmetic against the element path ----------------
+
+
+def _ref_normalize(model, terms):
+    """The normal form, one PadicElement operation per rewrite, as every
+    series operation ran it before the coordinate-tuple kernel."""
+    work = {}
+    for mono, c in terms.items():
+        work[tuple(mono)] = work[tuple(mono)] + c if tuple(mono) in work else c
+    if model.rule is not None:
+        lhs, rhs = model.rule
+        changed = True
+        while changed:
+            changed = False
+            for mono in list(work):
+                if all(a >= b for a, b in zip(mono, lhs)):
+                    c = work.pop(mono)
+                    for gm, gc in rhs.items():
+                        new = tuple(a - b + q for a, b, q in zip(mono, lhs, gm))
+                        add = c * gc
+                        work[new] = work[new] + add if new in work else add
+                    changed = True
+    open_idx = [model.vars.index(v) for v in model.open_vars]
+    out = {}
+    for mono, c in work.items():
+        if sum(mono[i] for i in open_idx) > model.degree_cap:
+            continue
+        if all(x == 0 for x in c.coords):
+            continue
+        out[mono] = c
+    return out
+
+
+class RefSeries:
+    """Series arithmetic on PadicElement coefficients: each coefficient
+    product and sum is an element operation, and every result goes through
+    the normal form.  The reference for the coordinate-tuple arithmetic."""
+
+    def __init__(self, model, terms):
+        self.model = model
+        self.terms = _ref_normalize(model, terms)
+
+    def _coerce(self, other):
+        if isinstance(other, RefSeries):
+            return other
+        return RefSeries(self.model, {(0,) * len(self.model.vars):
+                                      self.model._coerce(other)})
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            out[mono] = out[mono] + c if mono in out else c
+        return RefSeries(self.model, out)
+
+    def __neg__(self):
+        return RefSeries(self.model, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(a + b for a, b in zip(m1, m2))
+                prod = c1 * c2
+                out[m] = out[m] + prod if m in out else prod
+        return RefSeries(self.model, out)
+
+    def __pow__(self, n):
+        return power(self, n, self._coerce(1))
+
+    def scale(self, c):
+        c = self.model._coerce(c)
+        return RefSeries(self.model, {m: x * c for m, x in self.terms.items()})
+
+    def inverse(self):
+        model = self.model
+        const_mono = (0,) * len(model.vars)
+        c = self.terms.get(const_mono, model.base.zero())
+        if not c.is_unit():
+            raise DomainError("series with non-unit constant term is not invertible")
+        cinv = c.inverse()
+        h = self._coerce(1) - self.scale(cinv)
+        open_idx = [model.vars.index(v) for v in model.open_vars]
+        for mono, coeff in h.terms.items():
+            if mono != const_mono and not sum(mono[i] for i in open_idx):
+                v = coeff.pi_valuation()
+                if v is not None and v < 1:
+                    raise DomainError("bounded monomial has unit coefficient")
+        acc, pw = self._coerce(1), h
+        for _ in range((model.degree_cap + 1) * model.base.precision + 1):
+            if not pw.terms:
+                break
+            acc = acc + pw
+            pw = pw * h
+        return acc.scale(cinv)
+
+
+def _assert_same_series(got, ref):
+    """The same monomials in the same order, and for each coefficient the
+    same coordinates, known precision and valuation."""
+    assert isinstance(got, AdicSeries) and got.model is ref.model
+    assert list(got.terms) == list(ref.terms)
+    for mono, c in got.terms.items():
+        r = ref.terms[mono]
+        assert (c.coords, c.known_precision, c.pi_valuation()) \
+            == (r.coords, r.known_precision, r.pi_valuation()), mono
+
+
+ARITH_BASES = (PadicContext(5, precision=8), PadicContext(5, e=2, precision=8),
+               PadicContext(3, f=2, precision=6))
+ARITH_MODELS = {(base, ident): AlgebraModel(base, bounded_vars=bounded,
+                                            open_vars=open_vars,
+                                            relation=preset, degree_cap=3)
+                for base in ARITH_BASES
+                for (bounded, open_vars, preset), ident
+                in zip(EVAL_MODELS, EVAL_IDS)}
+
+
+def _drawn_coefficient(data, base):
+    """A coefficient: a random element or a small integer (so that sums and
+    products cancel), times pi^v, at full or reduced known precision."""
+    if data.draw(st.booleans()):
+        c = base.from_coords(data.draw(st.lists(
+            st.integers(0, base.coeff_modulus - 1),
+            min_size=base.degree, max_size=base.degree)))
+    else:
+        c = base.from_int(data.draw(st.sampled_from([1, -1, 2, -2, base.p])))
+    c = c * base.pi_power(data.draw(st.sampled_from([0, 0, 1, 2])))
+    k = data.draw(st.integers(1, base.precision))
+    return c.reduce_mod(k) if k < c.known_precision else c
+
+
+def _drawn_series(data, model):
+    """A series and its element-path twin; the exponents reach past the
+    relation and the degree cap."""
+    mono = st.tuples(*[st.integers(0, 3)] * len(model.vars))
+    terms = data.draw(st.dictionaries(mono, st.just(None), max_size=4))
+    s = model.series({m: _drawn_coefficient(data, model.base) for m in terms})
+    return s, RefSeries(model, dict(s.terms))
+
+
+def _mirror(s, model):
+    """s with the terms of odd degree in the first variable negated, so that
+    s * mirror(s) cancels its cross terms and s + mirror(s) its odd ones."""
+    t = model.series({m: -c if m[0] % 2 else c for m, c in s.terms.items()})
+    return t, RefSeries(model, dict(t.terms))
+
+
+@pytest.mark.parametrize("base", ARITH_BASES, ids=["Z5", "e2", "W9"])
+@pytest.mark.parametrize("ident", EVAL_IDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_ring_operations_match_the_element_path(base, ident, data):
+    """+, -, negation, scale and * on coordinate tuples give the terms, in
+    the same order, with the coordinates, known precision and valuation of
+    the element-path arithmetic, also where terms cancel to 0 mod M."""
+    model = ARITH_MODELS[base, ident]
+    a, ra = _drawn_series(data, model)
+    b, rb = _mirror(a, model) if data.draw(st.booleans()) \
+        else _drawn_series(data, model)
+    c = _drawn_coefficient(data, base)
+    _assert_same_series(a + b, ra + rb)
+    _assert_same_series(a - b, ra - rb)
+    _assert_same_series(a - a, ra - ra)
+    _assert_same_series(-a, -ra)
+    _assert_same_series(a.scale(c), ra.scale(c))
+    _assert_same_series(a * b, ra * rb)
+    _assert_same_series(b * a, rb * ra)
+    _assert_same_series(a * 3 + 2, ra * 3 + 2)
+
+
+@pytest.mark.parametrize("base", ARITH_BASES, ids=["Z5", "e2", "W9"])
+@pytest.mark.parametrize("ident", EVAL_IDS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_inverse_and_powers_match_the_element_path(base, ident, data):
+    """inverse() and a ** n for -3 <= n < 6 (n >= 0 without a unit constant
+    term) agree with the element path, refusals included."""
+    model = ARITH_MODELS[base, ident]
+    a, ra = _drawn_series(data, model)
+    if data.draw(st.booleans()):  # a unit constant term, so that a ** -n exists
+        unit = base.from_int(data.draw(st.sampled_from([1, -1, 2])))
+        a = a + model.constant(unit - a.constant_term())
+        ra = RefSeries(model, dict(a.terms))
+    try:
+        want = ra.inverse()
+    except DomainError:
+        with pytest.raises(DomainError):
+            a.inverse()
+        want = None
+    else:
+        _assert_same_series(a.inverse(), want)
+    for n in range(-3 if want is not None else 0, 6):
+        _assert_same_series(a ** n, ra ** n)
+
+
+def test_a_coefficient_of_another_context_is_refused_where_the_series_is_built():
+    """The product reads the base context's kernel and modulus, so a
+    coefficient of an unequal context is refused when the series is built,
+    before any product; an equal context is accepted."""
+    foreign = Z3.one()
+    t = DISC.var("T")
+    for build in (lambda: DISC.series({(1,): foreign}) * t,
+                  lambda: t * DISC.constant(foreign),
+                  lambda: t + foreign,
+                  lambda: t.scale(foreign)):
+        with pytest.raises(DomainError, match="mixed contexts"):
+            build()
+    equal = PadicContext(5, precision=12)
+    assert equal is not Z5 and equal == Z5
+    assert DISC.series({(1,): equal.from_int(2)}) * t == (t * t).scale(2)
+
+
+def test_a_cancelled_coefficient_bounds_the_precision_its_rewrite_reaches():
+    """On the annulus zeta1*zeta2 = pi^2 the cross terms of
+    (1 + zeta1 + zeta2)(1 - zeta1 + zeta2) cancel to 0 known to 2 digits
+    only, and the rewrite carries that zero to the constant term, which then
+    knows 2 + 2 digits, as on the element path."""
+    low_one = Z5.from_int(1).reduce_mod(2)
+    a = ANN.series({(0, 0): 1, (1, 0): low_one, (0, 1): 1})
+    b = ANN.series({(0, 0): 1, (1, 0): -1, (0, 1): 1})
+    got = a * b
+    assert got.coefficient((0, 0)).known_precision == 4
+    _assert_same_series(got, RefSeries(ANN, dict(a.terms))
+                        * RefSeries(ANN, dict(b.terms)))
