@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from loccon.chainring import ChainSpan, determinant, spin
 from loccon.lattice import IntegralRep
-from loccon.padic import (DomainError, embed, gamma_exponent, relative_ramification,
+from loccon.padic import (embed, gamma_exponent, relative_ramification,
                           require_at_least_one)
 from loccon.series import AdicSeries, ModelPoint
 
@@ -14,9 +14,11 @@ from loccon.series import AdicSeries, ModelPoint
 class RepFamily(IntegralRep):
     """d x d matrices of AdicSeries over a model, one per group generator.
 
-    Generator images must be invertible with integral inverse (unit
-    determinant in the integral algebra).  Entries that are not series
-    (integers, elements of the base) become constant series.
+    Generator images must be invertible with integral inverse: the
+    determinant is a unit of the integral algebra, which its coefficients
+    show (``AdicSeries.unit_obstruction``) without inverting it.  Entries
+    that are not series (integers, elements of the base) become constant
+    series.
     """
 
     def __init__(self, group, dim, model, gen_images):
@@ -27,11 +29,7 @@ class RepFamily(IntegralRep):
         return x if isinstance(x, AdicSeries) else self.model.constant(x)
 
     def _is_unit(self, M):
-        try:
-            determinant(M).inverse()
-        except DomainError:
-            return False
-        return True
+        return determinant(M).unit_obstruction() is None
 
     # -- specialization ----------------------------------------------------
 

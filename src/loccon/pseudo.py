@@ -9,6 +9,7 @@ The coefficient ring must have 2 invertible, so p = 2 is refused.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from loccon.padic import DomainError, InconclusiveError, require_at_least_one
 from loccon.series import AdicSeries, constancy_certificate
@@ -17,7 +18,12 @@ from loccon.series import AdicSeries, constancy_certificate
 class PseudoRep2:
     """d = 2 pseudorepresentation on a finite group or a free group (values
     on finitely many words); values live in O_E or in a series algebra over
-    it, and ``base`` is the coefficient context O_E, with p odd."""
+    it, and ``base`` is the coefficient context O_E, with p odd.
+
+    ``values`` is a table {word: value}, or a function of no arguments that
+    returns one; either is read the first time ``values`` is read, so a
+    trace table (``from_rep_trace``) costs nothing until it is used.
+    """
 
     def __init__(self, group, values, base):
         if base.p == 2:
@@ -25,7 +31,13 @@ class PseudoRep2:
         self.group = group
         self.base = base
         self.half = base.from_int(2).inverse()
-        self.values = {group.normal_form(w): v for w, v in values.items()}
+        self._table = values
+
+    @cached_property
+    def values(self):
+        """{word in normal form: value}, built once, on first read."""
+        table = self._table() if callable(self._table) else self._table
+        return {self.group.normal_form(w): v for w, v in table.items()}
 
     # -- evaluation --------------------------------------------------------
 
@@ -157,13 +169,15 @@ class PseudoRep2:
 
 def from_rep_trace(rep, word_cap=4):
     """T(w) = trace of the word matrix, for d = 2 representations or
-    families, for the words of length <= ``word_cap`` (at least 1)."""
+    families, for the words of length <= ``word_cap`` (at least 1).  The
+    arguments are checked here; the traces are taken when ``values`` is
+    first read."""
     require_at_least_one("word_cap", word_cap)
     if rep.dim != 2:
         raise DomainError("pseudorepresentations are implemented for d = 2")
-    values = {el: rep.trace_of_word(w)
-              for el, w in rep.group.element_words(word_cap).items()}
-    return PseudoRep2(rep.group, values, rep.context)
+    return PseudoRep2(rep.group, lambda: {
+        el: rep.trace_of_word(w)
+        for el, w in rep.group.element_words(word_cap).items()}, rep.context)
 
 
 def _decompose_trace(tbar, dims, traces, F):

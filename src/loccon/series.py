@@ -450,26 +450,33 @@ class AdicSeries:
     def constant_term(self):
         return self.coefficient((0,) * len(self.model.vars))
 
-    def inverse(self):
-        """Inverse in the integral algebra; exists when the constant term is
-        a unit and every other monomial is topologically nilpotent."""
-        c = self.constant_term()
-        if not c.is_unit():
-            raise DomainError("series with non-unit constant term is not invertible")
-        cinv = c.inverse()
-        h = self.model.constant(1) - self.scale(cinv)
+    def unit_obstruction(self):
+        """Why the series is not a unit of the integral algebra, or None
+        when it is: a unit needs a unit constant term and no unit
+        coefficient on a monomial in bounded variables only (every other
+        monomial is then topologically nilpotent).  Reads coefficients
+        only; ``inverse`` refuses exactly the series this names."""
+        if not self.constant_term().is_unit():
+            return "series with non-unit constant term is not invertible"
         const_mono = (0,) * len(self.model.vars)
         open_idx = [self.model.vars.index(v) for v in self.model.open_vars]
-        for mono, coeff in h.terms.items():
-            if mono == const_mono:
-                continue
-            if sum(mono[i] for i in open_idx) >= 1:
-                continue
-            v = coeff.pi_valuation()
-            if v is not None and v < 1:
-                raise DomainError(
-                    "series is not invertible in the integral algebra "
-                    f"(bounded monomial {_mono_str(self.model, mono)} has unit coefficient)")
+        for mono, coeff in self.terms.items():
+            if mono != const_mono and not any(mono[i] for i in open_idx) \
+                    and coeff.is_unit():
+                return ("series is not invertible in the integral algebra "
+                        f"(bounded monomial {_mono_str(self.model, mono)} "
+                        "has unit coefficient)")
+        return None
+
+    def inverse(self):
+        """Inverse in the integral algebra, (1 - h)^-1 c^-1 for c the
+        constant term and h = 1 - self/c, summed as a geometric series;
+        ``unit_obstruction`` names a series that has none."""
+        reason = self.unit_obstruction()
+        if reason is not None:
+            raise DomainError(reason)
+        cinv = self.constant_term().inverse()
+        h = self.model.constant(1) - self.scale(cinv)
         acc = self.model.constant(1)
         power = h
         guard = (self.model.degree_cap + 1) * self.model.base.precision + 1

@@ -473,6 +473,10 @@ def _load_rep(spec, block):
 
 
 def _load_pseudorep(spec, block):
+    """A [pseudorep] block: the trace of a ``family`` or ``rep`` block, or
+    an explicit ``value`` table on a free group.  Every check runs here
+    (references, word_cap >= 1, d = 2, p != 2); the values are built when
+    a command first reads them (``PseudoRep2.values``)."""
     from loccon.pseudo import PseudoRep2, from_rep_trace
     e = _entries_dict(block, multi=("value",))
     cap = _get_int(e, "word_cap", block, required=False, default=4)

@@ -241,6 +241,65 @@ def test_pseudorep_audit_draws_no_point(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+_REP_BLOCKS = "[rep R]\ncontext = {ctx}\ngroup = free 1\ndim = {dim}\n" \
+              "matrix g1 = {matrix}\n\n[pseudorep P]\nrep = R"
+
+
+@pytest.mark.parametrize("old,new,bad,message", [
+    ("word_cap = 3", "word_cap = 0", "[pseudorep P]",
+     "invalid [pseudorep] block: word_cap must be at least 1, got 0"),
+    ("[pseudorep P]\nfamily = F",
+     _REP_BLOCKS.format(ctx="base", dim=3,
+                        matrix="1 , 0 , 0 ; 0 , 1 , 0 ; 0 , 0 , 1"),
+     "[pseudorep P]", "implemented for d = 2"),
+    ("[pseudorep P]\nfamily = F",
+     "[context two]\np = 2\n\n" + _REP_BLOCKS.format(
+         ctx="two", dim=2, matrix="1 , 0 ; 0 , 1"),
+     "[pseudorep P]", "needs p != 2"),
+    ("family = F", "family = nosuch", "family = nosuch",
+     "unresolved reference to family 'nosuch'"),
+], ids=["word_cap", "rep-dim-3", "p-2", "undeclared-family"])
+def test_pseudorep_block_errors_stop_every_command_at_load(
+        capsys, tmp_path, old, new, bad, message):
+    """A malformed [pseudorep] block exits 3 at load with its line, the same
+    on a command that never reads it as on pseudorep check: its trace table
+    is built on first read, its checks are not."""
+    text = pathlib.Path(FAMILY_SPEC).read_text()
+    assert old in text
+    text = text.replace(old, new, 1)
+    path = tmp_path / "malformed.spec"
+    path.write_text(text)
+    line = text.split("\n").index(bad) + 1
+    errors = []
+    for argv in (["domain", "describe"], ["pseudorep", "check"]):
+        code = main(["--spec", str(path)] + argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        errors.append(json.loads(captured.err)["error"])
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"line {line}: ") and message in errors[0]
+
+
+def test_only_commands_that_read_a_pseudorep_take_traces(capsys, monkeypatch):
+    """Loading a spec builds no trace table: no command but pseudorep check
+    takes the trace of a word of the family."""
+    from loccon.lattice import IntegralRep
+    calls = []
+    trace = IntegralRep.trace_of_word
+    monkeypatch.setattr(IntegralRep, "trace_of_word",
+                        lambda self, word: calls.append(word)
+                        or trace(self, word))
+    for argv, want in ((["domain", "describe"], 0),
+                       (["domain", "member", "--point", "T : 25"], 0),
+                       (["family", "check-strict", "--n", "2"], 1),
+                       (["family", "audit"], 0),
+                       (["pseudorep", "check"], 0)):
+        calls.clear()
+        assert main(["--spec", FAMILY_SPEC] + argv) == want
+        capsys.readouterr()
+        assert bool(calls) == (argv[0] == "pseudorep"), argv
+
+
 def test_cover_compare(capsys):
     code, rep = run(capsys, "--spec", COVER_SPEC, "domain", "cover-compare",
                     "--samples", "30")

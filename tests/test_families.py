@@ -37,6 +37,30 @@ def test_generator_images_must_be_invertible():
                                           [DISC.zero(), DISC.constant(1)]]})
 
 
+ANN2 = AlgebraModel(Z5, bounded_vars=("zeta1", "zeta2"), relation=Annulus(2),
+                    degree_cap=4)
+
+
+@pytest.mark.parametrize("model,c,k,unit", [
+    (DISC, 5, 0, False),     # det = 5 + T: non-unit constant term
+    (DISC, 1, 0, True),      # det = 1 + T: T is open
+    (ANN2, 1, 0, False),     # det = 1 + zeta1: unit bounded coefficient
+    (ANN2, 1, 1, True),      # det = 1 + 5 zeta1
+], ids=["disc-5+T", "disc-1+T", "ann-1+zeta1", "ann-1+5zeta1"])
+def test_unit_determinant_test_reads_coefficients(model, c, k, unit):
+    """[[c, x], [-1, 1]] has determinant c + x, x = 5^k T on the disc and
+    5^k zeta1 on the annulus; a non-unit is refused with the message the
+    refusal through inverse() gave."""
+    x = model.var(model.vars[0]).scale(5 ** k)
+    images = {"g1": [[c, x], [-1, 1]]}
+    if unit:
+        assert RepFamily(FREE1, 2, model, images).gen_images["g1"][0][1] == x
+        return
+    with pytest.raises(DomainError,
+                       match="^generator 'g1' has non-unit determinant$"):
+        RepFamily(FREE1, 2, model, images)
+
+
 def _elements(images):
     return {g: [[Z5.from_int(x) for x in row] for row in M]
             for g, M in images.items()}

@@ -995,3 +995,75 @@ def test_a_cancelled_coefficient_bounds_the_precision_its_rewrite_reaches():
     assert got.coefficient((0, 0)).known_precision == 4
     _assert_same_series(got, RefSeries(ANN, dict(a.terms))
                         * RefSeries(ANN, dict(b.terms)))
+
+
+def _drawn_unit_candidate(data, model):
+    """A series whose unit test is in doubt: a drawn series whose constant
+    term is made a unit (possibly known to few digits) or a non-unit, plus,
+    where the model has bounded variables, a term on a monomial in one of
+    them with a unit or a non-unit coefficient."""
+    base = model.base
+    a, _ = _drawn_series(data, model)
+    const = data.draw(st.sampled_from(["unit", "non-unit", "as drawn"]))
+    if const != "as drawn":
+        c = base.from_int(data.draw(st.sampled_from([1, -1, 2])))
+        if const == "non-unit":
+            c = c * base.pi_power(data.draw(st.integers(1, 2)))
+        k = data.draw(st.integers(1, base.precision))
+        c = c.reduce_mod(k) if k < c.known_precision else c
+        a = a + model.constant(c - a.constant_term())
+    if model.bounded_vars and data.draw(st.booleans()):
+        mono = [0] * len(model.vars)
+        mono[model.var_index(data.draw(st.sampled_from(model.bounded_vars)))] \
+            = data.draw(st.integers(1, 2))
+        a = a + model.series({tuple(mono): _drawn_coefficient(data, base)})
+    return a
+
+
+@pytest.mark.parametrize("base", ARITH_BASES, ids=["Z5", "e2", "W9"])
+@pytest.mark.parametrize("ident", EVAL_IDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_unit_obstruction_is_none_exactly_when_inverse_returns(base, ident,
+                                                              data):
+    """unit_obstruction() is None exactly when inverse() returns, and is
+    otherwise the message inverse() raises; the element-path inverse (the
+    old test on h = 1 - a/c) refuses the same series."""
+    model = ARITH_MODELS[base, ident]
+    a = _drawn_unit_candidate(data, model)
+    reason = a.unit_obstruction()
+    try:
+        a.inverse()
+    except DomainError as exc:
+        assert reason == str(exc)
+    else:
+        assert reason is None
+    try:
+        RefSeries(model, dict(a.terms)).inverse()
+    except DomainError:
+        assert reason is not None
+    else:
+        assert reason is None
+
+
+@pytest.mark.parametrize("base", ARITH_BASES, ids=["Z5", "e2", "W9"])
+@pytest.mark.parametrize("ident", EVAL_IDS)
+def test_unit_obstruction_reads_the_constant_term_and_bounded_monomials(
+        base, ident):
+    """A non-unit constant term (pi, pi known to two digits, 0) is refused,
+    and so is 1 + 2x for a bounded variable x; 1 known to one digit passes
+    alone, plus pi times a bounded variable and plus an open one."""
+    model = ARITH_MODELS[base, ident]
+    pi, low_one = base.pi_power(1), base.from_int(1).reduce_mod(1)
+    for const in (pi, pi.reduce_mod(2), base.zero()):
+        reason = model.constant(const).unit_obstruction()
+        assert "non-unit constant term" in reason
+    assert model.constant(low_one).unit_obstruction() is None
+    for v in model.vars:
+        x = model.var(v)
+        if model.is_open(v):
+            assert (x + low_one).unit_obstruction() is None
+            continue
+        assert (x.scale(pi) + low_one).unit_obstruction() is None
+        reason = (x.scale(base.from_int(2)) + low_one).unit_obstruction()
+        assert f"bounded monomial {v} has unit coefficient" in reason
