@@ -249,7 +249,7 @@ def cmd_pseudorep(args):
                       "generators": [{"shift": s, "vector": v}
                                      for v, s in gens]}, args)
     if args.op == "mf":
-        rep = ps.residually_multiplicity_free(seed=args.seed)
+        rep = ps.residually_multiplicity_free()
         return _emit(rep, args)
     if args.op == "audit":
         dom = spec.sole("domains")

@@ -309,14 +309,6 @@ def composition_factors(F, letters, d, words, seed):
     return out
 
 
-def with_trace_coords(F, factors):
-    """The factors as reports give them: each trace as the coordinates of
-    its lift, whose order is the order of the F_q ints."""
-    return [{"dim": f["dim"],
-             "traces": tuple(F.lift(t).coords for t in f["traces"])}
-            for f in factors]
-
-
 def semisimplify_mod_p(r, seed=0):
     """Composition factors of a residue representation (modulus 1), from
     the residues of the generators, each labeled by its traces on the
@@ -330,7 +322,11 @@ def semisimplify_mod_p(r, seed=0):
                for gi, name in enumerate(r.group.generators)}
     words = list(residue_spin(r))
     ss = composition_factors(F, letters, r.dim, words, seed)
-    ss["factors"] = with_trace_coords(F, ss["factors"])
+    # each trace as the coordinates of its lift, whose order is the order
+    # of the F_q ints
+    ss["factors"] = [{"dim": f["dim"],
+                      "traces": tuple(F.lift(t).coords for t in f["traces"])}
+                     for f in ss["factors"]]
     ss["words"] = [r.group.word_text(w) for w in words]
     return ss
 

@@ -616,8 +616,8 @@ class ResidueField:
     c_0 the most significant: the order of ``ctx.enumerate_residues(1)``.
     Products are taken over Z in omega and reduced by the unramified
     polynomial; for f = 1 each operation is one integer operation mod p, and
-    extension fields with q <= 64 keep their sums and products in q^2-entry
-    tables, indexed a*q + b, each entry filled on first use.
+    an extension field memoises its sums and products in one dict each,
+    keyed a*q + b and filled on first use.
 
     Linear algebra keeps an echelon basis as a dict {pivot column: row},
     each row 1 at its pivot and 0 at the pivots of the rows inserted before
@@ -630,10 +630,7 @@ class ResidueField:
         self.p, self.f, self.q = ctx.p, ctx.f, ctx.residue_field_size
         self.one = self.p ** (self.f - 1)  # c_0 = 1, the rest 0
         self._unram_poly = ctx.unram_poly
-        self._add_table = self._mul_table = None
-        if self.f > 1 and self.q <= 64:
-            self._add_table = [None] * self.q ** 2
-            self._mul_table = [None] * self.q ** 2
+        self._sums, self._products = {}, {}
 
     def _coeffs(self, a):
         c = [0] * self.f
@@ -663,17 +660,14 @@ class ResidueField:
     def add(self, a, b):
         if self.f == 1:
             return (a + b) % self.p
-        return self._entry(self._add_table, self._poly_add, a, b)
+        return self._memo(self._sums, self._poly_add, a, b)
 
-    def _entry(self, table, op, a, b):
-        """op(a, b), read from its table when there is one; an entry left
-        empty is filled by op on first use."""
-        if table is None:
-            return op(a, b)
+    def _memo(self, memo, op, a, b):
+        """op(a, b), read from its memo, where op puts it on first use."""
         i = a * self.q + b
-        out = table[i]
+        out = memo.get(i)
         if out is None:
-            out = table[i] = op(a, b)
+            out = memo[i] = op(a, b)
         return out
 
     def _poly_add(self, a, b):
@@ -685,7 +679,7 @@ class ResidueField:
     def mul(self, a, b):
         if self.f == 1:
             return a * b % self.p
-        return self._entry(self._mul_table, self._poly_mul, a, b)
+        return self._memo(self._products, self._poly_mul, a, b)
 
     def _poly_mul(self, a, b):
         acc = [0] * (2 * self.f - 1)

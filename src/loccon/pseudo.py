@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from loccon.padic import DomainError, InconclusiveError, require_at_least_one
+from loccon.padic import DomainError, require_at_least_one
 from loccon.series import AdicSeries, constancy_certificate
 
 
@@ -30,8 +30,12 @@ class PseudoRep2:
             raise DomainError("pseudorepresentation calculus needs p != 2")
         self.group = group
         self.base = base
-        self.half = base.from_int(2).inverse()
         self._table = values
+
+    @cached_property
+    def half(self):
+        """1/2 in O_E, for ``determinant``, inverted on first read."""
+        return self.base.from_int(2).inverse()
 
     @cached_property
     def values(self):
@@ -106,53 +110,55 @@ class PseudoRep2:
 
     # -- multiplicity-freeness --------------------------------------------
 
-    def residually_multiplicity_free(self, seed=0):
-        """Decompose T mod pi as a sum of irreducible traces of the group,
-        found on the regular representation over F_q; multiplicity-free
-        when no factor repeats, inconclusive when the irreducibility of a
-        factor is unproven."""
-        from loccon.lattice import composition_factors, with_trace_coords
+    def residually_multiplicity_free(self):
+        """Whether the residual representation repeats no factor, from T
+        mod pi: for p odd, T mod pi is the trace of a semisimple 2-dimensional
+        rho exactly when T(1) = 2, T(gh) = T(hg), D(gh) = D(g) D(h) and the
+        d = 2 identity hold mod pi (Chenevier), and rho repeats a factor
+        exactly when chi = T/2 mod pi is a character (Brauer-Nesbitt).  The
+        report names the first pair, in ``element_words()`` order, that breaks
+        a condition (``no_decomposition``), or else on which chi is not
+        multiplicative (``multiplicity_free``)."""
         group = self.group
-        if group.order > 24:
-            raise InconclusiveError("exhaustive route limited to |G| <= 24")
-        F = self.base.residue_field
-        n = group.order
-        # regular representation: the letter of h sends e_x to e_{hx}, read
-        # off the multiplication table (an inverse letter is the letter of
-        # the inverse element)
-        letters = {}
-        for gi, g in enumerate(group.gen_elements):
-            for sign, h in ((1, g), (-1, group.inverse_element(g))):
-                M = [[0] * n for _ in range(n)]
-                for x in group.elements():
-                    M[group.multiply(h, x)][x] = F.one
-                letters[(gi, sign)] = M
+        n = group.order  # a free group refuses here
         words = group.element_words()
-        ss = composition_factors(F, letters, n, words.values(), seed)
-        uniq = []
-        for f in ss["factors"]:
-            if f not in uniq:
-                uniq.append(f)
-        out = {"complete": ss["complete"],
-               "factors": with_trace_coords(F, uniq)}
-        if not ss["complete"]:
-            dims = ", ".join(map(str, ss["unproven"]))
-            out.update(verdict="inconclusive", unproven=ss["unproven"],
-                       reason=f"the random submodule search did not prove "
-                              f"the factors of dimension {dims} irreducible")
-            return out
-        # factor traces are aligned with element_words() iteration order
-        tbar = [F.of(self.value(el)) for el in words]
-        mult = _decompose_trace(tbar, [f["dim"] for f in uniq],
-                                [f["traces"] for f in uniq], F)
-        if mult is None:
-            out["verdict"] = "no_decomposition"
-        elif max(mult) <= 1:
-            out.update(multiplicities=mult, verdict="multiplicity_free")
-        else:
-            out.update(multiplicities=mult, verdict="not_multiplicity_free",
-                       repeated_factor=mult.index(max(mult)))
-        return out
+        inverse = [group.inverse_element(x) for x in range(n)]
+        F = self.base.residue_field
+        mul, two = F.mul, F.add(F.one, F.one)
+        half = F.inv(two)
+        t = [F.of(self.value(x)) for x in range(n)]
+        det = [mul(half, F.sub(mul(tx, tx), t[group.multiply(x, x)]))
+               for x, tx in enumerate(t)]
+        chi = [mul(half, tx) for tx in t]
+
+        def report(verdict, g, h, rule):
+            return {"verdict": verdict, "certificate": f"{rule} fails mod pi",
+                    "witness": [group.word_text(words[x]) for x in (g, h)]}
+
+        e = group.identity
+        if t[e] != two:
+            return report("no_decomposition", e, e, "T(1) = 2")
+        split = None
+        for g, h in itertools.product(words, repeat=2):
+            gh = group.multiply(g, h)
+            if t[gh] != t[group.multiply(h, g)]:
+                return report("no_decomposition", g, h, "T(gh) = T(hg)")
+            if det[gh] != mul(det[g], det[h]):
+                return report("no_decomposition", g, h, "D(gh) = D(g) D(h)")
+            if mul(t[g], t[h]) != F.add(t[gh], mul(
+                    det[g], t[group.multiply(inverse[g], h)])):
+                return report("no_decomposition", g, h,
+                              "T(g) T(h) = T(gh) + D(g) T(g^-1 h)")
+            if split is None and chi[gh] != mul(chi[g], chi[h]):
+                split = (g, h)
+        if split is not None:
+            return report("multiplicity_free", *split,
+                          "chi(gh) = chi(g) chi(h) for chi = T/2")
+        return {"verdict": "not_multiplicity_free",
+                "certificate": "chi(gh) = chi(g) chi(h) for chi = T/2 holds "
+                               "mod pi on every pair",
+                "character": {name: F.lift(chi[x]).coords for name, x
+                              in zip(group.generators, group.gen_elements)}}
 
     # -- constancy over algebras ------------------------------------------
 
@@ -179,23 +185,3 @@ def from_rep_trace(rep, word_cap=4):
         el: rep.trace_of_word(w)
         for el, w in rep.group.element_words(word_cap).items()}, rep.context)
 
-
-def _decompose_trace(tbar, dims, traces, F):
-    """Non-negative integer combination of the factor traces (over the
-    residue field F) equal to tbar with total dimension 2, by exhaustive
-    search (d = 2 only)."""
-    for combo in itertools.product(range(3), repeat=len(dims)):
-        if sum(c * d for c, d in zip(dims, combo)) != 2:
-            continue
-        ok = True
-        for pos, want in enumerate(tbar):
-            acc = 0
-            for c, tr in zip(combo, traces):
-                for _ in range(c):
-                    acc = F.add(acc, tr[pos])
-            if acc != want:
-                ok = False
-                break
-        if ok:
-            return list(combo)
-    return None

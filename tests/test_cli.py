@@ -687,34 +687,60 @@ def _unstable_orbit(free):
 
 
 @pytest.mark.parametrize("limit,argv,patch", [
-    ("|G| <= 24", ["pseudorep", "mf"], None),
     ("orbit lattice keeps growing", ["lattice", "stabilize"],
      _unstable_orbit(free=True)),
     ("orbit denominator pi^-", ["lattice", "stabilize"],
      _unstable_orbit(free=False)),
-])
+], ids=["orbit lattice keeps growing-argv1-run",
+        "orbit denominator pi^--argv2-run"])
 def test_budget_and_precondition_limits_exit_2(capsys, tmp_path, monkeypatch,
                                                limit, argv, patch):
     """The README contract: a budget or precondition limit is inconclusive."""
     spec = tmp_path / "order25.spec"
     spec.write_text(ORDER_25_SPEC)
-    if patch is not None:
-        monkeypatch.setattr("loccon.cli.stable_lattice", patch)
+    monkeypatch.setattr("loccon.cli.stable_lattice", patch)
     code, rep = run(capsys, "--spec", str(spec), *argv)
     assert code == 2
     assert rep["verdict"] == "inconclusive" and limit in rep["reason"]
 
 
-def test_unproven_factor_exits_2(capsys, tmp_path):
-    """C_19 over F_5 splits as 1 + 9 + 9 (5 has order 9 mod 19).  The random
-    submodule search leaves the 18-dimensional complement unsplit, so the
-    verdict is inconclusive and names that dimension."""
-    spec = tmp_path / "order19.spec"
-    spec.write_text(ORDER_25_SPEC.replace("cyclic 25", "cyclic 19"))
+@pytest.mark.parametrize("order", [19, 23, 25])
+def test_doubled_trivial_cyclic_mf_is_decided(capsys, tmp_path, order):
+    """The doubled trivial T of C_19, C_23 and C_25 over Z_5 is twice the
+    trivial character mod 5, whatever the size of the group: exit 0."""
+    spec = tmp_path / "cyclic.spec"
+    spec.write_text(ORDER_25_SPEC.replace("cyclic 25", f"cyclic {order}"))
     code, rep = run(capsys, "--spec", str(spec), "pseudorep", "mf")
-    assert code == 2
-    assert rep["verdict"] == "inconclusive" and not rep["complete"]
-    assert rep["unproven"] == [18] and "18" in rep["reason"]
+    assert code == 0
+    assert rep["verdict"] == "not_multiplicity_free"
+    assert rep["character"] == {"g": [1]}
+
+
+def test_pseudorep_mf_on_a_free_group_is_usage_error(capsys):
+    """The multiplicity-free check needs the group's order."""
+    assert main(["--spec", FAMILY_SPEC, "pseudorep", "mf"]) == 3
+    assert "no order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,inverts", [
+    (["domain", "describe"], False),
+    (["pseudorep", "check"], True),
+])
+def test_only_the_axiom_check_inverts_two(monkeypatch, capsys, argv, inverts):
+    """1/2 is built the first time ``determinant`` reads it, so a command
+    that reads no determinant takes no inverse in O_E."""
+    from loccon.padic import PadicElement
+    calls = []
+    inverse = PadicElement.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(PadicElement, "inverse", counted)
+    assert main(["--spec", FAMILY_SPEC, *argv]) == 0
+    capsys.readouterr()
+    assert bool(calls) == inverts
 
 
 @pytest.mark.parametrize("spec,argv,needle", [
@@ -915,7 +941,7 @@ GOLDEN = {
     ("1", 15): (0, "80ec9da0304bf6adae6d0ff216e573d6d2dccdb141f33602744f9fff2924ce7d"),
     ("1", 16): (0, "7d4b873053b9379c4a5c6a83530cab41adaac3ea04668a809911cee926b5fb8e"),
     ("1", 17): (0, "bd718f2097e40ddcbdeeec0af54f3d257d6209fa988b6b91c8533be438290c69"),
-    ("1", 18): (0, "f1bbef60155a2c40fd1b141048513a300f4240f926a9946190169d3fad76d8e8"),
+    ("1", 18): (0, "1d5f5974e36a7a9fdecef589e1c5c087dda2b4c3fe33c4752dd4d24a8fe7a7f6"),
     ("1", 19): (0, "6d2a26764f959c10f62f4e79fb9d7fa50b68c77ef16712cb3c3bddd213658594"),
     ("1", 20): (0, "2a81e39b64a454243542cb37896f9b5d696bc2f83624289a7397b97dc2c618b5"),
     ("1", 21): (0, "7d82864bad53dc1560c78c1bf84dfd527527737394c9b08682e996a97d3152d1"),
@@ -938,7 +964,7 @@ GOLDEN = {
     ("1001", 15): (0, "80ec9da0304bf6adae6d0ff216e573d6d2dccdb141f33602744f9fff2924ce7d"),
     ("1001", 16): (0, "7d4b873053b9379c4a5c6a83530cab41adaac3ea04668a809911cee926b5fb8e"),
     ("1001", 17): (0, "25faacb0e4205eeceb0f9b2d3263c23bc898f6aa6ee476268c763b385a29e5fe"),
-    ("1001", 18): (0, "f1bbef60155a2c40fd1b141048513a300f4240f926a9946190169d3fad76d8e8"),
+    ("1001", 18): (0, "1d5f5974e36a7a9fdecef589e1c5c087dda2b4c3fe33c4752dd4d24a8fe7a7f6"),
     ("1001", 19): (0, "6d2a26764f959c10f62f4e79fb9d7fa50b68c77ef16712cb3c3bddd213658594"),
     ("1001", 20): (0, "2a81e39b64a454243542cb37896f9b5d696bc2f83624289a7397b97dc2c618b5"),
     ("1001", 21): (0, "7d82864bad53dc1560c78c1bf84dfd527527737394c9b08682e996a97d3152d1"),

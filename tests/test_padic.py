@@ -727,16 +727,18 @@ def test_residue_field_indexes_residues_in_enumeration_order(shape):
     assert [a for a in range(F.q) if F.sqrt(a) is not None] == sorted(squares)
 
 
-@pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 6)],
-                         ids=["F4", "F8", "F9", "F25", "F64"])
+@pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 6),
+                                 (11, 2)],
+                         ids=["F4", "F8", "F9", "F25", "F64", "F121"])
 def test_residue_field_tables_fill_on_first_use_with_the_polynomial_values(p, f):
-    """A field with q <= 64 starts with empty tables.  Every entry filled by
-    its first sum or product is the sum or product of the omega-polynomials
-    (digits of the int, c_0 most significant) reduced by the unramified
-    polynomial, and the entry is read back unchanged."""
+    """An extension field starts with empty memos of sums and products.
+    Each entry that a first sum or product puts there, keyed a*q + b, is
+    the sum or product of the omega-polynomials (digits of the int, c_0
+    most significant) reduced by the unramified polynomial, and the entry
+    is read back unchanged."""
     ctx = PadicContext(p, f=f, precision=2)
     F, g, q = ctx.residue_field, ctx.unram_poly, p ** f
-    assert F._add_table == [None] * q * q and F._mul_table == [None] * q * q
+    assert F._sums == {} and F._products == {}
 
     def digits(a):
         return [a // p ** (f - 1 - j) % p for j in range(f)]
@@ -755,12 +757,14 @@ def test_residue_field_tables_fill_on_first_use_with_the_polynomial_values(p, f)
                 prod[top - f + k] -= lead * g[k]
         return index(prod[:f])
 
-    for _ in range(2):  # the first pass fills the tables, the second reads
+    assert F.mul(1, 1) == poly_mul(1, 1) and list(F._products) == [q + 1]
+    for _ in range(2):  # the first pass fills the memos, the second reads
         for a in range(q):
             for b in range(q):
                 assert F.add(a, b) == index(map(sum, zip(digits(a), digits(b))))
                 assert F.mul(a, b) == poly_mul(a, b)
-        assert None not in F._add_table and None not in F._mul_table
+                assert F._products[a * q + b] == poly_mul(a, b)
+        assert len(F._sums) == len(F._products) == q * q
 
 
 def test_a_context_and_its_residue_field_leave_no_cycle():

@@ -1,12 +1,14 @@
 """Dimension-2 pseudorepresentations: axioms, kernels, multiplicity-freeness."""
 
 import functools
+import itertools
+import time
 
 import pytest
 
 from loccon.groups import cyclic_group, dihedral_group, free_group, symmetric_group
 from loccon.padic import DomainError, PadicContext
-from loccon.pseudo import PseudoRep2, _decompose_trace, from_rep_trace
+from loccon.pseudo import PseudoRep2, from_rep_trace
 from loccon.specfile import _parse_word
 from tests.test_lattice import s3_standard_rep
 
@@ -132,6 +134,34 @@ def test_irreducible_trace_kernel_corank():
 # -- multiplicity-freeness ---------------------------------------------------
 
 
+def _pair(ps, witness):
+    """The elements that a report's witness pair of words names."""
+    return [_word_element(ps.group, _parse_word(text.split(), ps.group, None))
+            for text in witness]
+
+
+def _chi(ps):
+    """chi = T/2 mod pi, as a function of group elements."""
+    F = ps.base.residue_field
+    half = F.inv(F.add(F.one, F.one))
+    return lambda x: F.mul(half, F.of(ps.value(x)))
+
+
+def _chi_splits_at(ps, out):
+    """Whether chi = T/2 mod pi is not multiplicative at the witness pair."""
+    g, h = _pair(ps, out["witness"])
+    chi, mul = _chi(ps), ps.base.residue_field.mul
+    return chi(ps.group.multiply(g, h)) != mul(chi(g), chi(h))
+
+
+def _character_matches(ps, out):
+    """The report's character is T/2 mod pi on every generator."""
+    chi, F = _chi(ps), ps.base.residue_field
+    return out["character"] == {
+        name: F.lift(chi(x)).coords
+        for name, x in zip(ps.group.generators, ps.group.gen_elements)}
+
+
 def test_s3_trivial_plus_sign_is_multiplicity_free():
     s3 = symmetric_group(3)
     triv = (Z5.one(), Z5.one())
@@ -139,7 +169,7 @@ def test_s3_trivial_plus_sign_is_multiplicity_free():
     ps = character_sum(s3, Z5, [triv, sign])
     out = ps.residually_multiplicity_free()
     assert out["verdict"] == "multiplicity_free"
-    assert out["complete"]
+    assert _chi_splits_at(ps, out)
 
 
 def test_c4_distinct_characters_multiplicity_free():
@@ -156,6 +186,7 @@ def test_c4_repeated_character_not_multiplicity_free():
     ps = character_sum(c4, Z5, [(i1,), (i1,)])
     out = ps.residually_multiplicity_free()
     assert out["verdict"] == "not_multiplicity_free"
+    assert out["character"] == {"g": (2,)}
 
 
 def test_doubled_trivial_not_multiplicity_free():
@@ -175,30 +206,34 @@ def d6_standard_trace():
 
 
 def test_dihedral_order_12_regular_representation():
-    """The check decomposes the 12-dimensional regular representation of
-    D_6 over F_5, and finds T = the D_6 standard trace once in it."""
-    out = d6_standard_trace().residually_multiplicity_free()
-    assert out["complete"]
-    assert sorted(f["dim"] for f in out["factors"]) == [1, 1, 1, 1, 2, 2]
+    """The D_6 standard trace is irreducible mod 5, so T/2 mod 5 is no
+    character: the witness pair shows it, and the reference finds T once
+    among the factors of the regular representation over F_5."""
+    ps = d6_standard_trace()
+    out = ps.residually_multiplicity_free()
     assert out["verdict"] == "multiplicity_free"
-    assert sorted(out["multiplicities"]) == [0, 0, 0, 0, 0, 1]
+    assert _chi_splits_at(ps, out)
+    ref = reference_multiplicity_free(ps)
+    assert sorted(f["dim"] for f in ref["factors"]) == [1, 1, 1, 1, 2, 2]
+    assert sorted(ref["multiplicities"]) == [0, 0, 0, 0, 0, 1]
 
 
 def _word_element(group, word):
-    """The element of a finite group that a word of positive letters names."""
-    return functools.reduce(group.multiply,
-                            [group.gen_elements[gi] for gi, _ in word],
-                            group.identity)
+    """The element of a finite group that a word names."""
+    return functools.reduce(group.multiply, [
+        group.gen_elements[gi] if sign > 0
+        else group.inverse_element(group.gen_elements[gi])
+        for gi, sign in word], group.identity)
 
 
-def reference_multiplicity_free(ps, seed=0):
-    """The O_E route that the F_q route replaced: the regular representation
-    as permutation matrices over O_E in an IntegralRep, reduced mod pi, with
-    factor traces read back through ``from_coords``.  Its factors are
-    labeled on the report's words, and T is read on the elements they name,
-    returned as "elements"."""
+@functools.lru_cache(maxsize=None)
+def _regular_factors(group, ctx, seed):
+    """The composition factors mod pi of the regular representation as
+    permutation matrices over O_E in an IntegralRep: the elements its spin
+    words name, and each distinct factor as (dim, F_q traces on those
+    elements).  The regular representation is faithful on F_q[G], so the
+    spin names every element."""
     from loccon.lattice import IntegralRep, reduce_rep_mod, semisimplify_mod_p
-    ctx, group = ps.base, ps.group
     n = group.order
     imgs = {}
     for gi, gel in enumerate(group.gen_elements):
@@ -210,39 +245,60 @@ def reference_multiplicity_free(ps, seed=0):
     ss = semisimplify_mod_p(reduce_rep_mod(reg, 1), seed=seed)
     elements = [_word_element(group, _parse_word(text.split(), group, None))
                 for text in ss["words"]]
+    F = ctx.residue_field
     uniq = []
     for f in ss["factors"]:
-        if f not in uniq:
-            uniq.append(f)
-    F = ctx.residue_field
+        factor = (f["dim"], [F.of(ctx.from_coords(list(t), precision=1))
+                             for t in f["traces"]])
+        if factor not in uniq:
+            uniq.append(factor)
+    return elements, uniq, ss["complete"]
+
+
+def reference_multiplicity_free(ps, seed=0):
+    """The decomposition route that the decision replaced: T mod pi as a
+    non-negative combination of the traces of the composition factors of
+    the regular representation over O_E, reduced mod pi."""
+    elements, factors, complete = _regular_factors(ps.group, ps.base, seed)
+    F = ps.base.residue_field
     tbar = [F.of(ps.value(el)) for el in elements]
-    traces = [[F.of(ctx.from_coords(list(t), precision=1)) for t in f["traces"]]
-              for f in uniq]
-    verdict = _decompose_trace(tbar, [f["dim"] for f in uniq], traces, F)
-    out = {"complete": ss["complete"], "factors": uniq, "elements": elements}
-    if verdict is None:
+    mult = _decompose_trace(tbar, [d for d, _ in factors],
+                            [tr for _, tr in factors], F)
+    out = {"complete": complete, "factors": [{"dim": d} for d, _ in factors]}
+    if mult is None:
         out["verdict"] = "no_decomposition"
     else:
-        out["multiplicities"] = verdict
-        if all(c <= 1 for c in verdict):
-            out["verdict"] = "multiplicity_free"
-        else:
-            out["verdict"] = "not_multiplicity_free"
-            out["repeated_factor"] = verdict.index(max(verdict))
+        out["multiplicities"] = mult
+        out["verdict"] = ("multiplicity_free" if max(mult) <= 1
+                          else "not_multiplicity_free")
     return out
 
 
-def _by_factor(report, keep):
-    """A multiplicity-free report keyed by its factors, each as (dim,
-    traces at the positions ``keep``), so that two reports whose factors
-    are labeled on different words compare."""
-    factors = [(f["dim"], tuple(f["traces"][i] for i in keep))
-               for f in report["factors"]]
-    mult = report.get("multiplicities")
-    repeated = report.get("repeated_factor")
-    return (report["complete"], report["verdict"], sorted(factors),
-            None if mult is None else dict(zip(factors, mult)),
-            None if repeated is None else factors[repeated])
+def _decompose_trace(tbar, dims, traces, F):
+    """Non-negative integer combination of the factor traces (over the
+    residue field F) equal to tbar with total dimension 2, by exhaustive
+    search (d = 2 only)."""
+    for combo in itertools.product(range(3), repeat=len(dims)):
+        if sum(c * d for c, d in zip(dims, combo)) != 2:
+            continue
+        ok = True
+        for pos, want in enumerate(tbar):
+            acc = 0
+            for c, tr in zip(combo, traces):
+                for _ in range(c):
+                    acc = F.add(acc, tr[pos])
+            if acc != want:
+                ok = False
+                break
+        if ok:
+            return list(combo)
+    return None
+
+
+def _agrees_with_reference(ps):
+    ref = reference_multiplicity_free(ps, seed=1)
+    assert ref["complete"]
+    return ps.residually_multiplicity_free()["verdict"] == ref["verdict"]
 
 
 @pytest.mark.parametrize("ps", [
@@ -253,33 +309,145 @@ def _by_factor(report, keep):
 ], ids=[f"{g}-{c}" for g in ("C3", "S3", "D6")
         for c in ("Z5", "Z3", "W25", "ram7")] + ["D6-standard"])
 def test_multiplicity_free_matches_regular_representation_over_O_E(ps):
-    """The check labels factors on every element, the reference on the
-    spin words of the regular representation: restricted to the elements
-    those words name, the factors, multiplicities and verdict agree."""
-    out = ps.residually_multiplicity_free(seed=1)
-    assert out["complete"]
-    ref = reference_multiplicity_free(ps, seed=1)
-    elements = list(ps.group.element_words())
-    keep = [elements.index(el) for el in ref["elements"]]
-    assert _by_factor(out, keep) == _by_factor(ref, range(len(keep)))
+    """The decision gives the verdict of the decomposition of the regular
+    representation."""
+    assert _agrees_with_reference(ps)
 
 
-def test_s4_regular_representation_over_F5():
-    out = doubled_trivial(symmetric_group(4), Z5).residually_multiplicity_free()
-    assert out["complete"]
-    assert [f["dim"] for f in out["factors"]] == [1, 1, 2, 3, 3]
+SMALL = (PadicContext(3, precision=2), PadicContext(5, precision=2),
+         PadicContext(3, f=2, precision=2))
+
+
+def _table(group, ctx, values):
+    """The pseudorepresentation with the lifts of the residues ``values``,
+    one per element in ``elements`` order."""
+    F = ctx.residue_field
+    return PseudoRep2(group, {x: F.lift(v) for x, v
+                              in zip(group.elements(), values)}, ctx)
+
+
+@pytest.mark.parametrize("ctx", SMALL, ids=["F3", "F5", "F9"])
+@pytest.mark.parametrize("group", [
+    *(cyclic_group(n) for n in range(2, 9)),
+    dihedral_group(3), dihedral_group(4), symmetric_group(3),
+], ids=[f"C{n}" for n in range(2, 9)] + ["D3", "D4", "S3"])
+def test_every_rational_2_dimensional_trace_matches_the_reference(group, ctx):
+    """Each F_q-rational 2-dimensional trace, that is each 2-dimensional
+    factor of the regular representation and each sum of two linear ones,
+    gets the reference's verdict, and none is refused."""
+    elements, factors, _ = _regular_factors(group, ctx, 1)
+    F = ctx.residue_field
+    at = [elements.index(x) for x in group.elements()]
+    linear = [tr for d, tr in factors if d == 1]
+    traces = [tr for d, tr in factors if d == 2] + [
+        list(map(F.add, a, b))
+        for a, b in itertools.combinations_with_replacement(linear, 2)]
+    verdicts = set()
+    for tr in traces:
+        ps = _table(group, ctx, [tr[i] for i in at])
+        assert _agrees_with_reference(ps)
+        verdicts.add(ps.residually_multiplicity_free()["verdict"])
+    assert "no_decomposition" not in verdicts
+
+
+def _classes(group):
+    """The conjugacy classes, the identity's first."""
+    out = []
+    for x in group.elements():
+        if not any(x in c for c in out):
+            out.append({group.multiply(group.multiply(g, x),
+                                       group.inverse_element(g))
+                        for g in group.elements()})
+    return out
+
+
+@pytest.mark.parametrize("ctx", SMALL[:2], ids=["F3", "F5"])
+@pytest.mark.parametrize("group", [cyclic_group(4), symmetric_group(3),
+                                   dihedral_group(4)], ids=["C4", "S3", "D4"])
+def test_every_class_function_matches_the_reference(group, ctx):
+    """Every class function with T(1) = 2 gets the reference's verdict."""
+    F = ctx.residue_field
+    classes = _classes(group)
+    where = {x: i for i, c in enumerate(classes) for x in c}
+    for rest in itertools.product(range(F.q), repeat=len(classes) - 1):
+        value = (F.add(F.one, F.one), *rest)
+        ps = _table(group, ctx, [value[where[x]] for x in group.elements()])
+        assert _agrees_with_reference(ps)
+
+
+def d4_half_linear_sum():
+    """T = 2 on {1, r^2} and 0 elsewhere on D_4: half the sum of the four
+    linear characters, which meets the d = 2 identity at every pair but is
+    no trace."""
+    group = dihedral_group(4)
+    r = group.gen_elements[0]
+    return group, (group.identity, group.multiply(r, r))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_determinant_that_is_not_multiplicative_is_no_decomposition(p):
+    """The D_4 table passes the d = 2 identity, yet D(r) D(s) = 1 and
+    D(rs) = -1: the decision refuses it at a pair where D is not
+    multiplicative, as the reference does."""
+    ctx = PadicContext(p, precision=4)
+    group, centre = d4_half_linear_sum()
+    ps = PseudoRep2(group, {x: ctx.from_int(2 if x in centre else 0)
+                            for x in group.elements()}, ctx)
+    assert ps.axiom_check()["verdict"] == "pass"
+    out = ps.residually_multiplicity_free()
+    assert out["verdict"] == "no_decomposition"
+    assert out["certificate"] == "D(gh) = D(g) D(h) fails mod pi"
+    g, h = _pair(ps, out["witness"])
+    lhs = ps.determinant(group.multiply(g, h))
+    assert (lhs - ps.determinant(g) * ps.determinant(h)).pi_valuation() == 0
+    assert reference_multiplicity_free(ps)["verdict"] == "no_decomposition"
+
+
+@pytest.mark.parametrize("group,ctx", [
+    (cyclic_group(19), Z5), (cyclic_group(23), Z5), (cyclic_group(25), Z5),
+    (symmetric_group(4), W25),
+], ids=["C19-Z5", "C23-Z5", "C25-Z5", "S4-W25"])
+def test_doubled_trivial_of_large_groups_is_decided(group, ctx):
+    """The doubled trivial T of groups whose regular representation the
+    random submodule search could not split, or that were past its size
+    limit, is twice the trivial character."""
+    ps = doubled_trivial(group, ctx)
+    out = ps.residually_multiplicity_free()
+    assert out["verdict"] == "not_multiplicity_free"
+    assert _character_matches(ps, out)
+    assert set(out["character"].values()) == {ctx.one().coords}
+
+
+def test_order_120_decides_in_under_a_second():
+    ps = doubled_trivial(dihedral_group(60), Z5)
+    start = time.perf_counter()
+    out = ps.residually_multiplicity_free()
+    assert time.perf_counter() - start < 1
     assert out["verdict"] == "not_multiplicity_free"
 
 
-def test_unproven_factor_is_inconclusive():
-    """Over F_25 every simple F_25[S_4]-module has dimension <= 3, so a
-    larger factor is one the random submodule search failed to split: the
-    verdict is inconclusive and names it, with no decomposition."""
-    out = doubled_trivial(symmetric_group(4), W25).residually_multiplicity_free()
-    assert not out["complete"] and out["verdict"] == "inconclusive"
-    assert out["unproven"] and all(d > 3 for d in out["unproven"])
-    assert all(str(d) in out["reason"] for d in out["unproven"])
-    assert "multiplicities" not in out
+def test_a_condition_broken_on_the_identity_or_a_pair_is_named():
+    """T(1) = 1 is refused at (e, e), and a T that is not central at the
+    first pair where T(gh) != T(hg)."""
+    s3 = symmetric_group(3)
+    vals = {x: Z5.from_int(2) for x in s3.elements()}
+    ps = PseudoRep2(s3, {**vals, s3.identity: Z5.one()}, Z5)
+    assert ps.residually_multiplicity_free() == {
+        "verdict": "no_decomposition", "certificate": "T(1) = 2 fails mod pi",
+        "witness": ["e", "e"]}
+    s, c = s3.gen_elements
+    ps = PseudoRep2(s3, {**vals, s3.multiply(s, c): Z5.zero()}, Z5)
+    out = ps.residually_multiplicity_free()
+    assert out["certificate"] == "T(gh) = T(hg) fails mod pi"
+    g, h = _pair(ps, out["witness"])
+    assert ps.value(s3.multiply(g, h)) != ps.value(s3.multiply(h, g))
+
+
+def test_s4_regular_representation_over_F5():
+    ps = doubled_trivial(symmetric_group(4), Z5)
+    out = ps.residually_multiplicity_free()
+    assert out["verdict"] == "not_multiplicity_free"
+    assert _character_matches(ps, out)
 
 
 # -- constancy over algebras -------------------------------------------------
