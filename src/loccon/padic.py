@@ -805,13 +805,18 @@ def embed(x, ctx_E):
 
 
 def gamma_injectivity_exhaustive(ctx_L, ctx_E, n):
-    """Check injectivity of O_L/pi_L^n -> O_E/pi_E^gamma by enumeration.
+    """Decide injectivity of O_L/pi_L^n -> O_E/pi_E^gamma from the moduli.
 
     Returns (ok, witness) where witness is a colliding pair on failure.
-    The loop runs on coordinate tuples: the image of a residue mod pi_E^gamma
-    is its coordinates, each reduced by the modulus of its place in O_E
-    (L's coordinates are the omega-row of pi^0 in E, and the image's other
-    coordinates are 0).  Elements are built only for a witness.
+    L's coordinates are the omega-row of pi^0 in E, so the image of a
+    residue is its coordinate tuple, each entry reduced by E's modulus at
+    that place, and the map is a product of the maps range(a_i) -> x mod b_i
+    (a_i, b_i the moduli of place i mod pi_L^n and mod pi_E^gamma).  The
+    product is injective exactly when each factor is, that is when every
+    a_i <= b_i.  Otherwise the enumeration of O_L/pi_L^n in product order
+    (last coordinate fastest) first collides at b_j in the last place j with
+    a_j > b_j and 0 elsewhere, whose image is that of the zero residue: that
+    is the pair returned, so no residue is enumerated.
     """
     e_rel, same = ctx_E._extension_of(ctx_L)
     g = gamma_exponent(e_rel, n)
@@ -824,13 +829,12 @@ def gamma_injectivity_exhaustive(ctx_L, ctx_E, n):
         raise PrecisionError(
             f"residue mod pi^{g} requested but only {ctx_E.precision} digits known")
     # equal contexts have equal moduli, so E's serve both cases
-    mods = ctx_E._residue_moduli(g)
-    seen = {}
-    for combo in itertools.product(*map(range, ctx_L._residue_moduli(n))):
-        key = tuple(map(operator.mod, combo, mods))
-        if key in seen:
-            return False, (_element(ctx_L, combo, n), _element(ctx_L, seen[key], n))
-        seen[key] = combo
+    a, b = ctx_L._residue_moduli(n), ctx_E._residue_moduli(g)
+    for j in reversed(range(ctx_L.degree)):
+        if a[j] > b[j]:
+            zero = (0,) * ctx_L.degree
+            first = zero[:j] + (b[j],) + zero[j + 1:]
+            return False, (_element(ctx_L, first, n), _element(ctx_L, zero, n))
     return True, None
 
 
@@ -853,12 +857,22 @@ def _transfer_sides(diff, n, e_rel, m):
 def congruence_transfer_holds(alpha, beta, ctx_L, n):
     """Two-way check: a-b in pi_E^m O_E  <=>  a-b in pi_L^n O_L, m = gamma.
 
-    alpha, beta live in the extension context; alpha-beta must come from O_L.
+    alpha, beta live in the extension context; alpha-beta must come from O_L,
+    so its coordinates past L's are 0 to its known digits, else DomainError.
     Returns (equivalence_ok, lhs, rhs).  Raises PrecisionError when alpha-beta
     is 0 to fewer than m known digits, so neither side can be read.
     """
-    e_rel = relative_ramification(ctx_L, alpha.context)
-    return _transfer_sides(alpha - beta, n, e_rel, gamma_exponent(e_rel, n))
+    ctx_E = alpha.context
+    e_rel, same = ctx_E._extension_of(ctx_L)
+    diff = alpha - beta
+    # O_L is O_E, or unramified with its f coordinates first in E's pi^0 row;
+    # the moduli are read only for a difference not plainly in O_L
+    if not same and any(diff.coords[ctx_L.f:]):
+        mods = ctx_E._residue_moduli(diff.known_precision)
+        if any(map(operator.mod, diff.coords[ctx_L.f:], mods[ctx_L.f:])):
+            raise DomainError(
+                f"a - b is not in O_L to its {diff.known_precision} known digits")
+    return _transfer_sides(diff, n, e_rel, gamma_exponent(e_rel, n))
 
 
 def congruence_equiv_audit(ctx_L, ctx_E, n, samples=1000, seed=0):

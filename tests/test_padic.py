@@ -453,6 +453,25 @@ def test_transfer_check_refuses_a_congruence_it_cannot_see():
     assert congruence_transfer_holds(a, b, L, 1) == (True, True, True)
 
 
+@pytest.mark.parametrize("L,outside", [
+    (Z5, RAM2.pi()), (Z5, UNRAM2.from_coords([0, 1])),
+    (PadicContext(3, f=2, precision=12), MIXED.pi()),
+])
+def test_transfer_check_refuses_a_difference_outside_O_L(L, outside):
+    """pi_E and omega are not in Z_5, nor pi_E in W(F_9), so neither side of
+    the transfer is defined for them; an entry past L's that is 0 to the
+    known digits is."""
+    E = outside.context
+    for n in (1, 2):
+        with pytest.raises(DomainError, match="a - b is not in O_L to its 12 known digits"):
+            congruence_transfer_holds(outside, E.zero(), L, n)
+    a = outside + embed(L.from_int(L.p ** 2), E)
+    assert congruence_transfer_holds(a, outside, L, 2) == (True, True, True)
+    # the entry past Z_5's has modulus 1 mod pi_E^1
+    assert congruence_transfer_holds(RAM2.from_coords([0, 1], 1), RAM2.zero(), Z5, 1) \
+        == (True, True, True)
+
+
 # -- the validated-pair cache -------------------------------------------------
 
 
@@ -1060,8 +1079,8 @@ def test_gamma_injectivity_matches_the_element_reference(n):
     (PadicContext(2), PadicContext(2, e=3, eis_poly=_eisenstein(2, 1, 3)), 3),
 ])
 def test_gamma_injectivity_reports_the_reference_witness(monkeypatch, L, E, n):
-    """At exponent gamma - 1 the map is not injective: both enumerations
-    stop at the same colliding pair."""
+    """At exponent gamma - 1 the map is not injective: the decision returns
+    the pair at which the reference enumeration stops."""
     gamma = padic.gamma_exponent
     monkeypatch.setattr(padic, "gamma_exponent", lambda e_rel, n: gamma(e_rel, n) - 1)
     ok, witness = gamma_injectivity_exhaustive(L, E, n)
@@ -1071,6 +1090,32 @@ def test_gamma_injectivity_reports_the_reference_witness(monkeypatch, L, E, n):
     assert a.context is b.context is L
     assert (a - b).reduce_mod(n).pi_valuation() is not None
     g = gamma(relative_ramification(L, E), n) - 1
+    assert embed(a, E).reduce_mod(g).coords == embed(b, E).reduce_mod(g).coords
+
+
+def test_gamma_injectivity_matches_the_reference_at_every_exponent(monkeypatch):
+    """At each exponent 1..gamma the moduli give the enumeration's verdict
+    and its first colliding pair (the largest case has 5^6 residues)."""
+    gamma = padic.gamma_exponent
+    for L, E in _gamma_pairs():
+        for n in (1, 2, 3):
+            for m in range(1, gamma(relative_ramification(L, E), n) + 1):
+                monkeypatch.setattr(padic, "gamma_exponent", lambda e_rel, n: m)
+                assert_same_injectivity(gamma_injectivity_exhaustive(L, E, n),
+                                        ref_gamma_injectivity(L, E, n))
+
+
+def test_gamma_injectivity_is_decided_past_any_enumeration(monkeypatch):
+    """n = 12 over W(F_25) is 25^12 residues: the moduli decide it."""
+    L = PadicContext(5, f=2, precision=40)
+    E = PadicContext(5, f=2, e=3, precision=40)
+    n = 12
+    assert gamma_injectivity_exhaustive(L, E, n) == (True, None)
+    g = padic.gamma_exponent(3, n) - 1
+    monkeypatch.setattr(padic, "gamma_exponent", lambda e_rel, n: g)
+    ok, (a, b) = gamma_injectivity_exhaustive(L, E, n)
+    assert not ok
+    assert (a - b).reduce_mod(n).pi_valuation() is not None
     assert embed(a, E).reduce_mod(g).coords == embed(b, E).reduce_mod(g).coords
 
 
